@@ -42,8 +42,9 @@ std::uint64_t run_dear_digest(bool local_transport) {
   dear::brake::DearScenarioConfig config;
   config.frames = 300;
   config.platform_seed = 7;
-  config.camera_seed = config.platform_seed + 1000;
-  config.local_transport = local_transport;
+  config.sensor_seed = config.platform_seed + 1000;
+  config.transport =
+      local_transport ? dear::scenario::Transport::kLocal : dear::scenario::Transport::kSomeIp;
   return dear::brake::run_dear_pipeline(config).output_digest;
 }
 

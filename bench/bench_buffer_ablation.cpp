@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
       dear::brake::ScenarioConfig config;
       config.frames = frames;
       config.platform_seed = seed;
-      config.camera_seed = seed + 1000;
+      config.sensor_seed = seed + 1000;
       config.input_queue_depth = depth;
       const auto result = dear::brake::run_nondet_pipeline(config);
       total_errors += result.errors.total();

@@ -40,12 +40,12 @@ int main(int argc, char** argv) {
     dear::brake::ScenarioConfig classic;
     classic.frames = frames;
     classic.platform_seed = seed;
-    classic.camera_seed = seed + 1000;
+    classic.sensor_seed = seed + 1000;
 
     dear::brake::DearScenarioConfig dear_config;
     dear_config.frames = frames;
     dear_config.platform_seed = seed;
-    dear_config.camera_seed = seed + 1000;
+    dear_config.sensor_seed = seed + 1000;
 
     const auto classic_result = dear::brake::run_nondet_pipeline(classic);
     const auto det_client_result = dear::brake::run_det_client_pipeline(classic);

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
     dear::brake::ScenarioConfig config;
     config.frames = frames;
     config.platform_seed = seed;
-    config.camera_seed = seed + 1000;
+    config.sensor_seed = seed + 1000;
     rows.push_back(Row{seed, dear::brake::run_nondet_pipeline(config)});
   }
   std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
     dear::brake::DearScenarioConfig config;
     config.frames = dear_frames;
     config.platform_seed = seed;
-    config.camera_seed = 424242;  // same camera input for every instance
+    config.sensor_seed = 424242;  // same camera input for every instance
     const auto result = dear::brake::run_dear_pipeline(config);
     total_errors += result.errors.total() + result.deadline_violations + result.tardy_messages;
     if (seed == 1) {

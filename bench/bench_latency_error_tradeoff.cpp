@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
     dear::brake::DearScenarioConfig config;
     config.frames = frames;
     config.platform_seed = 1;
-    config.camera_seed = 7;
+    config.sensor_seed = 7;
     config.deadline_scale = scale;
     const auto result = dear::brake::run_dear_pipeline(config);
     const double mean_latency =

@@ -22,10 +22,14 @@
 //   * dataplane_local_zero_alloc — zero new slab allocations in the same
 //     segment: every loan is a shelf hit;
 //   * dataplane_digest_local/someip — the 300-frame DEAR anchor digest is
-//     bit-identical with the camera payload plane live (1 MiB bursts).
+//     bit-identical with the camera payload plane live (1 MiB bursts);
+//   * dataplane_local/someip_delivery — every wait for a subscription
+//     change or for in-flight frames finished within its deadline (a lost
+//     frame fails here, with sent/received, instead of hanging the run).
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -76,22 +80,65 @@ std::uint64_t frames_for(std::uint64_t base_frames, std::size_t bytes) {
   return scaled < 4 ? 4 : scaled;
 }
 
+/// Upper bound on any single wait for a subscription change or for the
+/// in-flight frames of a batch. A whole quick-mode run takes about two
+/// seconds, so this only trips when a frame or a subscription change is
+/// lost.
+constexpr double kWaitDeadlineNs = 10e9;
+
+/// Yields until done() holds; false when kWaitDeadlineNs passes first.
+template <typename Done>
+bool wait_for(Done&& done) {
+  const double deadline = now_ns() + kWaitDeadlineNs;
+  while (!done()) {
+    if (now_ns() > deadline) {
+      return done();
+    }
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+/// Waits until the server sees exactly `subscribers` subscribers to the
+/// data event. Subscribe and unsubscribe are applied asynchronously (on
+/// the SOME/IP backend they cross a multi-threaded executor), so a stream
+/// may neither start nor hand over to the next one on a stale count.
+bool wait_for_subscribers(ara::com::TransportBinding& server, std::size_t subscribers) {
+  return wait_for([&server, subscribers] {
+    return server.subscriber_count(kService, kDataEvent) == subscribers;
+  });
+}
+
 struct StreamRow {
   std::vector<double> per_frame_ns;
   double gb_per_s{0.0};
   std::uint64_t frames{0};
   std::uint64_t bytes_delivered{0};
+  /// Empty when every wait finished in time; otherwise which wait timed
+  /// out, with the frames sent and received so far.
+  std::string stall;
 };
+
+std::string stall_detail(const char* wait, std::uint64_t sent, std::uint64_t received) {
+  char buffer[128];
+  std::snprintf(buffer, sizeof(buffer), "%s timed out: sent %llu, received %llu", wait,
+                static_cast<unsigned long long>(sent),
+                static_cast<unsigned long long>(received));
+  return buffer;
+}
 
 /// Streams `batches` timed batches of `frames_per_batch` event frames
 /// from server to one subscribed client, waiting out the in-flight tail
 /// after each batch. One untimed warmup batch populates the slab shelves
 /// (and the SOME/IP executor caches) first. `send_frame(server, index)`
-/// publishes one frame.
+/// publishes one frame. The stream ends unsubscribed, with the server's
+/// subscriber count back at zero; a timed-out wait ends it early with
+/// `stall` set.
 template <typename SendFrame>
 StreamRow run_stream(ara::com::TransportBinding& server, ara::com::TransportBinding& client,
                      std::size_t payload_bytes, std::uint64_t frames_per_batch,
                      std::uint64_t batches, SendFrame&& send_frame) {
+  StreamRow row;
   std::atomic<std::uint64_t> received{0};
   std::atomic<std::uint64_t> bytes_delivered{0};
   client.subscribe(kServerEp, kService, kDataEvent,
@@ -101,30 +148,41 @@ StreamRow run_stream(ara::com::TransportBinding& server, ara::com::TransportBind
                          std::memory_order_relaxed);
                      received.fetch_add(1, std::memory_order_release);
                    });
-  while (server.subscriber_count(kService, kDataEvent) == 0) {
-    std::this_thread::yield();
+  std::uint64_t sent = 0;
+  const auto stop = [&](const char* wait) {
+    row.stall = stall_detail(wait, sent, received.load(std::memory_order_acquire));
+    client.unsubscribe(kServerEp, kService, kDataEvent);
+    (void)wait_for_subscribers(server, 0);
+    return row;
+  };
+  if (!wait_for_subscribers(server, 1)) {
+    return stop("subscribe");
   }
 
-  std::uint64_t sent = 0;
+  // Wall time of one batch, or a negative value when its tail never arrived.
   const auto run_batch = [&]() -> double {
     const double start = now_ns();
     for (std::uint64_t frame = 0; frame < frames_per_batch; ++frame) {
       send_frame(server, sent);
       ++sent;
     }
-    while (received.load(std::memory_order_acquire) < sent) {
-      std::this_thread::yield();
+    if (!wait_for([&] { return received.load(std::memory_order_acquire) >= sent; })) {
+      return -1.0;
     }
     return now_ns() - start;
   };
 
-  (void)run_batch();  // warmup: shelves filled, wire caches primed
+  if (run_batch() < 0.0) {  // warmup: shelves filled, wire caches primed
+    return stop("warmup batch");
+  }
 
-  StreamRow row;
   row.per_frame_ns.reserve(batches);
   double total_ns = 0.0;
   for (std::uint64_t batch = 0; batch < batches; ++batch) {
     const double elapsed = run_batch();
+    if (elapsed < 0.0) {
+      return stop("batch");
+    }
     total_ns += elapsed;
     row.per_frame_ns.push_back(elapsed / static_cast<double>(frames_per_batch));
   }
@@ -135,6 +193,9 @@ StreamRow run_stream(ara::com::TransportBinding& server, ara::com::TransportBind
                            total_ns
                      : 0.0;
   client.unsubscribe(kServerEp, kService, kDataEvent);
+  if (!wait_for_subscribers(server, 0)) {
+    row.stall = stall_detail("unsubscribe", sent, received.load(std::memory_order_acquire));
+  }
   row.bytes_delivered = bytes_delivered.load(std::memory_order_relaxed);
   return row;
 }
@@ -152,13 +213,26 @@ void send_loaned(ara::com::TransportBinding& server, std::size_t payload_bytes,
   server.notify_loaned(kService, kDataEvent, std::move(buffer));
 }
 
-/// Records one stream row on the harness with its GB/s counter.
-CaseResult& record_row(Harness& harness, const std::string& name, const StreamRow& row) {
+/// Records one stream row on the harness with its GB/s counter. A stalled
+/// row is not recorded: its stall goes to `stall` and the result is false,
+/// which ends the backend's sweep.
+bool record_row(Harness& harness, const std::string& name, const StreamRow& row,
+                std::string& stall) {
+  if (!row.stall.empty()) {
+    stall = name + ": " + row.stall;
+    return false;
+  }
   CaseResult& result = harness.record(name, row.per_frame_ns);
   result.iterations = row.frames;
   Harness::counter(result, "gb_per_s", row.gb_per_s);
   Harness::counter(result, "bytes_delivered", static_cast<double>(row.bytes_delivered));
-  return result;
+  return true;
+}
+
+/// Gate over one backend's waits: `stall` is the first one that timed out.
+void delivery_gate(Harness& harness, const char* gate, const std::string& stall) {
+  harness.gate(gate, stall.empty(),
+               stall.empty() ? "every stream delivered all frames within the deadline" : stall);
 }
 
 /// The 300-frame DEAR anchor workload with the camera payload plane live:
@@ -175,8 +249,9 @@ PayloadDigestRun run_dear_payload_digest(bool local_transport) {
   brake::DearScenarioConfig config;
   config.frames = 300;
   config.platform_seed = 7;
-  config.camera_seed = config.platform_seed + 1000;
-  config.local_transport = local_transport;
+  config.sensor_seed = config.platform_seed + 1000;
+  config.transport =
+      local_transport ? dear::scenario::Transport::kLocal : dear::scenario::Transport::kSomeIp;
   config.camera_payload_bytes = 1024u * 1024u;
   const brake::PipelineResult result = brake::run_dear_pipeline(config);
   return PayloadDigestRun{result.output_digest, result.camera_payload_frames,
@@ -197,6 +272,7 @@ void run_dataplane_suite(Harness& h, const DataplaneOptions& options) {
   // --- local backend: loaned vs encode over the payload classes --------------
   double local_loaned_1mb = 0.0;
   double local_encode_1mb = 0.0;
+  std::string local_stall;  // first timed-out wait on the local backend
   {
     common::ThreadPoolExecutor executor(1);  // timeout synthesis only
     ara::com::LocalHub hub;
@@ -214,7 +290,9 @@ void run_dataplane_suite(Harness& h, const DataplaneOptions& options) {
           });
       std::snprintf(name, sizeof(name), "dataplane/local/loaned/%s",
                     class_name(payload_bytes));
-      record_row(h, name, loaned);
+      if (!record_row(h, name, loaned, local_stall)) {
+        break;
+      }
 
       std::vector<std::uint8_t> staging(payload_bytes, 0xA5);
       const StreamRow encode = run_stream(
@@ -225,7 +303,9 @@ void run_dataplane_suite(Harness& h, const DataplaneOptions& options) {
           });
       std::snprintf(name, sizeof(name), "dataplane/local/encode/%s",
                     class_name(payload_bytes));
-      record_row(h, name, encode);
+      if (!record_row(h, name, encode, local_stall)) {
+        break;
+      }
 
       if (payload_bytes == 1024u * 1024u) {
         local_loaned_1mb = loaned.gb_per_s;
@@ -236,31 +316,32 @@ void run_dataplane_suite(Harness& h, const DataplaneOptions& options) {
     // --- steady-state counter audit on the warmed 1 MiB loaned path ---------
     // The rows above already cycled every shelf; from here on each loan
     // must be a shelf hit and no payload byte may be copied.
-    {
+    if (local_stall.empty()) {
       std::atomic<std::uint64_t> received{0};
       client.subscribe(kServerEp, kService, kDataEvent,
                        [&received](const someip::Message&) {
                          received.fetch_add(1, std::memory_order_release);
                        });
-      while (server.subscriber_count(kService, kDataEvent) == 0) {
-        std::this_thread::yield();
-      }
+      const auto delivered = [&received](std::uint64_t count) {
+        return wait_for([&] { return received.load(std::memory_order_acquire) >= count; });
+      };
       const std::uint64_t steady_frames =
           h.scale(options.steady_frames, options.steady_frames / 4 + 8);
+      bool on_time = wait_for_subscribers(server, 1);
       // One warmup frame after the (re-)subscription, then snapshot.
-      send_loaned(server, 1024u * 1024u, 0);
-      while (received.load(std::memory_order_acquire) < 1) {
-        std::this_thread::yield();
+      if (on_time) {
+        send_loaned(server, 1024u * 1024u, 0);
+        on_time = delivered(1);
       }
       const std::uint64_t loans_before = counter_now(obs::Counter::kPoolSlabLoans);
       const std::uint64_t hits_before = counter_now(obs::Counter::kPoolSlabShelfHits);
       const std::uint64_t allocs_before = counter_now(obs::Counter::kPoolSlabAllocs);
       const std::uint64_t copies_before = counter_now(obs::Counter::kDataplanePayloadCopies);
-      for (std::uint64_t frame = 0; frame < steady_frames; ++frame) {
-        send_loaned(server, 1024u * 1024u, frame + 1);
-      }
-      while (received.load(std::memory_order_acquire) < steady_frames + 1) {
-        std::this_thread::yield();
+      if (on_time) {
+        for (std::uint64_t frame = 0; frame < steady_frames; ++frame) {
+          send_loaned(server, 1024u * 1024u, frame + 1);
+        }
+        on_time = delivered(steady_frames + 1);
       }
       const std::uint64_t loans = counter_now(obs::Counter::kPoolSlabLoans) - loans_before;
       const std::uint64_t hits = counter_now(obs::Counter::kPoolSlabShelfHits) - hits_before;
@@ -268,6 +349,12 @@ void run_dataplane_suite(Harness& h, const DataplaneOptions& options) {
       const std::uint64_t copies =
           counter_now(obs::Counter::kDataplanePayloadCopies) - copies_before;
       client.unsubscribe(kServerEp, kService, kDataEvent);
+      on_time = wait_for_subscribers(server, 0) && on_time;
+      if (!on_time) {
+        local_stall = "steady-state audit: " +
+                      stall_detail("delivery", steady_frames + 1,
+                                   received.load(std::memory_order_acquire));
+      }
 
       std::snprintf(detail, sizeof(detail),
                     "%llu payload memcpys across %llu steady-state 1MiB local frames",
@@ -284,6 +371,7 @@ void run_dataplane_suite(Harness& h, const DataplaneOptions& options) {
     }
     executor.drain();
   }
+  delivery_gate(h, "dataplane_local_delivery", local_stall);
 
   const double loaned_speedup =
       local_encode_1mb > 0.0 ? local_loaned_1mb / local_encode_1mb : 0.0;
@@ -296,6 +384,7 @@ void run_dataplane_suite(Harness& h, const DataplaneOptions& options) {
   // Loaned payloads still cross the loopback wire (one framing copy per
   // frame, counted in dataplane.payload_copies); the win over encode is
   // skipping the payload staging copy and the per-frame vector churn.
+  std::string someip_stall;  // first timed-out wait on the SOME/IP backend
   {
     common::ThreadPoolExecutor executor(2);
     net::RtNetwork network(executor);
@@ -312,7 +401,9 @@ void run_dataplane_suite(Harness& h, const DataplaneOptions& options) {
           });
       std::snprintf(name, sizeof(name), "dataplane/someip/loaned/%s",
                     class_name(payload_bytes));
-      record_row(h, name, loaned);
+      if (!record_row(h, name, loaned, someip_stall)) {
+        break;
+      }
 
       if (payload_bytes == 1024u * 1024u) {
         std::vector<std::uint8_t> staging(payload_bytes, 0xA5);
@@ -324,11 +415,14 @@ void run_dataplane_suite(Harness& h, const DataplaneOptions& options) {
             });
         std::snprintf(name, sizeof(name), "dataplane/someip/encode/%s",
                       class_name(payload_bytes));
-        record_row(h, name, encode);
+        if (!record_row(h, name, encode, someip_stall)) {
+          break;
+        }
       }
     }
     executor.drain();
   }
+  delivery_gate(h, "dataplane_someip_delivery", someip_stall);
 
   // --- DEAR digest anchors with the payload plane live -----------------------
   if (options.golden_digest != 0) {

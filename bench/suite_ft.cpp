@@ -29,8 +29,7 @@ std::uint64_t run_dear_digest(std::uint64_t frames, bool idle_probe) {
   brake::DearScenarioConfig config;
   config.frames = frames;
   config.platform_seed = 7;
-  config.camera_seed = config.platform_seed + 1000;
-  config.local_transport = false;
+  config.sensor_seed = config.platform_seed + 1000;
   config.ft_idle_probe = idle_probe;
   return brake::run_dear_pipeline(config).output_digest;
 }

@@ -26,18 +26,19 @@ int main(int argc, char** argv) {
   }
 
   dear::acc::AccScenarioConfig config;
-  config.scans = static_cast<std::uint64_t>(cli.get_int("scans"));
+  config.frames = static_cast<std::uint64_t>(cli.get_int("scans"));
   config.platform_seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  config.radar_seed = config.platform_seed + 1000;
+  config.sensor_seed = config.platform_seed + 1000;
   config.deadline_scale = cli.get_double("deadline-scale");
-  config.local_transport = cli.get_flag("local-transport");
+  const bool local = cli.get_flag("local-transport");
+  config.transport = local ? dear::scenario::Transport::kLocal : dear::scenario::Transport::kSomeIp;
 
   std::printf(
       "running the DEAR adaptive cruise control chain: %llu scans, seed %llu, "
       "deadline scale %.2f, transport %s\n",
-      static_cast<unsigned long long>(config.scans),
+      static_cast<unsigned long long>(config.frames),
       static_cast<unsigned long long>(config.platform_seed), config.deadline_scale,
-      config.local_transport ? "local (zero-copy in-process)" : "someip");
+      local ? "local (zero-copy in-process)" : "someip");
 
   const auto result = dear::acc::run_acc_pipeline(config);
 

@@ -20,16 +20,17 @@ int main(int argc, char** argv) {
   dear::brake::DearScenarioConfig config;
   config.frames = static_cast<std::uint64_t>(flags.get_int("frames", 20'000));
   config.platform_seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
-  config.camera_seed = config.platform_seed + 1000;
+  config.sensor_seed = config.platform_seed + 1000;
   config.deadline_scale = flags.get_double("deadline-scale", 1.0);
-  config.local_transport = flags.get_bool("local-transport", false);
+  const bool local = flags.get_bool("local-transport", false);
+  config.transport = local ? dear::scenario::Transport::kLocal : dear::scenario::Transport::kSomeIp;
 
   std::printf(
       "running the DEAR brake assistant: %llu frames, seed %llu, deadline scale %.2f, "
       "transport %s\n",
       static_cast<unsigned long long>(config.frames),
       static_cast<unsigned long long>(config.platform_seed), config.deadline_scale,
-      config.local_transport ? "local (zero-copy in-process)" : "someip");
+      local ? "local (zero-copy in-process)" : "someip");
 
   const auto result = dear::brake::run_dear_pipeline(config);
 

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   dear::brake::ScenarioConfig config;
   config.frames = static_cast<std::uint64_t>(flags.get_int("frames", 20'000));
   config.platform_seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
-  config.camera_seed = config.platform_seed + 1000;
+  config.sensor_seed = config.platform_seed + 1000;
 
   std::printf("running the stock brake assistant: %llu frames, seed %llu ...\n",
               static_cast<unsigned long long>(config.frames),

@@ -240,7 +240,7 @@ class ConsoleLogic final : public reactor::Reactor {
 
 AccResult run_acc_pipeline(const AccScenarioConfig& config) {
   common::Rng platform_rng(config.platform_seed);
-  common::Rng radar_rng(config.radar_seed);
+  common::Rng radar_rng(config.sensor_seed);
 
   sim::Kernel kernel;
   net::SimNetwork network(kernel, platform_rng.stream("net"));
@@ -269,7 +269,7 @@ AccResult run_acc_pipeline(const AccScenarioConfig& config) {
   auto radar_cfg_rng = radar_rng.stream("radar");
   const Duration radar_clock_offset = radar_cfg_rng.uniform_duration(0, config.period);
   const double radar_clock_drift =
-      radar_cfg_rng.uniform(-1000, 1000) * 1e-3 * config.radar_drift_ppm;
+      radar_cfg_rng.uniform(-1000, 1000) * 1e-3 * config.clock_drift_ppm;
   const sim::PlatformClock radar_clock(radar_clock_offset, radar_clock_drift);
   const Duration radar_phase = radar_cfg_rng.uniform_duration(0, config.period - 1);
 
@@ -321,7 +321,7 @@ AccResult run_acc_pipeline(const AccScenarioConfig& config) {
   };
 
   AppBuilder::Config app_config;
-  app_config.local_hub = config.local_transport ? &hub : nullptr;
+  app_config.local_hub = config.transport == scenario::Transport::kLocal ? &hub : nullptr;
   AppBuilder app(kernel, network, discovery, executor, platform_rng, app_config);
 
   auto& radar = app.node("radar", kRadarEp, 0x31);
@@ -474,7 +474,7 @@ AccResult run_acc_pipeline(const AccScenarioConfig& config) {
   sim::PeriodicTask radar_task(
       kernel, radar_clock, config.period, radar_phase,
       [&](std::uint64_t /*activation*/, TimePoint release) {
-        if (captures >= config.scans) {
+        if (captures >= config.frames) {
           return;
         }
         // Scan ids are capture ordinals (cf. brake::Camera): the input
@@ -554,7 +554,7 @@ AccResult run_acc_pipeline(const AccScenarioConfig& config) {
   }
 
   const TimePoint horizon = settle +
-                            static_cast<TimePoint>(config.scans + 16) * config.period +
+                            static_cast<TimePoint>(config.frames + 16) * config.period +
                             16 * config.period;
   kernel.run_until(horizon);
   radar_task.stop();

@@ -14,7 +14,7 @@
 // transactors derived from the same descriptors.
 //
 // Like the brake pipeline, the chain runs unchanged over SOME/IP or the
-// zero-copy in-process transport (local_transport), with bit-identical
+// zero-copy in-process transport (Transport::kLocal), with bit-identical
 // observable outputs and logical tags.
 #pragma once
 
@@ -23,8 +23,7 @@
 
 #include "common/time.hpp"
 #include "dear/config.hpp"
-#include "ft/fault_model.hpp"
-#include "sim/fault_injection.hpp"
+#include "scenario/knobs.hpp"
 
 namespace dear {
 class AppBuilder;
@@ -35,23 +34,17 @@ struct StaticPlan;
 
 namespace dear::acc {
 
-struct AccScenarioConfig {
-  /// Seed for the radar's timing (capture phase + jitter + clock drift).
-  std::uint64_t radar_seed{1};
-  /// Seed for everything platform-side (network latency, dispatch order,
-  /// modeled execution-time draws).
-  std::uint64_t platform_seed{1};
-  std::uint64_t scans{10'000};
+/// The ACC chain's configuration: the shared platform knobs
+/// (scenario/knobs.hpp; the radar is the sensor and the service-fault
+/// victim, frames counts radar scans) plus the chain's own timing.
+struct AccScenarioConfig : scenario::PlatformKnobs {
   Duration period{50 * kMillisecond};
   Duration radar_jitter{500 * kMicrosecond};
   Duration link_latency_min{200 * kMicrosecond};
   Duration link_latency_max{800 * kMicrosecond};
-  /// Radar platform clock drift bound (ppm); the actual drift is drawn
-  /// from radar_seed (it shapes the sensor's capture timing). Immaterial
-  /// to the logical results: scan tags follow physical reception.
-  double radar_drift_ppm{30.0};
 
-  // Transactor deadlines and safe-to-process bounds.
+  // Transactor deadlines (scaled by deadline_scale) and safe-to-process
+  // bounds.
   Duration radar_deadline{5 * kMillisecond};
   Duration tracker_deadline{20 * kMillisecond};
   Duration acc_deadline{10 * kMillisecond};
@@ -60,47 +53,13 @@ struct AccScenarioConfig {
   Duration latency_bound{5 * kMillisecond};
   Duration clock_error_bound{0};
 
-  /// Global scale on all deadlines (latency/error trade-off knob).
-  double deadline_scale{1.0};
-  /// Scale factor on the modeled execution times (stress knob).
-  double exec_time_scale{1.0};
-
   /// Console cadence: how often the set-point is polled resp. stepped
   /// through the field's get/set methods (logical time).
   Duration console_poll_period{500 * kMillisecond};
   Duration console_update_period{2000 * kMillisecond};
 
-  /// Deploy all chain services over the zero-copy in-process transport
-  /// instead of SOME/IP.
-  bool local_transport{false};
-
   transact::UntaggedPolicy untagged{transact::UntaggedPolicy::kFail};
 
-  // --- fault-campaign knobs (scenario engine) --------------------------------
-  /// Latency range of the on-platform service links (all chain traffic is
-  /// same-node, i.e. loopback). Keep the max below latency_bound for
-  /// loss-free operation.
-  Duration svc_latency_min{5 * kMicrosecond};
-  Duration svc_latency_max{50 * kMicrosecond};
-  /// Per-message drop probability on the service links.
-  double net_drop_probability{0.0};
-  /// Per-message duplication probability on the service links.
-  double net_duplicate_probability{0.0};
-  /// Enforce in-order delivery on the service links (default: off).
-  bool net_in_order{false};
-  /// Radar sensor faults (input-side: decided from radar_seed).
-  sim::SensorFaultModel sensor_faults{};
-
-  // --- deterministic fault tolerance (src/ft/) -------------------------------
-  /// Service faults: the radar node is the victim (crash/restart windows
-  /// in wire-tag time, per-call error/omission, subscription churn).
-  /// Enabling any knob also deploys the health-monitor service and the
-  /// ACC controller's coast fallback.
-  ft::ServiceFaultModel service_faults{};
-  /// Retry budget installed on the console's field proxy.
-  ft::RetryBudget retry{};
-  /// Seed for the per-call fault die.
-  std::uint64_t fault_seed{1};
   /// Bench-only: install an inert fault plan (real victim, empty crash
   /// window, zero probabilities) WITHOUT the health service, to measure
   /// the pure hook overhead on the hot path.

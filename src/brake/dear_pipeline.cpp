@@ -181,7 +181,7 @@ class EbaLogic final : public reactor::Reactor {
 
 PipelineResult run_dear_pipeline(const DearScenarioConfig& config) {
   common::Rng platform_rng(config.platform_seed);
-  common::Rng camera_rng(config.camera_seed);
+  common::Rng camera_rng(config.sensor_seed);
 
   sim::Kernel kernel;
   // Camera on platform 1 with its own clock; platform 2 hosts the SWCs.
@@ -190,7 +190,7 @@ PipelineResult run_dear_pipeline(const DearScenarioConfig& config) {
   // must be a pure function of (seed, draw index).
   auto drift_rng = platform_rng.stream("clock.drift");
   const Duration clock1_offset = drift_rng.uniform_duration(0, config.period);
-  const double clock1_drift = drift_rng.uniform(-1000, 1000) * 1e-3 * config.camera_drift_ppm;
+  const double clock1_drift = drift_rng.uniform(-1000, 1000) * 1e-3 * config.clock_drift_ppm;
   const sim::PlatformClock clock1(clock1_offset, clock1_drift);
   // Platform 2 is the simulation reference clock (its SWCs are driven by
   // event arrival, not local timers, so its drift is immaterial here).
@@ -300,7 +300,7 @@ PipelineResult run_dear_pipeline(const DearScenarioConfig& config) {
   // transport. The builder attaches the backend per node and deploys every
   // served/required instance before skeletons/proxies resolve bindings.
   AppBuilder::Config app_config;
-  app_config.local_hub = config.local_transport ? &hub : nullptr;
+  app_config.local_hub = config.transport == scenario::Transport::kLocal ? &hub : nullptr;
   AppBuilder app(kernel, network, discovery, executor, platform_rng, app_config);
 
   auto& adapter = app.node("adapter", kAdapterEp, 0x21);

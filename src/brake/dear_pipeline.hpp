@@ -23,7 +23,7 @@
 #include "brake/metrics.hpp"
 #include "brake/nondet_pipeline.hpp"
 #include "dear/config.hpp"
-#include "ft/fault_model.hpp"
+#include "scenario/knobs.hpp"
 
 namespace dear {
 class AppBuilder;
@@ -34,22 +34,19 @@ struct StaticPlan;
 
 namespace dear::brake {
 
-struct DearScenarioConfig {
-  /// Timing seeds, split like ScenarioConfig so determinism can be tested
-  /// against platform-side timing variation in isolation.
-  std::uint64_t camera_seed{1};
-  std::uint64_t platform_seed{1};
-  std::uint64_t frames{100'000};
+/// The DEAR brake assistant's configuration: the shared platform knobs
+/// (scenario/knobs.hpp; the camera is the sensor, the computer-vision node
+/// the service-fault victim) plus the testbed's own timing and deadlines.
+struct DearScenarioConfig : scenario::PlatformKnobs {
   Duration period{50 * kMillisecond};
   Duration camera_jitter{500 * kMicrosecond};
   Duration link_latency_min{200 * kMicrosecond};
   Duration link_latency_max{800 * kMicrosecond};
-  /// Camera platform clock drift bound (ppm); the actual drift is drawn
-  /// per platform seed. Immaterial to the logical results: sensor tags
-  /// follow physical reception.
-  double camera_drift_ppm{30.0};
 
-  // Paper §IV.B deadlines and bounds.
+  // Paper §IV.B deadlines and bounds. deadline_scale scales all four
+  // ("for certain applications it is acceptable to deliberately introduce
+  // the possibility of sporadic errors by setting deadlines to values
+  // lower than the actual WCET").
   Duration adapter_deadline{5 * kMillisecond};
   Duration preprocessing_deadline{25 * kMillisecond};
   Duration cv_deadline{25 * kMillisecond};
@@ -57,55 +54,8 @@ struct DearScenarioConfig {
   Duration latency_bound{5 * kMillisecond};
   Duration clock_error_bound{0};
 
-  /// Global scale factor on all four deadlines — the knob of the
-  /// latency/error trade-off sweep ("for certain applications it is
-  /// acceptable to deliberately introduce the possibility of sporadic
-  /// errors by setting deadlines to values lower than the actual WCET").
-  double deadline_scale{1.0};
-
-  /// Scale factor on the modeled execution times (stress knob).
-  double exec_time_scale{1.0};
-
-  /// Deploy the four co-located platform-2 SWC services over the zero-copy
-  /// in-process transport (ara::com LocalBinding) instead of SOME/IP. The
-  /// camera→adapter link stays on the network; inter-SWC messages skip
-  /// serialization and the simulated wire entirely.
-  bool local_transport{false};
-
   transact::UntaggedPolicy untagged{transact::UntaggedPolicy::kFail};
 
-  // --- fault-campaign knobs (scenario engine) --------------------------------
-  /// Latency range of the intra-platform service links (SWC-to-SWC SOME/IP
-  /// traffic). As long as svc_latency_max stays below latency_bound, these
-  /// are semantics-preserving: DEAR digests do not change.
-  Duration svc_latency_min{5 * kMicrosecond};
-  Duration svc_latency_max{50 * kMicrosecond};
-  /// Per-message drop probability on the service links. Drops violate the
-  /// reliable-delivery assumption: frames are lost (observably), and which
-  /// ones depends on the platform seed.
-  double net_drop_probability{0.0};
-  /// Per-message duplication probability on the service links. Duplicates
-  /// carry the same wire tag and are absorbed deterministically.
-  double net_duplicate_probability{0.0};
-  /// Enforce in-order delivery on the service links (default: off).
-  bool net_in_order{false};
-  /// Camera sensor faults (input-side: decided from camera_seed).
-  sim::SensorFaultModel sensor_faults{};
-  /// Sensor data plane: when nonzero the camera publishes a loaned pixel
-  /// slab of this many bytes per sent frame (zero-copy over the in-process
-  /// ring; the metadata stream and its digests are unchanged).
-  std::size_t camera_payload_bytes{0};
-
-  // --- deterministic fault tolerance (src/ft/) -------------------------------
-  /// Service faults: the computer-vision node is the victim (crash/restart
-  /// windows in wire-tag time, per-call error/omission, subscription
-  /// churn). Enabling any knob also deploys the health-monitor service and
-  /// the EBA's hold-last-safe-command fallback.
-  ft::ServiceFaultModel service_faults{};
-  /// Retry budget installed on the monitor's proxy methods.
-  ft::RetryBudget retry{};
-  /// Seed for the per-call fault die.
-  std::uint64_t fault_seed{1};
   /// Bench-only: install an inert fault plan (real victim, empty crash
   /// window, zero probabilities) WITHOUT the health service, to measure
   /// the pure hook overhead on the hot path.

@@ -46,7 +46,7 @@ using common::mix_digest;
 /// Shared state of one scenario execution.
 struct Scenario {
   explicit Scenario(const ScenarioConfig& config)
-      : config(config), platform_rng(config.platform_seed), camera_rng(config.camera_seed) {}
+      : config(config), platform_rng(config.platform_seed), camera_rng(config.sensor_seed) {}
 
   const ScenarioConfig& config;
   common::Rng platform_rng;
@@ -122,10 +122,10 @@ PipelineResult run_nondet_pipeline(const ScenarioConfig& config) {
   // evaluation order would be compiler-dependent.
   auto drift_rng = s.platform_rng.stream("clock.drift");
   const Duration clock1_offset = drift_rng.uniform_duration(0, config.period);
-  const double clock1_drift = draw_drift(drift_rng, config.max_drift_ppm);
+  const double clock1_drift = draw_drift(drift_rng, config.clock_drift_ppm);
   s.clock1 = sim::PlatformClock(clock1_offset, clock1_drift);
   const Duration clock2_offset = drift_rng.uniform_duration(0, config.period);
-  const double clock2_drift = draw_drift(drift_rng, config.max_drift_ppm);
+  const double clock2_drift = draw_drift(drift_rng, config.clock_drift_ppm);
   s.clock2 = sim::PlatformClock(clock2_offset, clock2_drift);
 
   // --- network ----------------------------------------------------------------

@@ -16,17 +16,14 @@
 
 #include "brake/metrics.hpp"
 #include "common/time.hpp"
-#include "sim/fault_injection.hpp"
+#include "scenario/knobs.hpp"
 
 namespace dear::brake {
 
-struct ScenarioConfig {
-  /// Seed for the camera's timing (capture phase + jitter).
-  std::uint64_t camera_seed{1};
-  /// Seed for everything platform-side: SWC callback phases, scheduling
-  /// jitter, network latency draws, clock drifts.
-  std::uint64_t platform_seed{1};
-  std::uint64_t frames{100'000};
+/// The stock-APD brake assistant's configuration: the shared platform
+/// knobs (scenario/knobs.hpp lists the ones this baseline ignores) plus
+/// the testbed's callback, dispatch and buffer model.
+struct ScenarioConfig : scenario::PlatformKnobs {
   Duration period{50 * kMillisecond};
   /// Per-activation scheduling jitter bound for the SWC callbacks.
   Duration callback_jitter{2 * kMillisecond};
@@ -39,8 +36,6 @@ struct ScenarioConfig {
   /// Inter-platform link latency range.
   Duration link_latency_min{200 * kMicrosecond};
   Duration link_latency_max{800 * kMicrosecond};
-  /// Maximum absolute clock drift per platform (ppm), drawn per seed.
-  double max_drift_ppm{30.0};
   /// Maximum per-task effective-period offset (ppm of the period, drawn
   /// per SWC per seed). Real periodic callbacks drift slightly relative to
   /// each other (timer re-arm overhead, load), so phase alignment between
@@ -54,25 +49,6 @@ struct ScenarioConfig {
   /// wins") semantics; larger values queue FIFO and evict the oldest.
   /// Ablated by bench_buffer_ablation.
   std::size_t input_queue_depth{1};
-
-  // --- fault-campaign knobs (scenario engine) --------------------------------
-  /// Latency range of the intra-platform service links (the SWC-to-SWC
-  /// SOME/IP traffic; the camera crosses platforms on the link above).
-  Duration svc_latency_min{5 * kMicrosecond};
-  Duration svc_latency_max{50 * kMicrosecond};
-  /// Per-message drop probability on the service links.
-  double net_drop_probability{0.0};
-  /// Per-message duplication probability on the service links.
-  double net_duplicate_probability{0.0};
-  /// Enforce in-order delivery on the service links (default: off — the
-  /// paper's nondeterminism source 3).
-  bool net_in_order{false};
-  /// Camera sensor faults. Decided from the camera seed, i.e. part of the
-  /// scenario's input stream, not of the platform.
-  sim::SensorFaultModel sensor_faults{};
-  /// Sensor data plane: per-frame loaned pixel slab size (0 = metadata
-  /// only). Same knob as the DEAR pipeline so campaigns sweep both.
-  std::size_t camera_payload_bytes{0};
 };
 
 /// Runs the scenario to completion and returns the instrumented outcome.

@@ -22,9 +22,7 @@
 #include <string>
 #include <string_view>
 
-#include "common/time.hpp"
-#include "ft/fault_model.hpp"
-#include "sim/fault_injection.hpp"
+#include "scenario/knobs.hpp"
 
 namespace dear::scenario {
 
@@ -38,109 +36,20 @@ enum class Workload : std::uint8_t {
   kAcc,
 };
 
-/// Transport deployment for the service traffic.
-enum class Transport : std::uint8_t { kSomeIp, kLocal };
-
 [[nodiscard]] std::string_view to_string(Workload workload) noexcept;
 [[nodiscard]] std::string_view to_string(Transport transport) noexcept;
 
-struct ScenarioSpec {
+/// One scenario: a workload plus the platform knobs it runs under
+/// (scenario/knobs.hpp).
+struct ScenarioSpec : PlatformKnobs {
   /// Position in the campaign's scenario matrix (filled by expansion).
   std::uint64_t index{0};
   /// Human-readable identity, derived from the knobs when empty.
   std::string name;
 
   Workload workload{Workload::kBrakeDear};
-  Transport transport{Transport::kSomeIp};
-  /// Sensor samples fed into the pipeline (frames resp. radar scans).
-  std::uint64_t frames{2000};
 
-  /// Seed for all platform-side streams (scheduling jitter, network
-  /// latency, execution-time draws, clock drift). Derived from
-  /// (campaign seed, scenario index) by the campaign expansion.
-  std::uint64_t platform_seed{1};
-  /// Seed for the sensor input stream (capture timing and fault
-  /// decisions). Shared by every scenario of a campaign so that digest
-  /// invariants compare like with like.
-  std::uint64_t sensor_seed{5000};
-
-  /// Sensor-platform clock drift bound (ppm).
-  double clock_drift_ppm{30.0};
-
-  // Service-link network model (the SWC-to-SWC SOME/IP traffic).
-  Duration svc_latency_min{5 * kMicrosecond};
-  Duration svc_latency_max{50 * kMicrosecond};
-  double net_drop_probability{0.0};
-  double net_duplicate_probability{0.0};
-  bool net_in_order{false};
-
-  /// Scale on the modeled SWC execution times (stress knob).
-  double exec_time_scale{1.0};
-  /// Scale on the transactor deadlines (latency/error trade-off knob).
-  double deadline_scale{1.0};
-
-  /// Sensor faults, applied at the camera/radar front-end (input-side).
-  sim::SensorFaultModel sensor_faults{};
-
-  /// Service faults, applied at the victim node's transport binding
-  /// (crash/restart in wire-tag time, per-call error/omission, churn).
-  ft::ServiceFaultModel service_faults{};
-  /// Retry budget installed on the workload's tolerant proxies.
-  ft::RetryBudget retry{};
-  /// Seed for the per-call fault die. Derived from the campaign seed
-  /// alone (like sensor_seed), so scenarios in one digest group share the
-  /// exact same fault decisions.
-  std::uint64_t fault_seed{1};
-
-  /// Sensor data plane: per-frame loaned pixel slab size in bytes (0 =
-  /// metadata only). Splits digest groups only when engaged — slab drops
-  /// on ring exhaustion remove frames from the stream — so the idle
-  /// default keeps every pre-existing group key bit-identical.
-  std::uint64_t camera_payload_bytes{0};
-
-  // --- fluent builder -------------------------------------------------------
-  ScenarioSpec& with_workload(Workload value) { workload = value; return *this; }
-  ScenarioSpec& with_transport(Transport value) { transport = value; return *this; }
-  ScenarioSpec& with_frames(std::uint64_t value) { frames = value; return *this; }
-  ScenarioSpec& with_platform_seed(std::uint64_t value) { platform_seed = value; return *this; }
-  ScenarioSpec& with_sensor_seed(std::uint64_t value) { sensor_seed = value; return *this; }
-  ScenarioSpec& with_clock_drift_ppm(double value) { clock_drift_ppm = value; return *this; }
-  ScenarioSpec& with_svc_latency(Duration min, Duration max) {
-    svc_latency_min = min;
-    svc_latency_max = max;
-    return *this;
-  }
-  ScenarioSpec& with_net_drop(double probability) {
-    net_drop_probability = probability;
-    return *this;
-  }
-  ScenarioSpec& with_net_duplicate(double probability) {
-    net_duplicate_probability = probability;
-    return *this;
-  }
-  ScenarioSpec& with_net_in_order(bool value = true) { net_in_order = value; return *this; }
-  ScenarioSpec& with_exec_time_scale(double value) { exec_time_scale = value; return *this; }
-  ScenarioSpec& with_deadline_scale(double value) { deadline_scale = value; return *this; }
-  ScenarioSpec& with_sensor_faults(sim::SensorFaultModel value) {
-    sensor_faults = value;
-    return *this;
-  }
-  ScenarioSpec& with_service_faults(ft::ServiceFaultModel value) {
-    service_faults = value;
-    return *this;
-  }
-  ScenarioSpec& with_retry(ft::RetryBudget value) {
-    retry = value;
-    return *this;
-  }
-  ScenarioSpec& with_fault_seed(std::uint64_t value) {
-    fault_seed = value;
-    return *this;
-  }
-  ScenarioSpec& with_camera_payload_bytes(std::uint64_t value) {
-    camera_payload_bytes = value;
-    return *this;
-  }
+  bool operator==(const ScenarioSpec&) const = default;
 
   /// True when the DEAR determinism guarantee applies: a reactor-based
   /// workload whose fault knobs stay within the paper's assumptions

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cinttypes>
+#include <charconv>
+#include <cmath>
+#include <concepts>
 #include <cstdio>
-#include <cstdlib>
+#include <initializer_list>
+#include <system_error>
 #include <vector>
 
 namespace dear::scenario {
@@ -86,17 +89,47 @@ class Parser {
     return out;
   }
 
-  [[nodiscard]] double parse_number() {
+  /// Scans one JSON number (RFC 8259 grammar: no nan/inf, hex, leading
+  /// '+' or leading zeros) and returns its text; empty after a failure.
+  [[nodiscard]] std::string_view parse_number_text() {
     skip_ws();
-    const char* begin = text_.data() + pos_;
-    char* end = nullptr;
-    const double value = std::strtod(begin, &end);
-    if (end == begin) {
-      fail("expected number");
-      return 0.0;
+    const std::size_t begin = pos_;
+    const auto peek = [this](char c) { return pos_ < text_.size() && text_[pos_] == c; };
+    const auto digits = [this] {
+      const std::size_t from = pos_;
+      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
+        ++pos_;
+      }
+      return pos_ > from;
+    };
+    if (peek('-')) {
+      ++pos_;
     }
-    pos_ += static_cast<std::size_t>(end - begin);
-    return value;
+    if (peek('0')) {
+      ++pos_;
+    } else if (!digits()) {
+      pos_ = begin;
+      fail("expected number");
+      return {};
+    }
+    bool well_formed = true;
+    if (peek('.')) {
+      ++pos_;
+      well_formed = digits();
+    }
+    if (well_formed && (peek('e') || peek('E'))) {
+      ++pos_;
+      if (peek('+') || peek('-')) {
+        ++pos_;
+      }
+      well_formed = digits();
+    }
+    if (!well_formed || peek('.') ||
+        (pos_ < text_.size() && std::isalnum(static_cast<unsigned char>(text_[pos_])) != 0)) {
+      fail("malformed number");
+      return {};
+    }
+    return text_.substr(begin, pos_ - begin);
   }
 
   [[nodiscard]] bool parse_bool() {
@@ -126,83 +159,117 @@ class Parser {
   std::string context_;
 };
 
-void parse_sensor_faults(Parser& parser, sim::SensorFaultModel& faults) {
-  parser.expect('{');
-  if (parser.consume('}')) {
-    return;
-  }
-  std::vector<std::string> seen;
-  do {
-    parser.set_context({});
-    const std::string key = parser.parse_string();
-    parser.expect(':');
-    if (parser.failed()) {
-      return;
-    }
-    if (std::find(seen.begin(), seen.end(), key) != seen.end()) {
-      parser.fail("duplicate sensor_faults key '" + key + "'");
-      return;
-    }
-    seen.push_back(key);
-    parser.set_context("sensor_faults." + key);
-    if (key == "drop_probability") {
-      faults.drop_probability = parser.parse_number();
-    } else if (key == "stuck_probability") {
-      faults.stuck_probability = parser.parse_number();
-    } else if (key == "noise_probability") {
-      faults.noise_probability = parser.parse_number();
-    } else {
-      parser.set_context({});
-      parser.fail("unknown sensor_faults key '" + key + "'");
-      return;
-    }
-  } while (parser.consume(','));
-  parser.set_context({});
-  parser.expect('}');
+/// The file's fields in file order: the spec's own three, then the knob
+/// table (scenario/knobs.hpp).
+template <typename Spec, typename Visitor>
+void for_each_field(Spec& spec, Visitor&& visit) {
+  visit(KnobKey{{}, "name"}, spec.name);
+  visit(KnobKey{{}, "index"}, spec.index);
+  visit(KnobKey{{}, "workload"}, spec.workload);
+  for_each_knob(spec, visit);
 }
 
-void parse_service_faults(Parser& parser, ft::ServiceFaultModel& faults) {
-  parser.expect('{');
-  if (parser.consume('}')) {
-    return;
-  }
-  std::vector<std::string> seen;
-  do {
-    parser.set_context({});
-    const std::string key = parser.parse_string();
-    parser.expect(':');
-    if (parser.failed()) {
-      return;
-    }
-    if (std::find(seen.begin(), seen.end(), key) != seen.end()) {
-      parser.fail("duplicate service_faults key '" + key + "'");
-      return;
-    }
-    seen.push_back(key);
-    parser.set_context("service_faults." + key);
-    if (key == "crash_at_ns") {
-      faults.crash_at = static_cast<Duration>(parser.parse_number());
-    } else if (key == "restart_after_ns") {
-      faults.restart_after = static_cast<Duration>(parser.parse_number());
-    } else if (key == "call_error_probability") {
-      faults.call_error_probability = parser.parse_number();
-    } else if (key == "call_omission_probability") {
-      faults.call_omission_probability = parser.parse_number();
-    } else if (key == "churn_period_ns") {
-      faults.churn_period = static_cast<Duration>(parser.parse_number());
-    } else {
-      parser.set_context({});
-      parser.fail("unknown service_faults key '" + key + "'");
-      return;
-    }
-  } while (parser.consume(','));
-  parser.set_context({});
-  parser.expect('}');
+// --- typed readers: one per field type ---------------------------------------
+
+void read_value(Parser& parser, std::string& out, const KnobKey& /*key*/) {
+  out = parser.parse_string();
 }
 
-void parse_retry(Parser& parser, ft::RetryBudget& retry) {
+void read_value(Parser& parser, bool& out, const KnobKey& /*key*/) { out = parser.parse_bool(); }
+
+/// Enumerations are written as their to_string() name.
+template <typename Enum>
+void read_enum(Parser& parser, Enum& out, std::initializer_list<Enum> values, const char* what) {
+  const std::string name = parser.parse_string();
+  for (const Enum value : values) {
+    if (name == to_string(value)) {
+      out = value;
+      return;
+    }
+  }
+  if (!parser.failed()) {
+    parser.fail("unknown " + std::string(what) + " '" + name + "'");
+  }
+}
+
+void read_value(Parser& parser, Workload& out, const KnobKey& /*key*/) {
+  read_enum(parser, out, {Workload::kBrakeDear, Workload::kBrakeNondet, Workload::kAcc},
+            "workload");
+}
+
+void read_value(Parser& parser, Transport& out, const KnobKey& /*key*/) {
+  read_enum(parser, out, {Transport::kSomeIp, Transport::kLocal}, "transport");
+}
+
+void read_value(Parser& parser, double& out, const KnobKey& key) {
+  const std::string_view text = parser.parse_number_text();
+  if (parser.failed()) {
+    return;
+  }
+  double value = 0.0;
+  const auto [end, error] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (error != std::errc{} || end != text.data() + text.size() || !std::isfinite(value)) {
+    parser.fail("number out of range");
+  } else if (key.probability && !(value >= 0.0 && value <= 1.0)) {
+    parser.fail("probability must lie in [0, 1]");
+  } else {
+    out = value;
+  }
+}
+
+/// Counts, seeds and nanosecond durations: a plain non-negative integer
+/// literal that fits the field's type (no fraction, no exponent).
+template <std::integral T>
+void read_value(Parser& parser, T& out, const KnobKey& /*key*/) {
+  const std::string_view text = parser.parse_number_text();
+  if (parser.failed()) {
+    return;
+  }
+  if (text.find_first_not_of("0123456789") != std::string_view::npos) {
+    parser.fail("expected a non-negative integer");
+    return;
+  }
+  T value{};
+  const auto [end, error] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (error != std::errc{} || end != text.data() + text.size()) {
+    parser.fail("integer out of range");
+    return;
+  }
+  out = value;
+}
+
+/// Reads the value of field `object.name` into `spec`; false when the
+/// file format has no such field.
+bool read_field(Parser& parser, ScenarioSpec& spec, std::string_view object,
+                std::string_view name) {
+  bool found = false;
+  for_each_field(spec, [&](const KnobKey& key, auto& field) {
+    if (!found && key.object == object && key.name == name) {
+      found = true;
+      read_value(parser, field, key);
+    }
+  });
+  return found;
+}
+
+/// True when `name` is one of the file format's nested objects.
+bool is_nested_object(const ScenarioSpec& spec, std::string_view name) {
+  bool found = false;
+  for_each_field(spec, [&](const KnobKey& key, const auto& /*field*/) {
+    found = found || (!key.object.empty() && key.object == name);
+  });
+  return found;
+}
+
+/// Parses `{"key": value, ...}`, handing each key to read_member, which
+/// returns false for a key it does not know. `object` names the enclosing
+/// nested object (empty at top level) in errors and key contexts.
+template <typename ReadMember>
+void parse_members(Parser& parser, std::string_view object, ReadMember&& read_member) {
+  const std::string scope = object.empty() ? std::string() : std::string(object) + " ";
+  const std::string path = object.empty() ? std::string() : std::string(object) + ".";
   parser.expect('{');
-  if (parser.consume('}')) {
+  if (parser.failed() || parser.consume('}')) {
     return;
   }
   std::vector<std::string> seen;
@@ -214,174 +281,89 @@ void parse_retry(Parser& parser, ft::RetryBudget& retry) {
       return;
     }
     if (std::find(seen.begin(), seen.end(), key) != seen.end()) {
-      parser.fail("duplicate retry key '" + key + "'");
+      parser.fail("duplicate " + scope + "key '" + key + "'");
       return;
     }
     seen.push_back(key);
-    parser.set_context("retry." + key);
-    if (key == "max_attempts") {
-      retry.max_attempts = static_cast<std::uint32_t>(parser.parse_number());
-    } else if (key == "backoff_base_ns") {
-      retry.backoff_base = static_cast<Duration>(parser.parse_number());
-    } else if (key == "timeout_ns") {
-      retry.timeout = static_cast<Duration>(parser.parse_number());
-    } else {
+    parser.set_context(path + key);
+    if (!read_member(key)) {
       parser.set_context({});
-      parser.fail("unknown retry key '" + key + "'");
+      parser.fail("unknown " + scope + "key '" + key + "'");
       return;
     }
-  } while (parser.consume(','));
-  parser.set_context({});
-  parser.expect('}');
+  } while (!parser.failed() && parser.consume(','));
+  if (!parser.failed()) {
+    parser.set_context({});
+    parser.expect('}');
+  }
+}
+
+// --- writers -------------------------------------------------------------------
+
+void write_string(std::string& out, std::string_view value) {
+  out += '"';
+  out += value;
+  out += '"';
+}
+
+void write_value(std::string& out, const std::string& value) { write_string(out, value); }
+void write_value(std::string& out, Workload value) { write_string(out, to_string(value)); }
+void write_value(std::string& out, Transport value) { write_string(out, to_string(value)); }
+void write_value(std::string& out, bool value) { out += value ? "true" : "false"; }
+
+void write_value(std::string& out, double value) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%.6g", value);
+  out += buffer;
+}
+
+template <std::integral T>
+void write_value(std::string& out, T value) {
+  out += std::to_string(value);
 }
 
 }  // namespace
 
 std::string spec_to_json(const ScenarioSpec& spec) {
-  char buffer[256];
-  std::string out = "{\n";
-  out += "  \"name\": \"" + spec.name + "\",\n";
-  std::snprintf(buffer, sizeof(buffer), "  \"index\": %" PRIu64 ",\n", spec.index);
-  out += buffer;
-  out += "  \"workload\": \"" + std::string(to_string(spec.workload)) + "\",\n";
-  out += "  \"transport\": \"" + std::string(to_string(spec.transport)) + "\",\n";
-  std::snprintf(buffer, sizeof(buffer),
-                "  \"frames\": %" PRIu64 ",\n  \"platform_seed\": %" PRIu64
-                ",\n  \"sensor_seed\": %" PRIu64 ",\n",
-                spec.frames, spec.platform_seed, spec.sensor_seed);
-  out += buffer;
-  std::snprintf(buffer, sizeof(buffer), "  \"clock_drift_ppm\": %.6g,\n", spec.clock_drift_ppm);
-  out += buffer;
-  std::snprintf(buffer, sizeof(buffer),
-                "  \"svc_latency_min_ns\": %" PRId64 ",\n  \"svc_latency_max_ns\": %" PRId64
-                ",\n",
-                static_cast<std::int64_t>(spec.svc_latency_min),
-                static_cast<std::int64_t>(spec.svc_latency_max));
-  out += buffer;
-  std::snprintf(buffer, sizeof(buffer),
-                "  \"net_drop_probability\": %.6g,\n  \"net_duplicate_probability\": %.6g,\n",
-                spec.net_drop_probability, spec.net_duplicate_probability);
-  out += buffer;
-  out += std::string("  \"net_in_order\": ") + (spec.net_in_order ? "true" : "false") + ",\n";
-  std::snprintf(buffer, sizeof(buffer),
-                "  \"exec_time_scale\": %.6g,\n  \"deadline_scale\": %.6g,\n",
-                spec.exec_time_scale, spec.deadline_scale);
-  out += buffer;
-  std::snprintf(buffer, sizeof(buffer),
-                "  \"sensor_faults\": {\"drop_probability\": %.6g, \"stuck_probability\": %.6g, "
-                "\"noise_probability\": %.6g},\n",
-                spec.sensor_faults.drop_probability, spec.sensor_faults.stuck_probability,
-                spec.sensor_faults.noise_probability);
-  out += buffer;
-  std::snprintf(buffer, sizeof(buffer),
-                "  \"service_faults\": {\"crash_at_ns\": %" PRId64 ", \"restart_after_ns\": %" PRId64
-                ", \"call_error_probability\": %.6g, \"call_omission_probability\": %.6g, "
-                "\"churn_period_ns\": %" PRId64 "},\n",
-                static_cast<std::int64_t>(spec.service_faults.crash_at),
-                static_cast<std::int64_t>(spec.service_faults.restart_after),
-                spec.service_faults.call_error_probability,
-                spec.service_faults.call_omission_probability,
-                static_cast<std::int64_t>(spec.service_faults.churn_period));
-  out += buffer;
-  std::snprintf(buffer, sizeof(buffer),
-                "  \"retry\": {\"max_attempts\": %u, \"backoff_base_ns\": %" PRId64
-                ", \"timeout_ns\": %" PRId64 "},\n  \"fault_seed\": %" PRIu64 ",\n",
-                spec.retry.max_attempts, static_cast<std::int64_t>(spec.retry.backoff_base),
-                static_cast<std::int64_t>(spec.retry.timeout), spec.fault_seed);
-  out += buffer;
-  std::snprintf(buffer, sizeof(buffer), "  \"camera_payload_bytes\": %" PRIu64 "\n",
-                spec.camera_payload_bytes);
-  out += buffer;
-  out += "}\n";
+  std::string out = "{";
+  std::string_view open;  // nested object being written; empty at top level
+  for_each_field(spec, [&](const KnobKey& key, const auto& value) {
+    if (!open.empty() && key.object == open) {
+      out += ", ";
+    } else {
+      if (!open.empty()) {
+        out += '}';
+      }
+      out += out.size() == 1 ? "\n  " : ",\n  ";
+      if (!key.object.empty()) {
+        write_string(out, key.object);
+        out += ": {";
+      }
+      open = key.object;
+    }
+    write_string(out, key.name);
+    out += ": ";
+    write_value(out, value);
+  });
+  if (!open.empty()) {
+    out += '}';
+  }
+  out += "\n}\n";
   return out;
 }
 
 std::optional<ScenarioSpec> spec_from_json(std::string_view text, std::string* error) {
   Parser parser(text);
   ScenarioSpec spec;
-  parser.expect('{');
-  const bool empty = parser.consume('}');
-  if (!empty) {
-    std::vector<std::string> seen;
-    do {
-      parser.set_context({});
-      const std::string key = parser.parse_string();
-      parser.expect(':');
-      if (parser.failed()) {
-        break;
-      }
-      if (std::find(seen.begin(), seen.end(), key) != seen.end()) {
-        parser.fail("duplicate key '" + key + "'");
-        break;
-      }
-      seen.push_back(key);
-      parser.set_context(key);
-      if (key == "name") {
-        spec.name = parser.parse_string();
-      } else if (key == "index") {
-        spec.index = static_cast<std::uint64_t>(parser.parse_number());
-      } else if (key == "workload") {
-        const std::string value = parser.parse_string();
-        if (value == "dear") {
-          spec.workload = Workload::kBrakeDear;
-        } else if (value == "nondet") {
-          spec.workload = Workload::kBrakeNondet;
-        } else if (value == "acc") {
-          spec.workload = Workload::kAcc;
-        } else {
-          parser.fail("unknown workload '" + value + "'");
-        }
-      } else if (key == "transport") {
-        const std::string value = parser.parse_string();
-        if (value == "someip") {
-          spec.transport = Transport::kSomeIp;
-        } else if (value == "local") {
-          spec.transport = Transport::kLocal;
-        } else {
-          parser.fail("unknown transport '" + value + "'");
-        }
-      } else if (key == "frames") {
-        spec.frames = static_cast<std::uint64_t>(parser.parse_number());
-      } else if (key == "platform_seed") {
-        spec.platform_seed = static_cast<std::uint64_t>(parser.parse_number());
-      } else if (key == "sensor_seed") {
-        spec.sensor_seed = static_cast<std::uint64_t>(parser.parse_number());
-      } else if (key == "clock_drift_ppm") {
-        spec.clock_drift_ppm = parser.parse_number();
-      } else if (key == "svc_latency_min_ns") {
-        spec.svc_latency_min = static_cast<Duration>(parser.parse_number());
-      } else if (key == "svc_latency_max_ns") {
-        spec.svc_latency_max = static_cast<Duration>(parser.parse_number());
-      } else if (key == "net_drop_probability") {
-        spec.net_drop_probability = parser.parse_number();
-      } else if (key == "net_duplicate_probability") {
-        spec.net_duplicate_probability = parser.parse_number();
-      } else if (key == "net_in_order") {
-        spec.net_in_order = parser.parse_bool();
-      } else if (key == "exec_time_scale") {
-        spec.exec_time_scale = parser.parse_number();
-      } else if (key == "deadline_scale") {
-        spec.deadline_scale = parser.parse_number();
-      } else if (key == "sensor_faults") {
-        parse_sensor_faults(parser, spec.sensor_faults);
-      } else if (key == "service_faults") {
-        parse_service_faults(parser, spec.service_faults);
-      } else if (key == "retry") {
-        parse_retry(parser, spec.retry);
-      } else if (key == "fault_seed") {
-        spec.fault_seed = static_cast<std::uint64_t>(parser.parse_number());
-      } else if (key == "camera_payload_bytes") {
-        spec.camera_payload_bytes = static_cast<std::uint64_t>(parser.parse_number());
-      } else {
-        parser.set_context({});
-        parser.fail("unknown key '" + key + "'");
-      }
-    } while (!parser.failed() && parser.consume(','));
-    if (!parser.failed()) {
-      parser.set_context({});
-      parser.expect('}');
+  parse_members(parser, {}, [&](const std::string& key) {
+    if (!is_nested_object(spec, key)) {
+      return read_field(parser, spec, {}, key);
     }
-  }
+    parse_members(parser, key, [&](const std::string& member) {
+      return read_field(parser, spec, key, member);
+    });
+    return true;
+  });
   parser.set_context({});
   if (!parser.failed() && !parser.at_end()) {
     parser.fail("trailing content after the scenario object");

@@ -60,65 +60,26 @@ namespace {
   return outcome;
 }
 
+/// A pipeline config at its own defaults, carrying the spec's knobs.
+template <typename Config>
+[[nodiscard]] Config with_knobs(const PlatformKnobs& knobs) {
+  Config config;
+  static_cast<PlatformKnobs&>(config) = knobs;
+  return config;
+}
+
 }  // namespace
 
 brake::DearScenarioConfig to_dear_config(const ScenarioSpec& spec) {
-  brake::DearScenarioConfig config;
-  config.frames = spec.frames;
-  config.camera_payload_bytes = static_cast<std::size_t>(spec.camera_payload_bytes);
-  config.platform_seed = spec.platform_seed;
-  config.camera_seed = spec.sensor_seed;
-  config.camera_drift_ppm = spec.clock_drift_ppm;
-  config.deadline_scale = spec.deadline_scale;
-  config.exec_time_scale = spec.exec_time_scale;
-  config.local_transport = spec.transport == Transport::kLocal;
-  config.svc_latency_min = spec.svc_latency_min;
-  config.svc_latency_max = spec.svc_latency_max;
-  config.net_drop_probability = spec.net_drop_probability;
-  config.net_duplicate_probability = spec.net_duplicate_probability;
-  config.net_in_order = spec.net_in_order;
-  config.sensor_faults = spec.sensor_faults;
-  config.service_faults = spec.service_faults;
-  config.retry = spec.retry;
-  config.fault_seed = spec.fault_seed;
-  return config;
+  return with_knobs<brake::DearScenarioConfig>(spec);
 }
 
 brake::ScenarioConfig to_nondet_config(const ScenarioSpec& spec) {
-  brake::ScenarioConfig config;
-  config.frames = spec.frames;
-  config.platform_seed = spec.platform_seed;
-  config.camera_seed = spec.sensor_seed;
-  config.max_drift_ppm = spec.clock_drift_ppm;
-  config.svc_latency_min = spec.svc_latency_min;
-  config.svc_latency_max = spec.svc_latency_max;
-  config.net_drop_probability = spec.net_drop_probability;
-  config.net_duplicate_probability = spec.net_duplicate_probability;
-  config.net_in_order = spec.net_in_order;
-  config.sensor_faults = spec.sensor_faults;
-  config.camera_payload_bytes = static_cast<std::size_t>(spec.camera_payload_bytes);
-  return config;
+  return with_knobs<brake::ScenarioConfig>(spec);
 }
 
 acc::AccScenarioConfig to_acc_config(const ScenarioSpec& spec) {
-  acc::AccScenarioConfig config;
-  config.scans = spec.frames;
-  config.platform_seed = spec.platform_seed;
-  config.radar_seed = spec.sensor_seed;
-  config.radar_drift_ppm = spec.clock_drift_ppm;
-  config.deadline_scale = spec.deadline_scale;
-  config.exec_time_scale = spec.exec_time_scale;
-  config.local_transport = spec.transport == Transport::kLocal;
-  config.svc_latency_min = spec.svc_latency_min;
-  config.svc_latency_max = spec.svc_latency_max;
-  config.net_drop_probability = spec.net_drop_probability;
-  config.net_duplicate_probability = spec.net_duplicate_probability;
-  config.net_in_order = spec.net_in_order;
-  config.sensor_faults = spec.sensor_faults;
-  config.service_faults = spec.service_faults;
-  config.retry = spec.retry;
-  config.fault_seed = spec.fault_seed;
-  return config;
+  return with_knobs<acc::AccScenarioConfig>(spec);
 }
 
 RunOutcome run_scenario(const ScenarioSpec& spec) {

@@ -1,6 +1,6 @@
 // Workload factories: ScenarioSpec → one full DES run.
 //
-// Each factory maps the declarative spec onto the configuration struct of
+// Each factory copies the spec's platform knobs into the configuration of
 // one of the three case-study pipelines (all assembled via
 // dear::AppBuilder resp. the classic wiring) and normalizes the
 // pipeline-specific result into a RunOutcome the campaign engine can

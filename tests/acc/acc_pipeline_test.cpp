@@ -12,12 +12,12 @@
 namespace dear::acc {
 namespace {
 
-AccScenarioConfig small_scenario(std::uint64_t platform_seed, std::uint64_t radar_seed = 9000,
+AccScenarioConfig small_scenario(std::uint64_t platform_seed, std::uint64_t sensor_seed = 9000,
                                  std::uint64_t scans = 1000) {
   AccScenarioConfig config;
-  config.scans = scans;
+  config.frames = scans;
   config.platform_seed = platform_seed;
-  config.radar_seed = radar_seed;
+  config.sensor_seed = sensor_seed;
   return config;
 }
 
@@ -78,7 +78,7 @@ TEST(AccPipeline, LocalTransportMatchesSomeIpObservableBehavior) {
   // SOME/IP or through process memory.
   const auto someip = run_acc_pipeline(small_scenario(1, 9000));
   auto local_config = small_scenario(1, 9000);
-  local_config.local_transport = true;
+  local_config.transport = scenario::Transport::kLocal;
   const auto local = run_acc_pipeline(local_config);
   EXPECT_EQ(local.output_digest, someip.output_digest);
   EXPECT_EQ(local.tag_digest, someip.tag_digest);
@@ -89,11 +89,11 @@ TEST(AccPipeline, LocalTransportMatchesSomeIpObservableBehavior) {
 
 TEST(AccPipeline, LocalTransportIsDeterministicAcrossPlatformTiming) {
   auto reference_config = small_scenario(1, 9000);
-  reference_config.local_transport = true;
+  reference_config.transport = scenario::Transport::kLocal;
   const auto reference = run_acc_pipeline(reference_config);
   for (std::uint64_t platform_seed = 2; platform_seed <= 4; ++platform_seed) {
     auto config = small_scenario(platform_seed, 9000);
-    config.local_transport = true;
+    config.transport = scenario::Transport::kLocal;
     const auto result = run_acc_pipeline(config);
     EXPECT_EQ(result.output_digest, reference.output_digest);
     EXPECT_EQ(result.tag_digest, reference.tag_digest);

@@ -123,7 +123,7 @@ TEST(StaticPlan, AccPipelineConsumingThePlanIsBitIdentical) {
   ASSERT_FALSE(report.plan.empty());
 
   acc::AccScenarioConfig config;
-  config.scans = 500;
+  config.frames = 500;
   const auto derived = acc::run_acc_pipeline(config);
   config.schedule_plan = &report.plan;
   const auto consumed = acc::run_acc_pipeline(config);

@@ -7,12 +7,12 @@ namespace {
 
 using namespace dear::literals;
 
-DearScenarioConfig small_scenario(std::uint64_t platform_seed, std::uint64_t camera_seed = 5000,
+DearScenarioConfig small_scenario(std::uint64_t platform_seed, std::uint64_t sensor_seed = 5000,
                                   std::uint64_t frames = 2000) {
   DearScenarioConfig config;
   config.frames = frames;
   config.platform_seed = platform_seed;
-  config.camera_seed = camera_seed;
+  config.sensor_seed = sensor_seed;
   return config;
 }
 
@@ -120,7 +120,7 @@ TEST(DearPipeline, LocalTransportProcessesEveryFrameWithoutErrors) {
   // correctness guarantees: every frame processed, decisions match the
   // reference, no protocol errors.
   auto config = small_scenario(1);
-  config.local_transport = true;
+  config.transport = scenario::Transport::kLocal;
   const auto result = run_dear_pipeline(config);
   EXPECT_EQ(result.frames_sent, 2000u);
   EXPECT_EQ(result.frames_processed_eba, 2000u);
@@ -130,11 +130,11 @@ TEST(DearPipeline, LocalTransportProcessesEveryFrameWithoutErrors) {
 
 TEST(DearPipeline, LocalTransportIsDeterministicAcrossPlatformTiming) {
   auto reference_config = small_scenario(1, 5000);
-  reference_config.local_transport = true;
+  reference_config.transport = scenario::Transport::kLocal;
   const auto reference = run_dear_pipeline(reference_config);
   for (std::uint64_t platform_seed = 2; platform_seed <= 4; ++platform_seed) {
     auto config = small_scenario(platform_seed, 5000);
-    config.local_transport = true;
+    config.transport = scenario::Transport::kLocal;
     const auto result = run_dear_pipeline(config);
     EXPECT_EQ(result.output_digest, reference.output_digest);
     EXPECT_EQ(result.tag_digest, reference.tag_digest);
@@ -148,7 +148,7 @@ TEST(DearPipeline, LocalTransportMatchesSomeIpObservableBehavior) {
   // process memory — determinism makes backends interchangeable.
   const auto someip = run_dear_pipeline(small_scenario(1, 5000));
   auto local_config = small_scenario(1, 5000);
-  local_config.local_transport = true;
+  local_config.transport = scenario::Transport::kLocal;
   const auto local = run_dear_pipeline(local_config);
   EXPECT_EQ(local.output_digest, someip.output_digest);
   EXPECT_EQ(local.tag_digest, someip.tag_digest);

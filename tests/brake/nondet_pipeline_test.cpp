@@ -13,7 +13,7 @@ ScenarioConfig small_scenario(std::uint64_t seed, std::uint64_t frames = 3000) {
   ScenarioConfig config;
   config.frames = frames;
   config.platform_seed = seed;
-  config.camera_seed = seed + 1000;
+  config.sensor_seed = seed + 1000;
   return config;
 }
 

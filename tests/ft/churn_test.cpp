@@ -19,10 +19,10 @@ struct FtChurn : ::testing::Test {};
 
 acc::AccScenarioConfig acc_config(bool local_transport) {
   acc::AccScenarioConfig config;
-  config.scans = 40;
-  config.radar_seed = 11;
+  config.frames = 40;
+  config.sensor_seed = 11;
   config.platform_seed = 12;
-  config.local_transport = local_transport;
+  config.transport = local_transport ? scenario::Transport::kLocal : scenario::Transport::kSomeIp;
   config.service_faults.churn_period = 200_ms;
   return config;
 }
@@ -30,9 +30,9 @@ acc::AccScenarioConfig acc_config(bool local_transport) {
 brake::DearScenarioConfig brake_config(bool local_transport) {
   brake::DearScenarioConfig config;
   config.frames = 40;
-  config.camera_seed = 21;
+  config.sensor_seed = 21;
   config.platform_seed = 22;
-  config.local_transport = local_transport;
+  config.transport = local_transport ? scenario::Transport::kLocal : scenario::Transport::kSomeIp;
   config.service_faults.churn_period = 200_ms;
   return config;
 }

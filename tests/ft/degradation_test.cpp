@@ -22,9 +22,9 @@ using namespace dear::literals;
 brake::DearScenarioConfig crashed_brake(bool local_transport, Duration restart_after = 0) {
   brake::DearScenarioConfig config;
   config.frames = 60;
-  config.camera_seed = 31;
+  config.sensor_seed = 31;
   config.platform_seed = 32;
-  config.local_transport = local_transport;
+  config.transport = local_transport ? scenario::Transport::kLocal : scenario::Transport::kSomeIp;
   config.service_faults.crash_at = 1025_ms;
   config.service_faults.restart_after = restart_after;
   return config;
@@ -32,10 +32,10 @@ brake::DearScenarioConfig crashed_brake(bool local_transport, Duration restart_a
 
 acc::AccScenarioConfig crashed_acc(bool local_transport, Duration restart_after = 0) {
   acc::AccScenarioConfig config;
-  config.scans = 60;
-  config.radar_seed = 41;
+  config.frames = 60;
+  config.sensor_seed = 41;
   config.platform_seed = 42;
-  config.local_transport = local_transport;
+  config.transport = local_transport ? scenario::Transport::kLocal : scenario::Transport::kSomeIp;
   config.service_faults.crash_at = 1025_ms;
   config.service_faults.restart_after = restart_after;
   return config;
@@ -119,8 +119,8 @@ TEST(FtDegradation, RunsAreBitReproducible) {
 
 TEST(FtDegradation, CallFaultsAndRetriesSurfaceInAccCounters) {
   acc::AccScenarioConfig config;
-  config.scans = 100;
-  config.radar_seed = 51;
+  config.frames = 100;
+  config.sensor_seed = 51;
   config.platform_seed = 52;
   config.service_faults.call_error_probability = 0.4;
   config.service_faults.call_omission_probability = 0.2;

@@ -19,12 +19,12 @@ TEST(EndToEnd, DearFixesTheExactWorkloadTheClassicPipelineBreaks) {
     brake::ScenarioConfig classic;
     classic.frames = 2000;
     classic.platform_seed = seed;
-    classic.camera_seed = seed + 1000;
+    classic.sensor_seed = seed + 1000;
 
     brake::DearScenarioConfig dear_config;
     dear_config.frames = 2000;
     dear_config.platform_seed = seed;
-    dear_config.camera_seed = seed + 1000;
+    dear_config.sensor_seed = seed + 1000;
 
     const auto classic_result = brake::run_nondet_pipeline(classic);
     const auto dear_result = brake::run_dear_pipeline(dear_config);
@@ -41,7 +41,7 @@ TEST(EndToEnd, ClockErrorBoundCoversSkewedPlatforms) {
   brake::DearScenarioConfig config;
   config.frames = 1000;
   config.platform_seed = 11;
-  config.camera_seed = 12;
+  config.sensor_seed = 12;
   config.clock_error_bound = 2_ms;
   const auto result = brake::run_dear_pipeline(config);
   EXPECT_EQ(result.errors.total(), 0u);
@@ -54,7 +54,7 @@ TEST(EndToEnd, LongRunStaysStable) {
   brake::DearScenarioConfig config;
   config.frames = 10'000;
   config.platform_seed = 21;
-  config.camera_seed = 22;
+  config.sensor_seed = 22;
   const auto result = brake::run_dear_pipeline(config);
   EXPECT_EQ(result.frames_processed_eba, 10'000u);
   EXPECT_EQ(result.errors.total(), 0u);
@@ -66,7 +66,7 @@ TEST(EndToEnd, BrakeDecisionsAgreeBetweenPipelinesOnCleanFrames) {
   brake::ScenarioConfig classic;
   classic.frames = 2000;
   classic.platform_seed = 3;  // a low-error seed
-  classic.camera_seed = 1003;
+  classic.sensor_seed = 1003;
   const auto classic_result = brake::run_nondet_pipeline(classic);
   // All processed frames decided correctly (no mismatches at this seed).
   if (classic_result.errors.input_mismatches_cv == 0) {

@@ -199,6 +199,19 @@ TEST(CampaignRunner, FaultToleranceSweepPresetExpandsTo48) {
   }
 }
 
+TEST(CampaignRunner, FaultToleranceSweepDigestIsPinned) {
+  // Golden anchor of the 48-scenario FT sweep (120 frames, campaign seed
+  // 1). A change means a fault decision, a crash window or a pipeline's
+  // logical output moved; it must not depend on the worker count.
+  constexpr std::uint64_t kFtSweepDigest120f1 = 0xfe0b62691b00faf4ULL;
+  const auto campaign = presets::fault_tolerance_sweep(120, 1);
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    const auto report = runner_with(workers).run(campaign);
+    EXPECT_TRUE(report.invariants_ok()) << report.to_table();
+    EXPECT_EQ(report.report_digest(), kFtSweepDigest120f1) << workers << " worker(s)";
+  }
+}
+
 TEST(CampaignRunner, CrashScenariosShareDigestsAcrossTransportsAndSeeds) {
   // crash_at counts from sensor sample 0's nominal release; the
   // mid-frame boundary (the pipelines sample at 50 ms) keeps it clear of

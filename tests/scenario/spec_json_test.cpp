@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <concepts>
+#include <cstddef>
 #include <string>
 
 namespace dear::scenario {
@@ -10,7 +12,8 @@ namespace {
 
 using namespace dear::literals;
 
-TEST(SpecJson, RoundTripsEveryKnob) {
+/// A spec with every knob moved off its default.
+ScenarioSpec every_knob_spec() {
   ScenarioSpec spec;
   spec.index = 42;
   spec.name = "round-trip";
@@ -40,7 +43,11 @@ TEST(SpecJson, RoundTripsEveryKnob) {
   spec.retry.timeout = 5_ms;
   spec.fault_seed = 99;
   spec.camera_payload_bytes = 1024 * 1024;
+  return spec;
+}
 
+TEST(SpecJson, RoundTripsEveryKnob) {
+  const ScenarioSpec spec = every_knob_spec();
   std::string error;
   const auto parsed = spec_from_json(spec_to_json(spec), &error);
   ASSERT_TRUE(parsed.has_value()) << error;
@@ -66,6 +73,183 @@ TEST(SpecJson, RoundTripsEveryKnob) {
   EXPECT_EQ(parsed->retry, spec.retry);
   EXPECT_EQ(parsed->fault_seed, spec.fault_seed);
   EXPECT_EQ(parsed->camera_payload_bytes, spec.camera_payload_bytes);
+}
+
+// --- golden output: the file format is pinned byte for byte -----------------
+// Key order, %.6g doubles and one-line nested objects are part of the
+// format; a change here breaks every scenario file already written.
+
+TEST(SpecJson, GoldenOutputOfEveryKnobSpec) {
+  EXPECT_EQ(spec_to_json(every_knob_spec()), R"({
+  "name": "round-trip",
+  "index": 42,
+  "workload": "acc",
+  "transport": "local",
+  "frames": 1234,
+  "platform_seed": 77,
+  "sensor_seed": 88,
+  "clock_drift_ppm": 12.5,
+  "svc_latency_min_ns": 10000,
+  "svc_latency_max_ns": 3000000,
+  "net_drop_probability": 0.125,
+  "net_duplicate_probability": 0.25,
+  "net_in_order": true,
+  "exec_time_scale": 1.5,
+  "deadline_scale": 0.75,
+  "sensor_faults": {"drop_probability": 0.01, "stuck_probability": 0.02, "noise_probability": 0.03},
+  "service_faults": {"crash_at_ns": 1000000000, "restart_after_ns": 500000000, "call_error_probability": 0.02, "call_omission_probability": 0.03, "churn_period_ns": 200000000},
+  "retry": {"max_attempts": 3, "backoff_base_ns": 6000000, "timeout_ns": 5000000},
+  "fault_seed": 99,
+  "camera_payload_bytes": 1048576
+}
+)");
+}
+
+TEST(SpecJson, GoldenOutputOfDefaultSpec) {
+  EXPECT_EQ(spec_to_json(ScenarioSpec{}), R"({
+  "name": "",
+  "index": 0,
+  "workload": "dear",
+  "transport": "someip",
+  "frames": 2000,
+  "platform_seed": 1,
+  "sensor_seed": 5000,
+  "clock_drift_ppm": 30,
+  "svc_latency_min_ns": 5000,
+  "svc_latency_max_ns": 50000,
+  "net_drop_probability": 0,
+  "net_duplicate_probability": 0,
+  "net_in_order": false,
+  "exec_time_scale": 1,
+  "deadline_scale": 1,
+  "sensor_faults": {"drop_probability": 0, "stuck_probability": 0, "noise_probability": 0},
+  "service_faults": {"crash_at_ns": 0, "restart_after_ns": 0, "call_error_probability": 0, "call_omission_probability": 0, "churn_period_ns": 0},
+  "retry": {"max_attempts": 0, "backoff_base_ns": 0, "timeout_ns": 0},
+  "fault_seed": 1,
+  "camera_payload_bytes": 0
+}
+)");
+}
+
+// --- the knob table drives both directions -----------------------------------
+
+/// Moves one knob off its current value to one the file format keeps
+/// exactly (integers bit-exact, doubles within %.6g).
+struct MoveOffDefault {
+  void operator()(const KnobKey& /*key*/, bool& value) const { value = !value; }
+  void operator()(const KnobKey& /*key*/, Transport& value) const {
+    value = value == Transport::kSomeIp ? Transport::kLocal : Transport::kSomeIp;
+  }
+  void operator()(const KnobKey& key, double& value) const {
+    value = key.probability ? (value == 0.375 ? 0.625 : 0.375) : value + 2.5;
+  }
+  template <std::integral T>
+  void operator()(const KnobKey& /*key*/, T& value) const {
+    value += 17;
+  }
+};
+
+TEST(SpecJson, EveryTableKnobRoundTripsOffItsDefault) {
+  const ScenarioSpec defaults;
+  std::size_t knobs = 0;
+  for_each_knob(defaults, [&knobs](const KnobKey& /*key*/, const auto& /*field*/) { ++knobs; });
+  ASSERT_GT(knobs, 0u);
+
+  // One knob at a time: each is part of operator== and survives the file.
+  for (std::size_t i = 0; i < knobs; ++i) {
+    ScenarioSpec spec;
+    std::string name;
+    std::size_t at = 0;
+    for_each_knob(spec, [&](const KnobKey& key, auto& field) {
+      if (at++ == i) {
+        MoveOffDefault{}(key, field);
+        name = std::string(key.object) + "/" + std::string(key.name);
+      }
+    });
+    EXPECT_NE(spec, defaults) << name;
+    std::string error;
+    const auto parsed = spec_from_json(spec_to_json(spec), &error);
+    ASSERT_TRUE(parsed.has_value()) << name << ": " << error;
+    EXPECT_EQ(*parsed, spec) << name;
+  }
+
+  // All knobs at once.
+  ScenarioSpec spec;
+  spec.index = 3;
+  spec.name = "all-knobs";
+  spec.workload = Workload::kBrakeNondet;
+  for_each_knob(spec, MoveOffDefault{});
+  const auto parsed = spec_from_json(spec_to_json(spec));
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(*parsed, spec);
+}
+
+TEST(SpecJson, IntegersRoundTripExactlyAcrossTheirWholeRange) {
+  ScenarioSpec spec;
+  spec.platform_seed = 0xfedcba9876543211ULL;  // not representable as a double
+  spec.sensor_seed = 18446744073709551615ULL;
+  spec.svc_latency_max = 9223372036854775807LL;
+  spec.retry.max_attempts = 4294967295U;
+  const auto parsed = spec_from_json(spec_to_json(spec));
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(*parsed, spec);
+}
+
+// --- hostile numbers: the parser reads files from outside the program -------
+
+TEST(SpecJson, HostileNumbersAreRejectedNamingTheKey) {
+  struct Case {
+    const char* json;
+    const char* key;
+    const char* reason;
+  };
+  const Case cases[] = {
+      {R"({"frames": -1})", "key 'frames'", "expected a non-negative integer"},
+      {R"({"retry": {"max_attempts": -3}})", "key 'retry.max_attempts'",
+       "expected a non-negative integer"},
+      {R"({"frames": 2.5})", "key 'frames'", "expected a non-negative integer"},
+      {R"({"frames": 0x10})", "key 'frames'", "malformed number"},
+      {R"({"net_drop_probability": nan})", "key 'net_drop_probability'", "expected number"},
+      {R"({"net_drop_probability": 7})", "key 'net_drop_probability'",
+       "probability must lie in [0, 1]"},
+      {R"({"frames": 1e3})", "key 'frames'", "expected a non-negative integer"},
+      {R"({"frames": +5})", "key 'frames'", "expected number"},
+      {R"({"frames": 010})", "key 'frames'", "malformed number"},
+      {R"({"frames": 18446744073709551616})", "key 'frames'", "integer out of range"},
+      {R"({"retry": {"max_attempts": 4294967296}})", "key 'retry.max_attempts'",
+       "integer out of range"},
+      {R"({"svc_latency_max_ns": 9223372036854775808})", "key 'svc_latency_max_ns'",
+       "integer out of range"},
+      {R"({"service_faults": {"crash_at_ns": -1000}})", "key 'service_faults.crash_at_ns'",
+       "expected a non-negative integer"},
+      {R"({"clock_drift_ppm": 1e400})", "key 'clock_drift_ppm'", "number out of range"},
+      {R"({"deadline_scale": inf})", "key 'deadline_scale'", "expected number"},
+      {R"({"exec_time_scale": -Infinity})", "key 'exec_time_scale'", "expected number"},
+      {R"({"exec_time_scale": 1.})", "key 'exec_time_scale'", "malformed number"},
+      {R"({"sensor_faults": {"drop_probability": -0.5}})", "key 'sensor_faults.drop_probability'",
+       "probability must lie in [0, 1]"},
+      {R"({"service_faults": {"call_error_probability": 1.5}})",
+       "key 'service_faults.call_error_probability'", "probability must lie in [0, 1]"},
+  };
+  for (const Case& c : cases) {
+    std::string error;
+    EXPECT_FALSE(spec_from_json(c.json, &error).has_value()) << c.json;
+    EXPECT_NE(error.find(c.key), std::string::npos) << c.json << " -> " << error;
+    EXPECT_NE(error.find(c.reason), std::string::npos) << c.json << " -> " << error;
+  }
+}
+
+TEST(SpecJson, NumbersAtTheEdgesOfTheirRangeAreAccepted) {
+  const auto parsed = spec_from_json(
+      R"({"frames": 0, "net_drop_probability": 1, "net_duplicate_probability": 0,
+          "clock_drift_ppm": -12.5e-1, "deadline_scale": 2E+0,
+          "sensor_faults": {"noise_probability": 1.0e-3}})");
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->frames, 0u);
+  EXPECT_DOUBLE_EQ(parsed->net_drop_probability, 1.0);
+  EXPECT_DOUBLE_EQ(parsed->clock_drift_ppm, -1.25);
+  EXPECT_DOUBLE_EQ(parsed->deadline_scale, 2.0);
+  EXPECT_DOUBLE_EQ(parsed->sensor_faults.noise_probability, 0.001);
 }
 
 TEST(SpecJson, CameraPayloadBytesParsesAndRejectsWrongTypes) {
