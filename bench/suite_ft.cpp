@@ -3,9 +3,9 @@
 // The FT contract mirrors the obs one: with no service faults configured
 // the injection hooks and retry plumbing must stay within 5% of the
 // FT-free hot path, and the anchor digests must not move. The idle probe
-// (ft_idle_probe) installs an inert fault plan on every runtime, so the
-// measured run takes the plan-installed branch on each send/receive while
-// injecting nothing — the worst idle case. The suite then runs the
+// installs an inert fault plan on every runtime through the pipeline's
+// preflight hook, so the measured run takes the plan-installed branch on
+// each send/receive while injecting nothing — the worst idle case. The suite then runs the
 // fault-tolerance campaign itself (faults live) and gates zero
 // determinism violations plus report-digest equality at 1/2/4 workers.
 #include <algorithm>
@@ -13,6 +13,8 @@
 #include <cstdio>
 
 #include "brake/dear_pipeline.hpp"
+#include "dear/app_builder.hpp"
+#include "ft/fault_model.hpp"
 #include "scenario/presets.hpp"
 #include "scenario/runner.hpp"
 #include "suites.hpp"
@@ -24,13 +26,25 @@ namespace {
 constexpr unsigned kWorkerCounts[] = {1, 2, 4};
 
 /// Fixed-seed DEAR brake pipeline over SOME/IP (the bench_all anchor
-/// workload), optionally with the inert fault plan installed.
+/// workload), optionally with an inert fault plan installed: the real
+/// victim (computer vision), an empty crash window and zero call-fault
+/// probabilities, and no health service.
 std::uint64_t run_dear_digest(std::uint64_t frames, bool idle_probe) {
   brake::DearScenarioConfig config;
   config.frames = frames;
   config.platform_seed = 7;
   config.sensor_seed = config.platform_seed + 1000;
-  config.ft_idle_probe = idle_probe;
+  ft::FaultPlan idle_plan;  // outlives the run's bindings
+  if (idle_probe) {
+    config.preflight = [&idle_plan](AppBuilder& app) {
+      for (const auto& node : app.nodes()) {
+        if (node->name() == "cv") {
+          idle_plan.victim = node->runtime().endpoint();
+        }
+        node->runtime().set_fault_plan(&idle_plan);
+      }
+    };
+  }
   return brake::run_dear_pipeline(config).output_digest;
 }
 

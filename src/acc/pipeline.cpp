@@ -9,19 +9,13 @@
 
 #include "acc/logic.hpp"
 #include "acc/services.hpp"
-#include "analysis/report.hpp"
-#include "analysis/rules.hpp"
-#include "ara/com/local_binding.hpp"
 #include "common/digest.hpp"
-#include "common/rng.hpp"
 #include "dear/app_builder.hpp"
 #include "dear/bundles.hpp"
 #include "ft/health.hpp"
-#include "net/sim_network.hpp"
-#include "obs/obs.hpp"
+#include "scenario/testbed.hpp"
 #include "sim/clock_model.hpp"
 #include "sim/periodic_task.hpp"
-#include "sim/sim_executor.hpp"
 
 namespace dear::acc {
 
@@ -239,90 +233,33 @@ class ConsoleLogic final : public reactor::Reactor {
 }  // namespace
 
 AccResult run_acc_pipeline(const AccScenarioConfig& config) {
-  common::Rng platform_rng(config.platform_seed);
-  common::Rng radar_rng(config.sensor_seed);
-
-  sim::Kernel kernel;
-  net::SimNetwork network(kernel, platform_rng.stream("net"));
-  net::LinkParams link;
-  link.latency = sim::ExecTimeModel::uniform(config.link_latency_min, config.link_latency_max);
-  network.set_default_link(link);
-  // The whole chain is co-located, so every service message rides the
-  // loopback link — the surface the scenario engine's fault knobs stress.
-  net::LinkParams svc_link;
-  svc_link.latency = sim::ExecTimeModel::uniform(config.svc_latency_min, config.svc_latency_max);
-  svc_link.drop_probability = config.net_drop_probability;
-  svc_link.duplicate_probability = config.net_duplicate_probability;
-  svc_link.enforce_in_order = config.net_in_order;
-  network.set_loopback_link(svc_link);
-
-  someip::ServiceDiscovery discovery;
-  sim::SimExecutor executor(kernel, platform_rng.stream("dispatch"));
-
-  ara::com::LocalHub hub;
+  scenario::Testbed testbed(config, config.period, config.link_latency_min,
+                            config.link_latency_max);
+  sim::Kernel& kernel = testbed.kernel;
 
   // Radar activation grid, fixed before the fault plan: the injection
   // window and the health timers are anchored to it (cf. the brake
   // pipeline — identical crash_at semantics on both workloads). Draws are
   // sequenced explicitly: as constructor arguments their evaluation order
   // would be compiler-dependent.
-  auto radar_cfg_rng = radar_rng.stream("radar");
+  auto radar_cfg_rng = testbed.sensor_rng.stream("radar");
   const Duration radar_clock_offset = radar_cfg_rng.uniform_duration(0, config.period);
   const double radar_clock_drift =
       radar_cfg_rng.uniform(-1000, 1000) * 1e-3 * config.clock_drift_ppm;
   const sim::PlatformClock radar_clock(radar_clock_offset, radar_clock_drift);
   const Duration radar_phase = radar_cfg_rng.uniform_duration(0, config.period - 1);
 
-  // The radar starts once the service wiring has settled (see below), so
-  // grid points before `settle` are missed activations. Replicating
-  // PeriodicTask's arm rule here yields the nominal global release of
-  // scan 0 — jitter delays individual releases but never moves the grid.
-  const Duration settle = 5 * kMillisecond + 2 * config.svc_latency_max;
-  TimePoint first_scan = radar_clock.global_from_local(radar_phase);
-  for (TimePoint k = 1; first_scan < settle; ++k) {
-    first_scan = radar_clock.global_from_local(radar_phase + k * config.period);
-  }
-
-  // Fault-injection plan shared read-only by every binding in the chain.
-  // Declared before the AppBuilder so it outlives the node runtimes that
-  // hold a pointer to it. The radar node is the victim: crashing the
-  // sensor boundary exercises the consumer-side degradation path.
-  //
-  // The down window counts from scan 0's nominal release, so which scans
-  // lose their traffic is a pure function of the scenario knobs — the
-  // radar clock's offset cannot shift window membership.
-  const bool ft_on = config.service_faults.any();
-  ft::FaultPlan fault_plan;
-  fault_plan.victim = kRadarEp;
-  fault_plan.down_from =
-      config.service_faults.crash_at > 0 ? first_scan + config.service_faults.crash_at
-                                         : Duration{0};
-  fault_plan.down_until =
-      fault_plan.down_from > 0 && config.service_faults.restart_after > 0
-          ? fault_plan.down_from + config.service_faults.restart_after
-          : Duration{0};
-  fault_plan.call_error_probability = config.service_faults.call_error_probability;
-  fault_plan.call_omission_probability = config.service_faults.call_omission_probability;
-  fault_plan.fault_seed = config.fault_seed;
-
-  // Health timers ride the same anchor, offset to sit strictly between
-  // the chain's wire-tag grid (scans land at the grid +{5, 25, 35, 40}ms
-  // mod period, window boundaries at +period/2): beats a quarter period
-  // off the grid, supervisor checks at +period/4, coast ticks at +3/8.
-  const Duration ft_anchor = first_scan % config.period;
+  // The radar node is the service-fault victim: crashing the sensor
+  // boundary exercises the consumer-side degradation path.
+  scenario::FaultTolerance fault_tolerance(config, config.period,
+                                          testbed.first_release(radar_clock, radar_phase));
 
   const auto make_config = [&](Duration deadline) {
-    transact::TransactorConfig tc;
-    tc.deadline = scale_duration(deadline, config.deadline_scale);
-    tc.latency_bound = config.latency_bound;
-    tc.clock_error_bound = config.clock_error_bound;
-    tc.untagged = config.untagged;
-    return tc;
+    return scenario::transactor_config(config, deadline);
   };
 
-  AppBuilder::Config app_config;
-  app_config.local_hub = config.transport == scenario::Transport::kLocal ? &hub : nullptr;
-  AppBuilder app(kernel, network, discovery, executor, platform_rng, app_config);
+  AppBuilder app(kernel, testbed.network, testbed.discovery, testbed.executor,
+                 testbed.platform_rng, testbed.app_config());
 
   auto& radar = app.node("radar", kRadarEp, 0x31);
   auto& tracker = app.node("tracker", kTrackerEp, 0x32);
@@ -330,25 +267,10 @@ AccResult run_acc_pipeline(const AccScenarioConfig& config) {
   auto& actuator = app.node("actuator", kActuatorEp, 0x34);
   auto& console = app.node("console", kConsoleEp, 0x35);
 
-  // The plan hooks live in every binding either way; installing an inert
-  // plan (ft_idle_probe) measures their cost on the undisturbed hot path.
-  if (ft_on || config.ft_idle_probe) {
-    for (auto* node : {&radar, &tracker, &acc, &actuator, &console}) {
-      node->runtime().set_fault_plan(&fault_plan);
-    }
-  }
-
   // Servers first (offered on construction), then clients.
   auto& radar_srv = radar.serve<Radar>(kInstance, make_config(config.radar_deadline));
   auto& tracker_srv = tracker.serve<Tracker>(kInstance, make_config(config.tracker_deadline));
   auto& acc_srv = acc.serve<AccController>(kInstance, make_config(config.acc_deadline));
-  // Health monitoring rides the same descriptor machinery as the chain
-  // services: the victim offers the heartbeat stream, the controller node
-  // supervises it (wired below, after the logic reactors exist).
-  transact::ServerSide<ft::Health>* health_srv = nullptr;
-  if (ft_on) {
-    health_srv = &radar.serve<ft::Health>(kInstance, make_config(config.radar_deadline));
-  }
 
   auto& tracker_cli = tracker.require<Radar>(kInstance, make_config(config.tracker_deadline));
   auto& acc_cli = acc.require<Tracker>(kInstance, make_config(config.acc_deadline));
@@ -356,10 +278,6 @@ AccResult run_acc_pipeline(const AccScenarioConfig& config) {
       actuator.require<AccController>(kInstance, make_config(config.actuator_deadline));
   auto& console_cli =
       console.require<AccController>(kInstance, make_config(config.console_deadline));
-  transact::ClientSide<ft::Health>* health_cli = nullptr;
-  if (ft_on) {
-    health_cli = &acc.require<ft::Health>(kInstance, make_config(config.acc_deadline));
-  }
   if (config.retry.enabled()) {
     // Field get/set are methods on the wire; the console's proxy retries
     // them with the deterministic logical backoff.
@@ -385,15 +303,15 @@ AccResult run_acc_pipeline(const AccScenarioConfig& config) {
 
   auto& radar_logic = radar.logic<RadarLogic>(light_cost);
   auto& tracker_logic = tracker.logic<TrackerLogic>(tracker_cost);
-  auto& acc_logic = acc.logic<AccLogic>(acc_cost, 100.0, ft_on ? config.period : Duration{0},
-                                        ft_anchor + config.period / 4 + config.period / 8);
+  auto& acc_logic = acc.logic<AccLogic>(acc_cost, 100.0, fault_tolerance.fallback_period(),
+                                        fault_tolerance.fallback_phase());
   auto& actuator_logic = actuator.logic<ActuatorLogic>(
       light_cost, [&](const AccCommand& command, const reactor::Tag& tag) {
         if (is_coast_marker(command.scan_id)) {
           // Degraded tick: no reference command exists (there was no scan);
           // the marker and the held set-point still enter the digest so a
           // nondeterministic fallback could not hide.
-          ++result.ft_degraded_ticks;
+          ++result.ft.degraded_ticks;
           mix_digest(result.output_digest, command.scan_id);
           mix_digest(result.output_digest,
                      static_cast<std::uint64_t>(command.target_speed_kmh * 100.0));
@@ -424,22 +342,10 @@ AccResult run_acc_pipeline(const AccScenarioConfig& config) {
   auto& console_logic =
       console.logic<ConsoleLogic>(config.console_poll_period, config.console_update_period);
 
-  ft::Supervisor* supervisor = nullptr;
-  if (ft_on) {
-    auto& beat_src = radar.logic<ft::HeartbeatEmitter>(
-        config.period, ft_anchor + config.period + config.period / 4);
-    radar.connect(beat_src.out, health_srv->tx(ft::Health::beat).in);
-    // Staleness thresholds scale with the chain cadence: one missed beat
-    // is tolerated, ~2.5 periods without beats counts as degraded, four as
-    // dead (engaging the coast fallback).
-    ft::SupervisorConfig sup_config;
-    sup_config.check_period = config.period;
-    sup_config.check_phase = ft_anchor + config.period / 4;
-    sup_config.degraded_after = 2 * config.period + config.period / 2;
-    sup_config.dead_after = 4 * config.period;
-    supervisor = &acc.logic<ft::Supervisor>(sup_config);
-    acc.connect(health_cli->tx(ft::Health::beat).out, supervisor->beat_in);
-    acc.connect(supervisor->state_out, *acc_logic.health_in);
+  // The controller node supervises the radar; the coast fallback listens.
+  if (auto* health = fault_tolerance.deploy(app, radar, make_config(config.radar_deadline), acc,
+                                            make_config(config.acc_deadline))) {
+    acc.connect(*health, *acc_logic.health_in);
   }
 
   // --- wiring: all of it derived from the descriptors -------------------------
@@ -467,7 +373,8 @@ AccResult run_acc_pipeline(const AccScenarioConfig& config) {
   console.connect(field_cli.notify.out, console_logic.notify_in);
 
   // --- the radar front-end -----------------------------------------------------
-  sim::SensorFaultInjector radar_faults(config.sensor_faults, radar_rng.stream("radar.faults"));
+  sim::SensorFaultInjector radar_faults(config.sensor_faults,
+                                        testbed.sensor_rng.stream("radar.faults"));
   std::uint64_t captures = 0;
   std::uint64_t scans_sent = 0;
   std::optional<RadarScan> last_scan;
@@ -504,66 +411,18 @@ AccResult run_acc_pipeline(const AccScenarioConfig& config) {
         radar_logic.scan_arrival.schedule(scan);
       });
   radar_task.set_jitter(sim::ExecTimeModel::uniform(0, config.radar_jitter),
-                        radar_rng.stream("radar.jitter"));
+                        testbed.sensor_rng.stream("radar.jitter"));
 
-  // --- static pre-flight --------------------------------------------------------
-  if (config.preflight) {
-    config.preflight(app);
-  }
-  if (config.build_only) {
+  // Churn toggles the actuator's command subscription.
+  if (!testbed.run(app, config, [&] { radar_task.start(); },
+                   actuator_cli.tx(AccController::command))) {
     return result;
   }
-  // Consume the compiled level tables (when a plan is supplied) before the
-  // environments assemble; a stale plan throws here, before any event runs.
-  if (config.schedule_plan != nullptr) {
-    app.apply_schedule_plans(*config.schedule_plan);
-  }
-  // Fail fast on structural determinism violations before any event runs.
-  // The structural gate lets deliberately tightened deadline budgets through:
-  // those runs are out-of-envelope experiments whose misses the error
-  // counters must observe.
-  app.validate(analysis::Gate::kStructural);
-
-  app.start();
-
-  // Let the service wiring settle before the sensor streams: event
-  // subscriptions are SOME/IP control messages that traverse the simulated
-  // network, so a scan published at t≈0 would reach a server binding that
-  // does not know its subscribers yet. Real deployments sequence this
-  // through service discovery; the DES equivalent is a short drain scaled
-  // to the service-link model.
-  kernel.run_until(settle);
-  radar_task.start();
-
-  // Subscription churn: toggle the actuator's command subscription at a
-  // fixed physical cadence. The toggle windows are physical time, so churn
-  // scenarios are excluded from the digest-invariance groups; the claim
-  // under test is error accounting, not bit-identical output.
-  std::function<void()> churn_toggle;
-  if (config.service_faults.churn_period > 0) {
-    churn_toggle = [&] {
-      auto& rx = actuator_cli.tx(AccController::command);
-      if (rx.subscribed()) {
-        rx.unsubscribe();
-      } else {
-        rx.resubscribe();
-      }
-      kernel.schedule_after(config.service_faults.churn_period, [&] { churn_toggle(); });
-    };
-    kernel.schedule_after(config.service_faults.churn_period, [&] { churn_toggle(); });
-  }
-
-  const TimePoint horizon = settle +
-                            static_cast<TimePoint>(config.frames + 16) * config.period +
-                            16 * config.period;
-  kernel.run_until(horizon);
   radar_task.stop();
 
   // --- collect results ----------------------------------------------------------
   result.scans_sent = scans_sent;
-  result.sensor_dropped = radar_faults.dropped_samples();
-  result.sensor_stuck = radar_faults.stuck_samples();
-  result.sensor_noisy = radar_faults.noisy_samples();
+  result.sensor_faults = radar_faults.counts();
   result.field_gets = console_logic.gets;
   result.field_sets = console_logic.sets;
   result.field_notifies = console_logic.notifies;
@@ -573,16 +432,7 @@ AccResult run_acc_pipeline(const AccScenarioConfig& config) {
   result.untagged_messages = app.untagged_messages();
   result.dropped_messages = app.dropped_messages();
   result.remote_errors = app.remote_errors();
-
-  result.ft_crash_drops = fault_plan.crash_drops.load(std::memory_order_relaxed);
-  result.ft_call_faults = fault_plan.call_errors.load(std::memory_order_relaxed) +
-                          fault_plan.call_omissions.load(std::memory_order_relaxed);
-  result.ft_retries = console_cli.proxy().retries();
-  // ft_degraded_ticks accumulated in the actuator observer.
-  result.ft_failovers = supervisor != nullptr ? supervisor->failovers() : 0;
-  obs::count(obs::Counter::kFtCrashDrops, result.ft_crash_drops);
-  obs::count(obs::Counter::kFtCallFaults, result.ft_call_faults);
-  obs::count(obs::Counter::kFtDegradedTicks, result.ft_degraded_ticks);
+  result.ft = fault_tolerance.counters(console_cli.proxy().retries(), result.ft.degraded_ticks);
   return result;
 }
 

@@ -19,25 +19,20 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "common/time.hpp"
 #include "dear/config.hpp"
+#include "ft/fault_model.hpp"
 #include "scenario/knobs.hpp"
-
-namespace dear {
-class AppBuilder;
-namespace analysis {
-struct StaticPlan;
-}
-}
+#include "sim/fault_injection.hpp"
 
 namespace dear::acc {
 
 /// The ACC chain's configuration: the shared platform knobs
 /// (scenario/knobs.hpp; the radar is the sensor and the service-fault
-/// victim, frames counts radar scans) plus the chain's own timing.
-struct AccScenarioConfig : scenario::PlatformKnobs {
+/// victim, frames counts radar scans), the static-analysis hooks, and the
+/// chain's own timing.
+struct AccScenarioConfig : scenario::PlatformKnobs, scenario::RunHooks {
   Duration period{50 * kMillisecond};
   Duration radar_jitter{500 * kMicrosecond};
   Duration link_latency_min{200 * kMicrosecond};
@@ -59,23 +54,6 @@ struct AccScenarioConfig : scenario::PlatformKnobs {
   Duration console_update_period{2000 * kMillisecond};
 
   transact::UntaggedPolicy untagged{transact::UntaggedPolicy::kFail};
-
-  /// Bench-only: install an inert fault plan (real victim, empty crash
-  /// window, zero probabilities) WITHOUT the health service, to measure
-  /// the pure hook overhead on the hot path.
-  bool ft_idle_probe{false};
-
-  // --- static-analysis hooks (src/analysis/) ---------------------------------
-  /// Invoked after the app is fully wired, before validate()/start().
-  std::function<void(AppBuilder&)> preflight{};
-  /// Construct and wire the application, run preflight, and return
-  /// without starting drivers or the radar (no event executes).
-  bool build_only{false};
-  /// When set, every node consumes its level table from this compiled
-  /// plan (analysis::build_plan) instead of re-deriving it at assembly;
-  /// traces and digests are bit-identical either way. The plan must match
-  /// the constructed topology (stale plans throw).
-  const analysis::StaticPlan* schedule_plan{nullptr};
 };
 
 struct AccResult {
@@ -91,10 +69,8 @@ struct AccResult {
   std::uint64_t field_sets{0};
   std::uint64_t field_notifies{0};
 
-  // Injected radar faults (input-side).
-  std::uint64_t sensor_dropped{0};
-  std::uint64_t sensor_stuck{0};
-  std::uint64_t sensor_noisy{0};
+  /// Injected radar faults (input-side).
+  sim::SensorFaultCounts sensor_faults;
 
   // Observable protocol errors (summed over every transactor in the app).
   std::uint64_t deadline_violations{0};
@@ -112,14 +88,9 @@ struct AccResult {
   /// Digest over the console's get/set/notify observations.
   std::uint64_t console_digest{0};
 
-  // Fault-tolerance accounting (zero when no plan is installed).
-  std::uint64_t ft_crash_drops{0};
-  std::uint64_t ft_call_faults{0};
-  std::uint64_t ft_retries{0};
-  /// Actuator ticks served by the ACC coast fallback (radar dead).
-  std::uint64_t ft_degraded_ticks{0};
-  /// Supervisor transitions into the dead state.
-  std::uint64_t ft_failovers{0};
+  /// Fault-tolerance accounting (degraded ticks are actuator ticks served
+  /// by the ACC coast fallback).
+  ft::Counters ft;
 
   [[nodiscard]] std::uint64_t total_errors() const noexcept {
     return deadline_violations + tardy_messages + dropped_messages + remote_errors +

@@ -46,7 +46,7 @@ Camera::Camera(sim::Kernel& kernel, const sim::PlatformClock& clock, net::Networ
 }
 
 void Camera::capture(std::uint64_t /*activation*/, TimePoint release_time) {
-  if (config_.frame_limit != 0 && captures_ >= config_.frame_limit) {
+  if (captures_ >= config_.frame_limit) {
     task_.stop();
     return;
   }

@@ -39,9 +39,9 @@ class Camera {
     Duration phase{0};
     /// Per-capture release jitter.
     sim::ExecTimeModel jitter{sim::ExecTimeModel::uniform(0, 500 * kMicrosecond)};
-    /// Stops the camera after this many *captures* (0 = unlimited). With
-    /// fault injection, dropped captures count toward the limit but are
-    /// never sent, so frames_sent() can end up below the limit.
+    /// Stops the camera after this many *captures* (0 = the camera sends
+    /// nothing). With fault injection, dropped captures count toward the
+    /// limit but are never sent, so frames_sent() can end up below it.
     std::uint64_t frame_limit{0};
     /// Sensor faults, decided per capture from the camera's own rng — part
     /// of the input stream, not of the platform.

@@ -5,21 +5,15 @@
 #include <optional>
 #include <unordered_map>
 
-#include "analysis/report.hpp"
-#include "analysis/rules.hpp"
-#include "ara/com/local_binding.hpp"
 #include "brake/camera.hpp"
 #include "brake/logic.hpp"
 #include "brake/services.hpp"
 #include "common/digest.hpp"
-#include "common/rng.hpp"
 #include "dear/app_builder.hpp"
 #include "dear/bundles.hpp"
 #include "ft/health.hpp"
-#include "net/sim_network.hpp"
-#include "obs/obs.hpp"
+#include "scenario/testbed.hpp"
 #include "sim/clock_model.hpp"
-#include "sim/sim_executor.hpp"
 
 namespace dear::brake {
 
@@ -180,49 +174,24 @@ class EbaLogic final : public reactor::Reactor {
 }  // namespace
 
 PipelineResult run_dear_pipeline(const DearScenarioConfig& config) {
-  common::Rng platform_rng(config.platform_seed);
-  common::Rng camera_rng(config.sensor_seed);
+  scenario::Testbed testbed(config, config.period, config.link_latency_min,
+                            config.link_latency_max);
+  sim::Kernel& kernel = testbed.kernel;
 
-  sim::Kernel kernel;
   // Camera on platform 1 with its own clock; platform 2 hosts the SWCs.
   // The two draws are sequenced explicitly: as constructor arguments their
   // evaluation order would be compiler-dependent, and every stream draw
   // must be a pure function of (seed, draw index).
-  auto drift_rng = platform_rng.stream("clock.drift");
+  auto drift_rng = testbed.platform_rng.stream("clock.drift");
   const Duration clock1_offset = drift_rng.uniform_duration(0, config.period);
   const double clock1_drift = drift_rng.uniform(-1000, 1000) * 1e-3 * config.clock_drift_ppm;
   const sim::PlatformClock clock1(clock1_offset, clock1_drift);
   // Platform 2 is the simulation reference clock (its SWCs are driven by
   // event arrival, not local timers, so its drift is immaterial here).
 
-  net::SimNetwork network(kernel, platform_rng.stream("net"));
-  net::LinkParams inter_link;
-  inter_link.latency =
-      sim::ExecTimeModel::uniform(config.link_latency_min, config.link_latency_max);
-  network.set_default_link(inter_link);
-  // The SWC-to-SWC SOME/IP traffic stays on platform 2 and runs over the
-  // loopback link — the surface the scenario engine's network fault knobs
-  // stress.
-  net::LinkParams svc_link;
-  svc_link.latency = sim::ExecTimeModel::uniform(config.svc_latency_min, config.svc_latency_max);
-  svc_link.drop_probability = config.net_drop_probability;
-  svc_link.duplicate_probability = config.net_duplicate_probability;
-  svc_link.enforce_in_order = config.net_in_order;
-  network.set_loopback_link(svc_link);
-
-  someip::ServiceDiscovery discovery;
-  sim::SimExecutor executor(kernel, platform_rng.stream("dispatch"));
-
-  // --- the application, declaratively -----------------------------------------
-  // Declared before the app: LocalBindings owned by the nodes' registries
-  // detach from the hub on destruction.
-  ara::com::LocalHub hub;
-
   // Camera activation grid, fixed before the fault plan: the injection
-  // window and the health timers are anchored to it. The phase draw is a
-  // named sub-stream, so hoisting it here leaves every other draw — and
-  // with it the fault-free digests — untouched.
-  auto camera_cfg_rng = camera_rng.stream("camera");
+  // window and the health timers are anchored to it.
+  auto camera_cfg_rng = testbed.sensor_rng.stream("camera");
   // Newest published pixel slab (sensor data plane). Declared before the
   // camera so the handle is destroyed after it; holding only the latest
   // frame keeps the ring from exhausting, so engaging the data plane
@@ -241,67 +210,21 @@ PipelineResult run_dear_pipeline(const DearScenarioConfig& config) {
       latest_frame_pixels = slab;
     };
   }
-
-  // The camera starts once the service wiring has settled (see below), so
-  // grid points before `settle` are missed activations. Replicating
-  // PeriodicTask's arm rule here yields the nominal global release of
-  // frame 0 — jitter delays individual releases but never moves the grid.
-  const Duration settle = 5 * kMillisecond + 2 * config.svc_latency_max;
-  TimePoint first_capture = clock1.global_from_local(camera_config.phase);
-  for (TimePoint k = 1; first_capture < settle; ++k) {
-    first_capture = clock1.global_from_local(camera_config.phase + k * config.period);
-  }
-
-  // Fault-injection plan shared read-only by every binding. Declared
-  // before the AppBuilder so it outlives the node runtimes that hold a
-  // pointer to it. Computer vision is the victim: the longest stage, and
+  // Computer vision is the service-fault victim: the longest stage, and
   // the one EBA's hold fallback guards.
-  //
-  // The down window is anchored to the capture grid: crash_at counts from
-  // frame 0's nominal release, so which frames lose their traffic is a
-  // pure function of the scenario knobs. The camera clock's offset (a
-  // platform-seed draw spanning a whole period) shifts every sensor tag,
-  // and an absolute window would let it shift window membership too —
-  // breaking the cross-platform-seed digest invariance the campaign
-  // checks.
-  const bool ft_on = config.service_faults.any();
-  ft::FaultPlan fault_plan;
-  fault_plan.victim = kCvEp;
-  fault_plan.down_from =
-      config.service_faults.crash_at > 0 ? first_capture + config.service_faults.crash_at
-                                         : Duration{0};
-  fault_plan.down_until =
-      fault_plan.down_from > 0 && config.service_faults.restart_after > 0
-          ? fault_plan.down_from + config.service_faults.restart_after
-          : Duration{0};
-  fault_plan.call_error_probability = config.service_faults.call_error_probability;
-  fault_plan.call_omission_probability = config.service_faults.call_omission_probability;
-  fault_plan.fault_seed = config.fault_seed;
+  scenario::FaultTolerance fault_tolerance(config, config.period,
+                                          testbed.first_release(clock1, camera_config.phase));
 
-  // Health timers ride the same anchor, offset to sit strictly between
-  // the chain's wire-tag clouds (frames land near the grid +{5, 10, 30}ms
-  // mod period, window boundaries at +period/2): beats a quarter period
-  // off the grid, supervisor checks at +period/4, hold ticks at +3/8.
-  const Duration ft_anchor = first_capture % config.period;
-
-  // Transactor configurations (paper §IV.B): one per SWC, derived from the
-  // paper deadlines and the scenario's scaling knobs.
   const auto make_config = [&](Duration deadline) {
-    transact::TransactorConfig tc;
-    tc.deadline = scale_duration(deadline, config.deadline_scale);
-    tc.latency_bound = config.latency_bound;
-    tc.clock_error_bound = config.clock_error_bound;
-    tc.untagged = config.untagged;
-    return tc;
+    return scenario::transactor_config(config, deadline);
   };
 
   // Deployment: all four SWC services either stay on the default SOME/IP
   // backend or, when requested, move onto the zero-copy in-process
   // transport. The builder attaches the backend per node and deploys every
   // served/required instance before skeletons/proxies resolve bindings.
-  AppBuilder::Config app_config;
-  app_config.local_hub = config.transport == scenario::Transport::kLocal ? &hub : nullptr;
-  AppBuilder app(kernel, network, discovery, executor, platform_rng, app_config);
+  AppBuilder app(kernel, testbed.network, testbed.discovery, testbed.executor,
+                 testbed.platform_rng, testbed.app_config());
 
   auto& adapter = app.node("adapter", kAdapterEp, 0x21);
   auto& preproc = app.node("preproc", kPreprocEp, 0x22);
@@ -309,36 +232,17 @@ PipelineResult run_dear_pipeline(const DearScenarioConfig& config) {
   auto& eba = app.node("eba", kEbaEp, 0x24);
   auto& monitor = app.node("monitor", kMonitorEp, 0x25);
 
-  // The plan hooks live in every binding either way; installing an inert
-  // plan (ft_idle_probe) measures their cost on the undisturbed hot path.
-  if (ft_on || config.ft_idle_probe) {
-    for (auto* node : {&adapter, &preproc, &cv, &eba, &monitor}) {
-      node->runtime().set_fault_plan(&fault_plan);
-    }
-  }
-
   // Server bundles first (offered on construction), then client bundles.
   auto& adapter_srv = adapter.serve<VideoAdapter>(kInstance, make_config(config.adapter_deadline));
   auto& preproc_srv =
       preproc.serve<Preprocessing>(kInstance, make_config(config.preprocessing_deadline));
   auto& cv_srv = cv.serve<ComputerVision>(kInstance, make_config(config.cv_deadline));
   auto& eba_srv = eba.serve<Eba>(kInstance, make_config(config.eba_deadline));
-  // Health monitoring rides the same descriptor machinery as the pipeline
-  // services: the victim offers the heartbeat stream, EBA's node
-  // supervises it (wired below, after the logic reactors exist).
-  transact::ServerSide<ft::Health>* health_srv = nullptr;
-  if (ft_on) {
-    health_srv = &cv.serve<ft::Health>(kInstance, make_config(config.cv_deadline));
-  }
 
   auto& preproc_cli =
       preproc.require<VideoAdapter>(kInstance, make_config(config.preprocessing_deadline));
   auto& cv_cli = cv.require<Preprocessing>(kInstance, make_config(config.cv_deadline));
   auto& eba_cli = eba.require<ComputerVision>(kInstance, make_config(config.eba_deadline));
-  transact::ClientSide<ft::Health>* health_cli = nullptr;
-  if (ft_on) {
-    health_cli = &eba.require<ft::Health>(kInstance, make_config(config.eba_deadline));
-  }
   if (config.retry.enabled()) {
     // The pipeline interfaces are pure event streams, so the budget has no
     // method call to retry here; installing it still exercises the policy
@@ -401,34 +305,22 @@ PipelineResult run_dear_pipeline(const DearScenarioConfig& config) {
           arrival_time.erase(it);
         }
       },
-      ft_on ? config.period : Duration{0},
+      fault_tolerance.fallback_period(),
       [&](const BrakeCommand& command, const reactor::Tag& /*tag*/) {
         // Degraded tick: the held command re-enters the digest under a
         // marker so a nondeterministic fallback could not hide; no
         // reference comparison (there is no frame behind a held tick).
-        ++result.ft_degraded_ticks;
+        ++result.ft.degraded_ticks;
         mix_digest(result.output_digest, 0xFFFF'0000'0000'0000ULL | command.frame_id);
         mix_digest(result.output_digest, command.brake ? 1 : 0);
         mix_digest(result.output_digest, static_cast<std::uint64_t>(command.intensity * 1e6));
       },
-      ft_anchor + config.period / 4 + config.period / 8);
+      fault_tolerance.fallback_phase());
 
-  ft::Supervisor* supervisor = nullptr;
-  if (ft_on) {
-    auto& beat_src = cv.logic<ft::HeartbeatEmitter>(
-        config.period, ft_anchor + config.period + config.period / 4);
-    cv.connect(beat_src.out, health_srv->tx(ft::Health::beat).in);
-    // Staleness thresholds scale with the pipeline cadence: one missed
-    // beat is tolerated, ~2.5 periods without beats counts as degraded,
-    // four as dead (engaging the hold fallback).
-    ft::SupervisorConfig sup_config;
-    sup_config.check_period = config.period;
-    sup_config.check_phase = ft_anchor + config.period / 4;
-    sup_config.degraded_after = 2 * config.period + config.period / 2;
-    sup_config.dead_after = 4 * config.period;
-    supervisor = &eba.logic<ft::Supervisor>(sup_config);
-    eba.connect(health_cli->tx(ft::Health::beat).out, supervisor->beat_in);
-    eba.connect(supervisor->state_out, *eba_logic.health_in);
+  // EBA's node supervises computer vision; the hold fallback listens.
+  if (auto* health = fault_tolerance.deploy(app, cv, make_config(config.cv_deadline), eba,
+                                            make_config(config.eba_deadline))) {
+    eba.connect(*health, *eba_logic.health_in);
   }
 
   // Video Adapter publishes frames; Preprocessing consumes them and
@@ -456,7 +348,7 @@ PipelineResult run_dear_pipeline(const DearScenarioConfig& config) {
 
   // Camera frames enter the reactor world as sensor events: tagged with
   // the physical time of reception (paper §IV.B).
-  network.bind(kAdapterRawEp, [&](const net::Packet& packet) {
+  testbed.network.bind(kAdapterRawEp, [&](const net::Packet& packet) {
     VideoFrame frame;
     if (!decode_camera_packet(packet.payload, frame)) {
       return;
@@ -465,70 +357,19 @@ PipelineResult run_dear_pipeline(const DearScenarioConfig& config) {
     adapter_logic.frame_arrival.schedule(frame);
   });
 
-  // --- static pre-flight --------------------------------------------------------------
-  if (config.preflight) {
-    config.preflight(app);
-  }
-  if (config.build_only) {
+  Camera camera(kernel, clock1, testbed.network, kCameraEp, kAdapterRawEp, camera_config,
+                testbed.sensor_rng);
+  // Churn toggles EBA's vehicles subscription.
+  if (!testbed.run(app, config, [&] { camera.start(); }, eba_cli.tx(ComputerVision::vehicles))) {
     return result;
   }
-  // Consume the compiled level tables (when a plan is supplied) before the
-  // environments assemble; a stale plan throws here, before any event runs.
-  if (config.schedule_plan != nullptr) {
-    app.apply_schedule_plans(*config.schedule_plan);
-  }
-  // Fail fast on structural determinism violations before any event runs.
-  // The structural gate lets deliberately tightened deadline budgets through:
-  // those runs are out-of-envelope experiments whose misses the error
-  // counters must observe.
-  app.validate(analysis::Gate::kStructural);
-
-  // --- drivers + camera ---------------------------------------------------------------
-  app.start();
-
-  // Let the service wiring settle before the sensor stream starts: event
-  // subscriptions are SOME/IP control messages that traverse the simulated
-  // service links, so with a slow link a frame published right away could
-  // reach a server binding that does not know its subscribers yet — and
-  // whether it does would depend on platform-side latency draws. Real
-  // deployments sequence this through service discovery; the DES
-  // equivalent is a short drain scaled to the link model.
-  kernel.run_until(settle);
-
-  Camera camera(kernel, clock1, network, kCameraEp, kAdapterRawEp, camera_config, camera_rng);
-  camera.start();
-
-  // Subscription churn: toggle EBA's vehicles subscription at a fixed
-  // physical cadence. The toggle windows are physical time, so churn
-  // scenarios are excluded from the digest-invariance groups; the claim
-  // under test is error accounting, not bit-identical output.
-  std::function<void()> churn_toggle;
-  if (config.service_faults.churn_period > 0) {
-    churn_toggle = [&] {
-      auto& rx = eba_cli.tx(ComputerVision::vehicles);
-      if (rx.subscribed()) {
-        rx.unsubscribe();
-      } else {
-        rx.resubscribe();
-      }
-      kernel.schedule_after(config.service_faults.churn_period, [&] { churn_toggle(); });
-    };
-    kernel.schedule_after(config.service_faults.churn_period, [&] { churn_toggle(); });
-  }
-
-  const TimePoint horizon = settle +
-                            static_cast<TimePoint>(config.frames + 16) * config.period +
-                            16 * config.period;
-  kernel.run_until(horizon);
   camera.stop();
 
   // --- collect results -------------------------------------------------------------------
   result.frames_sent = camera.frames_sent();
   result.camera_payload_frames = camera.payload_frames();
   result.camera_payload_drops = camera.payload_drops();
-  result.sensor_dropped = camera.fault_injector().dropped_samples();
-  result.sensor_stuck = camera.fault_injector().stuck_samples();
-  result.sensor_noisy = camera.fault_injector().noisy_samples();
+  result.sensor_faults = camera.fault_injector().counts();
   result.errors.input_mismatches_cv = cv_logic.input_mismatches;
 
   result.deadline_violations = app.deadline_violations();
@@ -556,21 +397,9 @@ PipelineResult run_dear_pipeline(const DearScenarioConfig& config) {
                                         vehicles_rx.tardy_messages() +
                                         vehicles_rx.dropped_messages();
 
-  result.ft_crash_drops = fault_plan.crash_drops.load(std::memory_order_relaxed);
-  result.ft_call_faults = fault_plan.call_errors.load(std::memory_order_relaxed) +
-                          fault_plan.call_omissions.load(std::memory_order_relaxed);
-  result.ft_retries =
-      preproc_cli.proxy().retries() + cv_cli.proxy().retries() + eba_cli.proxy().retries();
-  // ft_degraded_ticks accumulated in the hold observer.
-  result.ft_failovers = supervisor != nullptr ? supervisor->failovers() : 0;
-  obs::count(obs::Counter::kFtCrashDrops, result.ft_crash_drops);
-  obs::count(obs::Counter::kFtCallFaults, result.ft_call_faults);
-  obs::count(obs::Counter::kFtDegradedTicks, result.ft_degraded_ticks);
-
-  // End-to-end logical latency: the EBA tag is the adapter arrival tag plus
-  // the accumulated D + L offsets — deterministic by construction; report
-  // the per-frame physical completion latency instead (capture to EBA
-  // execution) using the drivers' trace-free accounting.
+  result.ft = fault_tolerance.counters(
+      preproc_cli.proxy().retries() + cv_cli.proxy().retries() + eba_cli.proxy().retries(),
+      result.ft.degraded_ticks);
   return result;
 }
 

@@ -18,26 +18,19 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "brake/metrics.hpp"
 #include "brake/nondet_pipeline.hpp"
 #include "dear/config.hpp"
 #include "scenario/knobs.hpp"
 
-namespace dear {
-class AppBuilder;
-namespace analysis {
-struct StaticPlan;
-}
-}
-
 namespace dear::brake {
 
 /// The DEAR brake assistant's configuration: the shared platform knobs
 /// (scenario/knobs.hpp; the camera is the sensor, the computer-vision node
-/// the service-fault victim) plus the testbed's own timing and deadlines.
-struct DearScenarioConfig : scenario::PlatformKnobs {
+/// the service-fault victim), the static-analysis hooks, and the
+/// testbed's own timing and deadlines.
+struct DearScenarioConfig : scenario::PlatformKnobs, scenario::RunHooks {
   Duration period{50 * kMillisecond};
   Duration camera_jitter{500 * kMicrosecond};
   Duration link_latency_min{200 * kMicrosecond};
@@ -55,25 +48,6 @@ struct DearScenarioConfig : scenario::PlatformKnobs {
   Duration clock_error_bound{0};
 
   transact::UntaggedPolicy untagged{transact::UntaggedPolicy::kFail};
-
-  /// Bench-only: install an inert fault plan (real victim, empty crash
-  /// window, zero probabilities) WITHOUT the health service, to measure
-  /// the pure hook overhead on the hot path.
-  bool ft_idle_probe{false};
-
-  // --- static-analysis hooks (src/analysis/) ---------------------------------
-  /// Invoked after the app is fully wired, before validate()/start().
-  /// The static verifier uses it to extract the fact table from the
-  /// genuine reactor graphs without executing anything.
-  std::function<void(AppBuilder&)> preflight{};
-  /// Construct and wire the application, run preflight, and return
-  /// without starting drivers or the camera (no event executes).
-  bool build_only{false};
-  /// When set, every node consumes its level table from this compiled
-  /// plan (analysis::build_plan) instead of re-deriving it at assembly;
-  /// traces and digests are bit-identical either way. The plan must match
-  /// the constructed topology (stale plans throw).
-  const analysis::StaticPlan* schedule_plan{nullptr};
 };
 
 /// Runs the DEAR pipeline; deadline violations, tardy messages and CV

@@ -8,6 +8,8 @@
 #include <string>
 
 #include "common/stats.hpp"
+#include "ft/fault_model.hpp"
+#include "sim/fault_injection.hpp"
 
 namespace dear::brake {
 
@@ -77,24 +79,17 @@ struct PipelineResult {
   std::uint64_t tardy_messages{0};
   std::uint64_t untagged_messages{0};
 
-  // Injected sensor faults (input-side; identical across platform seeds
-  // for a fixed camera seed and fault model).
-  std::uint64_t sensor_dropped{0};
-  std::uint64_t sensor_stuck{0};
-  std::uint64_t sensor_noisy{0};
+  /// Injected sensor faults (input-side; identical across platform seeds
+  /// for a fixed camera seed and fault model).
+  sim::SensorFaultCounts sensor_faults;
 
   // Sensor data plane (zero unless camera_payload_bytes is configured).
   std::uint64_t camera_payload_frames{0};
   std::uint64_t camera_payload_drops{0};
 
-  // Fault-tolerance accounting (zero when no plan is installed).
-  std::uint64_t ft_crash_drops{0};
-  std::uint64_t ft_call_faults{0};
-  std::uint64_t ft_retries{0};
-  /// EBA ticks served by the hold-last-safe-command fallback (CV dead).
-  std::uint64_t ft_degraded_ticks{0};
-  /// Supervisor transitions into the dead state.
-  std::uint64_t ft_failovers{0};
+  /// Fault-tolerance accounting (DEAR pipeline only; degraded ticks are
+  /// EBA ticks served by the hold-last-safe-command fallback).
+  ft::Counters ft;
 
   [[nodiscard]] double error_prevalence_percent() const noexcept {
     return errors.prevalence_percent(frames_sent);

@@ -1,6 +1,5 @@
 #include "brake/nondet_pipeline.hpp"
 
-#include <memory>
 #include <optional>
 
 #include "ara/deterministic_client.hpp"
@@ -12,10 +11,9 @@
 #include "brake/input_buffer.hpp"
 #include "common/digest.hpp"
 #include "common/rng.hpp"
-#include "net/sim_network.hpp"
+#include "scenario/testbed.hpp"
 #include "sim/clock_model.hpp"
 #include "sim/periodic_task.hpp"
-#include "sim/sim_executor.hpp"
 
 namespace dear::brake {
 
@@ -46,18 +44,14 @@ using common::mix_digest;
 /// Shared state of one scenario execution.
 struct Scenario {
   explicit Scenario(const ScenarioConfig& config)
-      : config(config), platform_rng(config.platform_seed), camera_rng(config.sensor_seed) {}
+      : config(config),
+        testbed(config, config.period, config.link_latency_min, config.link_latency_max,
+                config.dispatch_jitter) {}
 
   const ScenarioConfig& config;
-  common::Rng platform_rng;
-  common::Rng camera_rng;
-
-  sim::Kernel kernel;
+  scenario::Testbed testbed;
   sim::PlatformClock clock1;  // camera platform
   sim::PlatformClock clock2;  // compute platform
-  std::unique_ptr<net::SimNetwork> network;
-  someip::ServiceDiscovery discovery;
-  std::unique_ptr<sim::SimExecutor> executor;
 
   PipelineResult result;
 
@@ -72,7 +66,7 @@ struct Scenario {
 class ClassicSwc {
  public:
   static Duration effective_period(Scenario& scenario, const std::string& name) {
-    auto rng = scenario.platform_rng.stream(name + ".period_drift");
+    auto rng = scenario.testbed.platform_rng.stream(name + ".period_drift");
     const double bound = scenario.config.task_period_drift_ppm * 1e-6 *
                          static_cast<double>(scenario.config.period);
     return scenario.config.period + static_cast<Duration>(draw_drift(rng, bound));
@@ -81,11 +75,11 @@ class ClassicSwc {
   ClassicSwc(Scenario& scenario, std::string name, Duration phase,
              std::function<void(TimePoint)> logic)
       : logic_(std::move(logic)),
-        task_(scenario.kernel, scenario.clock2, effective_period(scenario, name), phase,
+        task_(scenario.testbed.kernel, scenario.clock2, effective_period(scenario, name), phase,
               [this](std::uint64_t, TimePoint release) { tick(release); }) {
     task_.set_jitter(
         sim::ExecTimeModel::uniform(0, scenario.config.callback_jitter),
-        scenario.platform_rng.stream(name + ".jitter"));
+        scenario.testbed.platform_rng.stream(name + ".jitter"));
     if (scenario.config.use_deterministic_client) {
       client_.emplace(ara::DeterministicClient::Config{scenario.config.platform_seed, 4});
     }
@@ -120,7 +114,8 @@ PipelineResult run_nondet_pipeline(const ScenarioConfig& config) {
   // --- platform clocks (offset + drift, paper's two MinnowBoards) -----------
   // Draws are sequenced explicitly: as constructor arguments their
   // evaluation order would be compiler-dependent.
-  auto drift_rng = s.platform_rng.stream("clock.drift");
+  scenario::Testbed& testbed = s.testbed;
+  auto drift_rng = testbed.platform_rng.stream("clock.drift");
   const Duration clock1_offset = drift_rng.uniform_duration(0, config.period);
   const double clock1_drift = draw_drift(drift_rng, config.clock_drift_ppm);
   s.clock1 = sim::PlatformClock(clock1_offset, clock1_drift);
@@ -128,31 +123,12 @@ PipelineResult run_nondet_pipeline(const ScenarioConfig& config) {
   const double clock2_drift = draw_drift(drift_rng, config.clock_drift_ppm);
   s.clock2 = sim::PlatformClock(clock2_offset, clock2_drift);
 
-  // --- network ----------------------------------------------------------------
-  s.network = std::make_unique<net::SimNetwork>(s.kernel, s.platform_rng.stream("net"));
-  net::LinkParams inter_link;
-  inter_link.latency =
-      sim::ExecTimeModel::uniform(config.link_latency_min, config.link_latency_max);
-  s.network->set_default_link(inter_link);
-  // SWC-to-SWC SOME/IP traffic stays on platform 2 (loopback link) — the
-  // surface the scenario engine's network fault knobs stress.
-  net::LinkParams svc_link;
-  svc_link.latency = sim::ExecTimeModel::uniform(config.svc_latency_min, config.svc_latency_max);
-  svc_link.drop_probability = config.net_drop_probability;
-  svc_link.duplicate_probability = config.net_duplicate_probability;
-  svc_link.enforce_in_order = config.net_in_order;
-  s.network->set_loopback_link(svc_link);
-
-  s.executor = std::make_unique<sim::SimExecutor>(
-      s.kernel, s.platform_rng.stream("dispatch"),
-      sim::ExecTimeModel::uniform(0, config.dispatch_jitter));
-
   // --- runtimes, skeletons, proxies ---------------------------------------------
-  ara::Runtime adapter_rt(*s.network, s.discovery, *s.executor, kAdapterEp, 0x11);
-  ara::Runtime preproc_rt(*s.network, s.discovery, *s.executor, kPreprocEp, 0x12);
-  ara::Runtime cv_rt(*s.network, s.discovery, *s.executor, kCvEp, 0x13);
-  ara::Runtime eba_rt(*s.network, s.discovery, *s.executor, kEbaEp, 0x14);
-  ara::Runtime monitor_rt(*s.network, s.discovery, *s.executor, kMonitorEp, 0x15);
+  ara::Runtime adapter_rt(testbed.network, testbed.discovery, testbed.executor, kAdapterEp, 0x11);
+  ara::Runtime preproc_rt(testbed.network, testbed.discovery, testbed.executor, kPreprocEp, 0x12);
+  ara::Runtime cv_rt(testbed.network, testbed.discovery, testbed.executor, kCvEp, 0x13);
+  ara::Runtime eba_rt(testbed.network, testbed.discovery, testbed.executor, kEbaEp, 0x14);
+  ara::Runtime monitor_rt(testbed.network, testbed.discovery, testbed.executor, kMonitorEp, 0x15);
 
   ara::Skeleton<VideoAdapter> adapter_skel(adapter_rt, kInstance);
   ara::Skeleton<Preprocessing> preproc_skel(preproc_rt, kInstance);
@@ -184,7 +160,7 @@ PipelineResult run_nondet_pipeline(const ScenarioConfig& config) {
   std::uint64_t latest_frame_id = 0;  // newest frame that reached platform 2
 
   // Camera frames arrive over the proprietary protocol.
-  s.network->bind(kAdapterRawEp, [&](const net::Packet& packet) {
+  testbed.network.bind(kAdapterRawEp, [&](const net::Packet& packet) {
     VideoFrame frame;
     if (!decode_camera_packet(packet.payload, frame)) {
       return;
@@ -228,7 +204,7 @@ PipelineResult run_nondet_pipeline(const ScenarioConfig& config) {
   eba_proxy.get(Eba::brake).Subscribe();
 
   // --- the periodic SWC logic ------------------------------------------------------
-  auto phase_rng = s.platform_rng.stream("phases");
+  auto phase_rng = testbed.platform_rng.stream("phases");
 
   ClassicSwc adapter_swc(s, "adapter", s.random_phase(phase_rng), [&](TimePoint) {
     if (auto frame = adapter_buffer.take(); frame.has_value()) {
@@ -279,7 +255,7 @@ PipelineResult run_nondet_pipeline(const ScenarioConfig& config) {
   });
 
   // --- the camera ---------------------------------------------------------------------
-  auto camera_cfg_rng = s.camera_rng.stream("camera");
+  auto camera_cfg_rng = testbed.sensor_rng.stream("camera");
   Camera::Config camera_config;
   camera_config.period = config.period;
   camera_config.phase = camera_cfg_rng.uniform_duration(0, config.period - 1);
@@ -296,8 +272,8 @@ PipelineResult run_nondet_pipeline(const ScenarioConfig& config) {
       latest_frame_pixels = slab;
     };
   }
-  Camera camera(s.kernel, s.clock1, *s.network, kCameraEp, kAdapterRawEp, camera_config,
-                s.camera_rng);
+  Camera camera(testbed.kernel, s.clock1, testbed.network, kCameraEp, kAdapterRawEp,
+                camera_config, testbed.sensor_rng);
 
   adapter_swc.start();
   preproc_swc.start();
@@ -305,10 +281,10 @@ PipelineResult run_nondet_pipeline(const ScenarioConfig& config) {
   eba_swc.start();
   camera.start();
 
-  // Run until all frames have flushed through the (4-stage, 50 ms) pipeline.
-  const TimePoint horizon =
-      static_cast<TimePoint>(config.frames + 16) * config.period + 16 * config.period;
-  s.kernel.run_until(horizon);
+  // Run until all frames have flushed through the (4-stage, 50 ms)
+  // pipeline. The callbacks and the camera start at t = 0: this baseline
+  // has no settle drain.
+  testbed.kernel.run_until(testbed.horizon(0));
 
   camera.stop();
   adapter_swc.stop();
@@ -319,9 +295,7 @@ PipelineResult run_nondet_pipeline(const ScenarioConfig& config) {
   result.frames_sent = camera.frames_sent();
   result.camera_payload_frames = camera.payload_frames();
   result.camera_payload_drops = camera.payload_drops();
-  result.sensor_dropped = camera.fault_injector().dropped_samples();
-  result.sensor_stuck = camera.fault_injector().stuck_samples();
-  result.sensor_noisy = camera.fault_injector().noisy_samples();
+  result.sensor_faults = camera.fault_injector().counts();
   return result;
 }
 

@@ -96,6 +96,22 @@ struct RetryBudget {
   bool operator==(const RetryBudget&) const = default;
 };
 
+/// Fault-tolerance accounting of one run: the FT columns of every
+/// pipeline result and scenario row. All zero when the scenario injects
+/// no service faults.
+struct Counters {
+  /// Tagged messages dropped at the victim's binding inside the down window.
+  std::uint64_t crash_drops{0};
+  /// Per-call error and omission faults injected by the plan.
+  std::uint64_t call_faults{0};
+  /// Method calls re-issued by the retry budget.
+  std::uint64_t retries{0};
+  /// Sink ticks served by the app's fallback while its upstream was dead.
+  std::uint64_t degraded_ticks{0};
+  /// Supervisor transitions into the dead state.
+  std::uint64_t failovers{0};
+};
+
 /// The compiled per-run injection plan, shared (read-only) by every
 /// transport binding of a pipeline. Bindings consult it on their send and
 /// receive paths; the counters are the only mutable state and exist for

@@ -29,6 +29,8 @@ namespace dear::ft {
 /// Service id of the health-monitor interface (brake owns 0x1001-0x1004,
 /// acc 0x2001-0x2003, 0xFFFF is SOME/IP control).
 inline constexpr someip::ServiceId kHealthService = 0x00FD;
+/// Instance the supervised node offers it at.
+inline constexpr someip::InstanceId kHealthInstance = 0x0001;
 
 struct Heartbeat {
   std::uint64_t seq{0};

@@ -19,12 +19,20 @@
 
 #include <concepts>
 #include <cstdint>
+#include <functional>
 #include <string_view>
 #include <type_traits>
 
 #include "common/time.hpp"
 #include "ft/fault_model.hpp"
 #include "sim/fault_injection.hpp"
+
+namespace dear {
+class AppBuilder;
+namespace analysis {
+struct StaticPlan;
+}
+}  // namespace dear
 
 namespace dear::scenario {
 
@@ -96,6 +104,23 @@ struct PlatformKnobs {
   std::uint64_t camera_payload_bytes{0};
 
   bool operator==(const PlatformKnobs&) const = default;
+};
+
+/// Static-analysis hooks of the two DEAR pipeline configs (src/analysis/),
+/// applied by Testbed::run. Not knobs: no scenario file carries them.
+struct RunHooks {
+  /// Invoked after the app is fully wired, before validate()/start(). The
+  /// static verifier uses it to extract the fact table from the genuine
+  /// reactor graphs without executing anything.
+  std::function<void(AppBuilder&)> preflight{};
+  /// Construct and wire the application, run preflight, and return
+  /// without starting drivers or the sensor (no event executes).
+  bool build_only{false};
+  /// When set, every node consumes its level table from this compiled
+  /// plan (analysis::build_plan) instead of re-deriving it at assembly;
+  /// traces and digests are bit-identical either way. The plan must match
+  /// the constructed topology (stale plans throw).
+  const analysis::StaticPlan* schedule_plan{nullptr};
 };
 
 /// Where a knob lives in the scenario file format.

@@ -122,11 +122,11 @@ std::string CampaignReport::to_json() const {
     append_format(out, "\"protocol_errors\": %" PRIu64 ", ", o.protocol_errors);
     append_format(out, "\"wrong_outputs\": %" PRIu64 ", ", o.wrong_outputs);
     append_format(out, "\"sensor_faults\": %" PRIu64 ", ", o.sensor_faults_injected);
-    append_format(out, "\"ft_crash_drops\": %" PRIu64 ", ", o.ft_crash_drops);
-    append_format(out, "\"ft_call_faults\": %" PRIu64 ", ", o.ft_call_faults);
-    append_format(out, "\"ft_retries\": %" PRIu64 ", ", o.ft_retries);
-    append_format(out, "\"ft_degraded_ticks\": %" PRIu64 ", ", o.ft_degraded_ticks);
-    append_format(out, "\"ft_failovers\": %" PRIu64 ", ", o.ft_failovers);
+    append_format(out, "\"ft_crash_drops\": %" PRIu64 ", ", o.ft.crash_drops);
+    append_format(out, "\"ft_call_faults\": %" PRIu64 ", ", o.ft.call_faults);
+    append_format(out, "\"ft_retries\": %" PRIu64 ", ", o.ft.retries);
+    append_format(out, "\"ft_degraded_ticks\": %" PRIu64 ", ", o.ft.degraded_ticks);
+    append_format(out, "\"ft_failovers\": %" PRIu64 ", ", o.ft.failovers);
     append_format(out, "\"error_prevalence_percent\": %.4f, ", o.error_prevalence_percent());
     append_format(out, "\"output_digest\": \"%016" PRIx64 "\", ", o.output_digest);
     append_format(out, "\"tag_digest\": \"%016" PRIx64 "\", ", o.tag_digest);

@@ -16,14 +16,9 @@ namespace {
   outcome.protocol_errors =
       result.deadline_violations + result.tardy_messages + result.untagged_messages;
   outcome.wrong_outputs = result.wrong_decisions;
-  outcome.sensor_faults_injected =
-      result.sensor_dropped + result.sensor_stuck + result.sensor_noisy;
+  outcome.sensor_faults_injected = result.sensor_faults.total();
   outcome.deadline_violations = result.deadline_violations;
-  outcome.ft_crash_drops = result.ft_crash_drops;
-  outcome.ft_call_faults = result.ft_call_faults;
-  outcome.ft_retries = result.ft_retries;
-  outcome.ft_degraded_ticks = result.ft_degraded_ticks;
-  outcome.ft_failovers = result.ft_failovers;
+  outcome.ft = result.ft;
   outcome.output_digest = result.output_digest;
   outcome.tag_digest = result.tag_digest;
   if (result.latency.count() > 0) {
@@ -44,14 +39,9 @@ namespace {
                             result.untagged_messages + result.dropped_messages +
                             result.remote_errors;
   outcome.wrong_outputs = result.wrong_commands;
-  outcome.sensor_faults_injected =
-      result.sensor_dropped + result.sensor_stuck + result.sensor_noisy;
+  outcome.sensor_faults_injected = result.sensor_faults.total();
   outcome.deadline_violations = result.deadline_violations;
-  outcome.ft_crash_drops = result.ft_crash_drops;
-  outcome.ft_call_faults = result.ft_call_faults;
-  outcome.ft_retries = result.ft_retries;
-  outcome.ft_degraded_ticks = result.ft_degraded_ticks;
-  outcome.ft_failovers = result.ft_failovers;
+  outcome.ft = result.ft;
   // Fold the console's field-traffic digest in: a scenario only counts as
   // behaviorally identical when events, methods and field all agree.
   outcome.output_digest = result.output_digest;

@@ -12,6 +12,7 @@
 #include "acc/pipeline.hpp"
 #include "brake/dear_pipeline.hpp"
 #include "brake/nondet_pipeline.hpp"
+#include "ft/fault_model.hpp"
 #include "scenario/spec.hpp"
 
 namespace dear::scenario {
@@ -36,14 +37,10 @@ struct RunOutcome {
   /// DEAR-LAT-002). Deliberately NOT folded into the campaign report
   /// digest — the digest's input set is pinned.
   std::uint64_t deadline_violations{0};
-  /// Fault-tolerance accounting (ft/fault_model.hpp; zero when the
-  /// scenario injects no service faults). Report/JSON columns only —
-  /// deliberately NOT folded into the campaign report digest.
-  std::uint64_t ft_crash_drops{0};
-  std::uint64_t ft_call_faults{0};
-  std::uint64_t ft_retries{0};
-  std::uint64_t ft_degraded_ticks{0};
-  std::uint64_t ft_failovers{0};
+  /// Fault-tolerance accounting (zero when the scenario injects no
+  /// service faults). Report/JSON columns only — deliberately NOT folded
+  /// into the campaign report digest.
+  ft::Counters ft;
   /// Order-sensitive digest over the sink outputs.
   std::uint64_t output_digest{0};
   /// Digest over sink tags relative to sensor tags (reactor workloads).

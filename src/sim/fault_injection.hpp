@@ -37,6 +37,15 @@ struct SensorFaultModel {
   bool operator==(const SensorFaultModel&) const = default;
 };
 
+/// Faults a sensor front-end injected so far, per outcome.
+struct SensorFaultCounts {
+  std::uint64_t dropped{0};
+  std::uint64_t stuck{0};
+  std::uint64_t noisy{0};
+
+  [[nodiscard]] std::uint64_t total() const noexcept { return dropped + stuck + noisy; }
+};
+
 /// Draws one fault decision per sensor sample. One uniform draw decides
 /// the outcome, so the decision sequence for a given (seed, model) is a
 /// pure function of the sample index.
@@ -53,15 +62,15 @@ class SensorFaultInjector {
     }
     const double u = rng_.uniform01();
     if (u < model_.drop_probability) {
-      ++drops_;
+      ++counts_.dropped;
       return Outcome::kDrop;
     }
     if (u < model_.drop_probability + model_.stuck_probability) {
-      ++stuck_;
+      ++counts_.stuck;
       return Outcome::kStuck;
     }
     if (u < model_.drop_probability + model_.stuck_probability + model_.noise_probability) {
-      ++noisy_;
+      ++counts_.noisy;
       return Outcome::kNoisy;
     }
     return Outcome::kNominal;
@@ -75,16 +84,12 @@ class SensorFaultInjector {
   }
 
   [[nodiscard]] const SensorFaultModel& model() const noexcept { return model_; }
-  [[nodiscard]] std::uint64_t dropped_samples() const noexcept { return drops_; }
-  [[nodiscard]] std::uint64_t stuck_samples() const noexcept { return stuck_; }
-  [[nodiscard]] std::uint64_t noisy_samples() const noexcept { return noisy_; }
+  [[nodiscard]] const SensorFaultCounts& counts() const noexcept { return counts_; }
 
  private:
   SensorFaultModel model_;
   common::Rng rng_;
-  std::uint64_t drops_{0};
-  std::uint64_t stuck_{0};
-  std::uint64_t noisy_{0};
+  SensorFaultCounts counts_;
 };
 
 }  // namespace dear::sim

@@ -36,18 +36,15 @@ void PeriodicTask::stop() {
 }
 
 void PeriodicTask::arm_next() {
-  // Nominal release on the local clock grid, converted to global kernel time.
-  TimePoint global_release =
-      clock_.global_from_local(phase_ + static_cast<TimePoint>(activation_) * period_);
-  // Grid points already in the global past (the local clock is ahead at
-  // start/restart time) are *missed* activations: firing them would
+  // Nominal release on the local clock grid, converted to global kernel
+  // time. Grid points already in the global past (the local clock is ahead
+  // at start/restart time) are *missed* activations: firing them would
   // compress several periods into a burst at now(), which no periodic OS
   // callback does. Skip to the next future release instead.
-  while (global_release < kernel_.now()) {
-    ++activation_;
-    global_release =
-        clock_.global_from_local(phase_ + static_cast<TimePoint>(activation_) * period_);
-  }
+  const GridRelease next =
+      first_release_at_or_after(clock_, phase_, period_, activation_, kernel_.now());
+  activation_ = next.index;
+  TimePoint global_release = next.release;
   if (has_jitter_) {
     global_release += jitter_.sample(rng_);
   }

@@ -25,6 +25,30 @@
 
 namespace dear::sim {
 
+/// One nominal release of a periodic grid: activation `index` at global
+/// time `release`.
+struct GridRelease {
+  std::uint64_t index{0};
+  TimePoint release{0};
+};
+
+/// The first grid release at or after global time `t`, searching from
+/// activation `index`: activation k is nominally released at phase +
+/// k*period on `clock`, and releases before `t` are missed activations.
+/// This is the arm rule of PeriodicTask; scenario::Testbed::first_release
+/// uses it to find sensor sample 0's nominal release (the capture-grid
+/// anchor of fault windows and health timers) before the sensor starts.
+[[nodiscard]] inline GridRelease first_release_at_or_after(const PlatformClock& clock,
+                                                           Duration phase, Duration period,
+                                                           std::uint64_t index, TimePoint t) {
+  TimePoint release = clock.global_from_local(phase + static_cast<TimePoint>(index) * period);
+  while (release < t) {
+    ++index;
+    release = clock.global_from_local(phase + static_cast<TimePoint>(index) * period);
+  }
+  return {index, release};
+}
+
 class PeriodicTask {
  public:
   /// `callback(activation_index, release_global_time)` runs on the kernel.

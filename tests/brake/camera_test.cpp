@@ -32,6 +32,7 @@ TEST_F(CameraFixture, SendsFramesOnPeriodicGrid) {
   config.period = 50_ms;
   config.phase = 0;
   config.jitter = sim::ExecTimeModel::constant(0);
+  config.frame_limit = 100;  // well past the grid points inside the run
   Camera camera(kernel, clock, network, camera_ep, adapter_ep, config, common::Rng(2));
   camera.start();
   kernel.run_until(240_ms);
@@ -55,6 +56,20 @@ TEST_F(CameraFixture, FrameLimitStopsCapture) {
   kernel.run_until(1_s);
   EXPECT_EQ(camera.frames_sent(), 3u);
   EXPECT_EQ(received.size(), 3u);
+}
+
+TEST_F(CameraFixture, ZeroFrameLimitSendsNothing) {
+  bind_adapter();
+  Camera::Config config;
+  config.period = 10_ms;
+  config.jitter = sim::ExecTimeModel::constant(0);
+  config.frame_limit = 0;
+  Camera camera(kernel, clock, network, camera_ep, adapter_ep, config, common::Rng(2));
+  camera.start();
+  kernel.run_until(1_s);
+  EXPECT_EQ(camera.captures(), 0u);
+  EXPECT_EQ(camera.frames_sent(), 0u);
+  EXPECT_TRUE(received.empty());
 }
 
 TEST_F(CameraFixture, CaptureTimeUsesCameraClock) {

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include "acc/pipeline.hpp"
+#include "ara/com/transport_binding.hpp"
 #include "brake/dear_pipeline.hpp"
+#include "dear/app_builder.hpp"
 #include "ft/health.hpp"
 
 namespace dear {
@@ -43,34 +45,34 @@ acc::AccScenarioConfig crashed_acc(bool local_transport, Duration restart_after 
 
 TEST(FtDegradation, BrakeCrashEngagesHoldFallback) {
   const brake::PipelineResult result = brake::run_dear_pipeline(crashed_brake(false));
-  EXPECT_GT(result.ft_crash_drops, 0u) << "the CV node's tagged traffic must stop";
-  EXPECT_GE(result.ft_failovers, 1u) << "the supervisor must mark the CV service dead";
-  EXPECT_GT(result.ft_degraded_ticks, 0u) << "the EBA must hold the last safe command";
+  EXPECT_GT(result.ft.crash_drops, 0u) << "the CV node's tagged traffic must stop";
+  EXPECT_GE(result.ft.failovers, 1u) << "the supervisor must mark the CV service dead";
+  EXPECT_GT(result.ft.degraded_ticks, 0u) << "the EBA must hold the last safe command";
 }
 
 TEST(FtDegradation, AccCrashEngagesCoastFallback) {
   const acc::AccResult result = acc::run_acc_pipeline(crashed_acc(false));
-  EXPECT_GT(result.ft_crash_drops, 0u) << "the radar node's tagged traffic must stop";
-  EXPECT_GE(result.ft_failovers, 1u);
-  EXPECT_GT(result.ft_degraded_ticks, 0u) << "the ACC must coast while the radar is dead";
+  EXPECT_GT(result.ft.crash_drops, 0u) << "the radar node's tagged traffic must stop";
+  EXPECT_GE(result.ft.failovers, 1u);
+  EXPECT_GT(result.ft.degraded_ticks, 0u) << "the ACC must coast while the radar is dead";
 }
 
 TEST(FtDegradation, BrakeDigestsMatchAcrossTransportsUnderCrash) {
   const brake::PipelineResult someip = brake::run_dear_pipeline(crashed_brake(false));
   const brake::PipelineResult local = brake::run_dear_pipeline(crashed_brake(true));
   EXPECT_EQ(someip.output_digest, local.output_digest);
-  EXPECT_EQ(someip.ft_degraded_ticks, local.ft_degraded_ticks);
-  EXPECT_EQ(someip.ft_failovers, local.ft_failovers);
-  EXPECT_EQ(someip.ft_crash_drops, local.ft_crash_drops);
+  EXPECT_EQ(someip.ft.degraded_ticks, local.ft.degraded_ticks);
+  EXPECT_EQ(someip.ft.failovers, local.ft.failovers);
+  EXPECT_EQ(someip.ft.crash_drops, local.ft.crash_drops);
 }
 
 TEST(FtDegradation, AccDigestsMatchAcrossTransportsUnderCrash) {
   const acc::AccResult someip = acc::run_acc_pipeline(crashed_acc(false));
   const acc::AccResult local = acc::run_acc_pipeline(crashed_acc(true));
   EXPECT_EQ(someip.output_digest, local.output_digest);
-  EXPECT_EQ(someip.ft_degraded_ticks, local.ft_degraded_ticks);
-  EXPECT_EQ(someip.ft_failovers, local.ft_failovers);
-  EXPECT_EQ(someip.ft_crash_drops, local.ft_crash_drops);
+  EXPECT_EQ(someip.ft.degraded_ticks, local.ft.degraded_ticks);
+  EXPECT_EQ(someip.ft.failovers, local.ft.failovers);
+  EXPECT_EQ(someip.ft.crash_drops, local.ft.crash_drops);
 }
 
 TEST(FtDegradation, BrakeDigestIsPlatformSeedInvariantUnderCrash) {
@@ -81,7 +83,7 @@ TEST(FtDegradation, BrakeDigestIsPlatformSeedInvariantUnderCrash) {
   const brake::PipelineResult rb = brake::run_dear_pipeline(b);
   EXPECT_EQ(ra.output_digest, rb.output_digest)
       << "crash windows live in wire-tag time: platform timing must not matter";
-  EXPECT_EQ(ra.ft_degraded_ticks, rb.ft_degraded_ticks);
+  EXPECT_EQ(ra.ft.degraded_ticks, rb.ft.degraded_ticks);
 }
 
 TEST(FtDegradation, AccDigestIsPlatformSeedInvariantUnderCrash) {
@@ -92,19 +94,19 @@ TEST(FtDegradation, AccDigestIsPlatformSeedInvariantUnderCrash) {
   const acc::AccResult rb = acc::run_acc_pipeline(b);
   EXPECT_EQ(ra.output_digest, rb.output_digest)
       << "the down window is anchored to the radar grid: platform timing must not matter";
-  EXPECT_EQ(ra.ft_degraded_ticks, rb.ft_degraded_ticks);
-  EXPECT_EQ(ra.ft_crash_drops, rb.ft_crash_drops);
+  EXPECT_EQ(ra.ft.degraded_ticks, rb.ft.degraded_ticks);
+  EXPECT_EQ(ra.ft.crash_drops, rb.ft.crash_drops);
 }
 
 TEST(FtDegradation, WarmRestartRecoversTheService) {
   const brake::PipelineResult dead_forever = brake::run_dear_pipeline(crashed_brake(false));
   const brake::PipelineResult restarted =
       brake::run_dear_pipeline(crashed_brake(false, /*restart_after=*/500_ms));
-  EXPECT_GE(restarted.ft_failovers, 1u);
-  EXPECT_GT(restarted.ft_degraded_ticks, 0u);
-  EXPECT_LT(restarted.ft_degraded_ticks, dead_forever.ft_degraded_ticks)
+  EXPECT_GE(restarted.ft.failovers, 1u);
+  EXPECT_GT(restarted.ft.degraded_ticks, 0u);
+  EXPECT_LT(restarted.ft.degraded_ticks, dead_forever.ft.degraded_ticks)
       << "after the warm restart the supervisor recovers and the fallback disengages";
-  EXPECT_LT(restarted.ft_crash_drops, dead_forever.ft_crash_drops);
+  EXPECT_LT(restarted.ft.crash_drops, dead_forever.ft.crash_drops);
 }
 
 TEST(FtDegradation, RunsAreBitReproducible) {
@@ -112,9 +114,9 @@ TEST(FtDegradation, RunsAreBitReproducible) {
   const acc::AccResult again = acc::run_acc_pipeline(crashed_acc(false, 500_ms));
   EXPECT_EQ(first.output_digest, again.output_digest);
   EXPECT_EQ(first.tag_digest, again.tag_digest);
-  EXPECT_EQ(first.ft_crash_drops, again.ft_crash_drops);
-  EXPECT_EQ(first.ft_degraded_ticks, again.ft_degraded_ticks);
-  EXPECT_EQ(first.ft_failovers, again.ft_failovers);
+  EXPECT_EQ(first.ft.crash_drops, again.ft.crash_drops);
+  EXPECT_EQ(first.ft.degraded_ticks, again.ft.degraded_ticks);
+  EXPECT_EQ(first.ft.failovers, again.ft.failovers);
 }
 
 TEST(FtDegradation, CallFaultsAndRetriesSurfaceInAccCounters) {
@@ -128,12 +130,68 @@ TEST(FtDegradation, CallFaultsAndRetriesSurfaceInAccCounters) {
   config.retry.backoff_base = 6_ms;
   config.retry.timeout = 5_ms;
   const acc::AccResult first = acc::run_acc_pipeline(config);
-  EXPECT_GT(first.ft_call_faults, 0u) << "console get/set calls must hit the fault die";
-  EXPECT_GT(first.ft_retries, 0u) << "the retry budget must re-issue failed calls";
+  EXPECT_GT(first.ft.call_faults, 0u) << "console get/set calls must hit the fault die";
+  EXPECT_GT(first.ft.retries, 0u) << "the retry budget must re-issue failed calls";
   const acc::AccResult again = acc::run_acc_pipeline(config);
   EXPECT_EQ(first.output_digest, again.output_digest);
-  EXPECT_EQ(first.ft_call_faults, again.ft_call_faults);
-  EXPECT_EQ(first.ft_retries, again.ft_retries);
+  EXPECT_EQ(first.ft.call_faults, again.ft.call_faults);
+  EXPECT_EQ(first.ft.retries, again.ft.retries);
+}
+
+/// What the preflight hook sees of the fault-tolerance layer on a wired
+/// (never started) app.
+struct FtFootprint {
+  std::size_t bindings{0};
+  std::size_t bindings_with_plan{0};
+  bool health_offered{false};
+};
+
+template <typename Config, typename Run>
+FtFootprint footprint(Config config, Run run) {
+  FtFootprint seen;
+  config.build_only = true;
+  config.preflight = [&seen](AppBuilder& app) {
+    for (const auto& node : app.nodes()) {
+      node->runtime().registry().for_each([&seen](ara::com::TransportBinding& binding) {
+        ++seen.bindings;
+        seen.bindings_with_plan += binding.fault_plan() != nullptr ? 1 : 0;
+      });
+    }
+    seen.health_offered = app.nodes()
+                              .front()
+                              ->runtime()
+                              .resolve({ft::kHealthService, ft::kHealthInstance})
+                              .has_value();
+  };
+  (void)run(config);
+  return seen;
+}
+
+TEST(FtDeployment, FaultFreeRunsInstallNoPlanAndNoHealthService) {
+  for (const bool local : {false, true}) {
+    brake::DearScenarioConfig brake_config = crashed_brake(local);
+    brake_config.service_faults = {};
+    acc::AccScenarioConfig acc_config = crashed_acc(local);
+    acc_config.service_faults = {};
+    for (const FtFootprint& seen : {footprint(brake_config, brake::run_dear_pipeline),
+                                    footprint(acc_config, acc::run_acc_pipeline)}) {
+      EXPECT_GT(seen.bindings, 0u);
+      EXPECT_EQ(seen.bindings_with_plan, 0u) << (local ? "local" : "someip");
+      EXPECT_FALSE(seen.health_offered) << (local ? "local" : "someip");
+    }
+  }
+}
+
+TEST(FtDeployment, FaultedRunsInstallThePlanOnEveryNode) {
+  for (const bool local : {false, true}) {
+    for (const FtFootprint& seen : {footprint(crashed_brake(local), brake::run_dear_pipeline),
+                                    footprint(crashed_acc(local), acc::run_acc_pipeline)}) {
+      // Five nodes; the local deployment attaches a second binding to each.
+      EXPECT_EQ(seen.bindings, local ? 10u : 5u);
+      EXPECT_EQ(seen.bindings_with_plan, seen.bindings) << (local ? "local" : "someip");
+      EXPECT_TRUE(seen.health_offered) << (local ? "local" : "someip");
+    }
+  }
 }
 
 TEST(FtDegradation, SupervisorClassifiesByHeartbeatGap) {

@@ -4,7 +4,10 @@
 // prevalence moves with the scenario knobs.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
+
+#include "common/digest.hpp"
 
 #include "scenario/presets.hpp"
 #include "scenario/runner.hpp"
@@ -182,8 +185,8 @@ TEST(CampaignRunner, FaultToleranceSmokePresetIsDigestStable) {
   std::uint64_t crash_drops = 0;
   std::uint64_t degraded = 0;
   for (const ScenarioResult& row : serial.results) {
-    crash_drops += row.outcome.ft_crash_drops;
-    degraded += row.outcome.ft_degraded_ticks;
+    crash_drops += row.outcome.ft.crash_drops;
+    degraded += row.outcome.ft.degraded_ticks;
   }
   EXPECT_GT(crash_drops, 0u);
   EXPECT_GT(degraded, 0u);
@@ -236,7 +239,7 @@ TEST(CampaignRunner, CrashScenariosShareDigestsAcrossTransportsAndSeeds) {
   const std::uint64_t reference = report.results.front().outcome.output_digest;
   for (const ScenarioResult& row : report.results) {
     EXPECT_EQ(row.outcome.output_digest, reference) << row.spec.name;
-    EXPECT_GT(row.outcome.ft_crash_drops, 0u) << row.spec.name;
+    EXPECT_GT(row.outcome.ft.crash_drops, 0u) << row.spec.name;
   }
 }
 
@@ -262,6 +265,47 @@ TEST(CampaignRunner, ReportSerializesToJsonAndTable) {
   const std::string table = report.to_table();
   EXPECT_NE(table.find("report digest"), std::string::npos);
   EXPECT_NE(table.find("determinism"), std::string::npos);
+}
+
+/// Digest over the row columns report_digest() leaves out: the FT
+/// counters, the injected sensor faults, the deadline violations and the
+/// latency stats (rounded to the ns the JSON report prints).
+[[nodiscard]] std::uint64_t unreported_columns_digest(const CampaignReport& report) {
+  std::uint64_t digest = 0;
+  for (const ScenarioResult& row : report.results) {
+    const RunOutcome& o = row.outcome;
+    for (const std::uint64_t value :
+         {o.ft.crash_drops, o.ft.call_faults, o.ft.retries, o.ft.degraded_ticks, o.ft.failovers,
+          o.sensor_faults_injected, o.deadline_violations,
+          static_cast<std::uint64_t>(std::llround(o.latency_mean_ns)),
+          static_cast<std::uint64_t>(std::llround(o.latency_max_ns))}) {
+      common::mix_digest(digest, value);
+    }
+  }
+  return digest;
+}
+
+TEST(CampaignRunner, ColumnsOutsideTheReportDigestArePinned) {
+  // The report digest pins the samples, errors and output digests; these
+  // anchors pin the remaining per-row columns of the two fault presets
+  // (120 frames, campaign seed 1).
+  constexpr std::uint64_t kFaultSweepColumns = 0x8ea2c9e58d710d2bULL;
+  constexpr std::uint64_t kFtSweepColumns = 0x7f5322aff036afeaULL;
+  EXPECT_EQ(unreported_columns_digest(runner_with(4).run(presets::fault_sweep(120, 1))),
+            kFaultSweepColumns);
+  EXPECT_EQ(unreported_columns_digest(runner_with(4).run(presets::fault_tolerance_sweep(120, 1))),
+            kFtSweepColumns);
+}
+
+TEST(RunScenario, ZeroFramesFeedNoSamplesOnEveryWorkload) {
+  for (const Workload workload : {Workload::kBrakeDear, Workload::kBrakeNondet, Workload::kAcc}) {
+    ScenarioSpec spec;
+    spec.workload = workload;
+    spec.frames = 0;
+    const RunOutcome outcome = run_scenario(spec);
+    EXPECT_EQ(outcome.samples_in, 0u) << to_string(workload);
+    EXPECT_EQ(outcome.samples_out, 0u) << to_string(workload);
+  }
 }
 
 }  // namespace
