@@ -50,6 +50,14 @@ void LocalHub::count_undeliverable() {
 LocalBinding::LocalBinding(LocalHub& hub, common::Executor& executor, net::Endpoint self,
                            someip::ClientId client_id)
     : hub_(hub), executor_(executor), self_(self), client_id_(client_id) {
+  if (executor_.single_threaded()) {
+    // A DES executor: the kernel thread is the only one that delivers to,
+    // drains or times out on this binding. The hub stays locked (shared).
+    mutex_.claim_single_owner();
+    receive_mutex_.claim_single_owner();
+    send_bypass_.claim_single_owner();
+    receive_bypass_.claim_single_owner();
+  }
   hub_.attach(this);
 }
 
@@ -77,7 +85,7 @@ void LocalBinding::send_frame(const net::Endpoint& destination, someip::Message 
     return;
   }
   {
-    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::lock_guard<common::OwnerMutex> lock(mutex_);
     ++msgs_sent_;
     if (message.tag.has_value()) {
       ++tagged_sent_;
@@ -98,7 +106,7 @@ someip::SessionId LocalBinding::call(const net::Endpoint& server, someip::Servic
                                      ResponseHandler on_response, Duration timeout) {
   someip::SessionId session = 0;
   {
-    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::lock_guard<common::OwnerMutex> lock(mutex_);
     session = next_session_++;
     if (next_session_ == 0) {
       next_session_ = 1;  // session id 0 is reserved
@@ -120,7 +128,7 @@ someip::SessionId LocalBinding::call(const net::Endpoint& server, someip::Servic
     executor_.post_after(timeout, [this, session, service, method] {
       ResponseHandler handler;
       {
-        const std::lock_guard<std::mutex> lock(mutex_);
+        const std::lock_guard<common::OwnerMutex> lock(mutex_);
         const auto it = pending_.find(session);
         if (it == pending_.end()) {
           return;  // response already arrived
@@ -152,7 +160,7 @@ void LocalBinding::call_no_return(const net::Endpoint& server, someip::ServiceId
   message.type = someip::MessageType::kRequestNoReturn;
   message.payload = std::move(payload);
   {
-    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::lock_guard<common::OwnerMutex> lock(mutex_);
     ++requests_sent_;
   }
   send_frame(server, std::move(message));
@@ -161,7 +169,7 @@ void LocalBinding::call_no_return(const net::Endpoint& server, someip::ServiceId
 void LocalBinding::subscribe(const net::Endpoint& server, someip::ServiceId service,
                              someip::EventId event, NotificationHandler handler) {
   {
-    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::lock_guard<common::OwnerMutex> lock(mutex_);
     event_handlers_[{service, event}] = std::move(handler);
   }
   // In-process subscription management needs no control protocol: register
@@ -177,7 +185,7 @@ void LocalBinding::subscribe(const net::Endpoint& server, someip::ServiceId serv
 void LocalBinding::unsubscribe(const net::Endpoint& server, someip::ServiceId service,
                                someip::EventId event) {
   {
-    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::lock_guard<common::OwnerMutex> lock(mutex_);
     event_handlers_.erase({service, event});
   }
   LocalBinding* peer = hub_.find(server);
@@ -189,7 +197,7 @@ void LocalBinding::unsubscribe(const net::Endpoint& server, someip::ServiceId se
 
 void LocalBinding::add_subscriber(someip::ServiceId service, someip::EventId event,
                                   const net::Endpoint& subscriber) {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<common::OwnerMutex> lock(mutex_);
   auto& list = subscribers_[{service, event}];
   if (std::find(list.begin(), list.end(), subscriber) == list.end()) {
     list.push_back(subscriber);
@@ -198,7 +206,7 @@ void LocalBinding::add_subscriber(someip::ServiceId service, someip::EventId eve
 
 void LocalBinding::remove_subscriber(someip::ServiceId service, someip::EventId event,
                                      const net::Endpoint& subscriber) {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<common::OwnerMutex> lock(mutex_);
   auto& list = subscribers_[{service, event}];
   const auto it = std::find(list.begin(), list.end(), subscriber);
   if (it != list.end()) {
@@ -208,12 +216,12 @@ void LocalBinding::remove_subscriber(someip::ServiceId service, someip::EventId 
 
 void LocalBinding::provide_method(someip::ServiceId service, someip::MethodId method,
                                   RequestHandler handler) {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<common::OwnerMutex> lock(mutex_);
   methods_[{service, method}] = std::move(handler);
 }
 
 void LocalBinding::remove_method(someip::ServiceId service, someip::MethodId method) {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<common::OwnerMutex> lock(mutex_);
   methods_.erase({service, method});
 }
 
@@ -235,7 +243,7 @@ void LocalBinding::notify(someip::ServiceId service, someip::EventId event,
                           std::vector<std::uint8_t> payload) {
   std::vector<net::Endpoint> subscribers;
   {
-    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::lock_guard<common::OwnerMutex> lock(mutex_);
     const auto it = subscribers_.find({service, event});
     if (it != subscribers_.end()) {
       subscribers = it->second;
@@ -278,7 +286,7 @@ void LocalBinding::notify_loaned(someip::ServiceId service, someip::EventId even
   const net::Endpoint* subscribers = inline_subscribers;
   std::size_t count = 0;
   {
-    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::lock_guard<common::OwnerMutex> lock(mutex_);
     const auto it = subscribers_.find({service, event});
     if (it != subscribers_.end()) {
       if (it->second.size() <= kInlineSubscribers) {
@@ -315,7 +323,7 @@ void LocalBinding::notify_loaned(someip::ServiceId service, someip::EventId even
 }
 
 std::size_t LocalBinding::subscriber_count(someip::ServiceId service, someip::EventId event) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<common::OwnerMutex> lock(mutex_);
   const auto it = subscribers_.find({service, event});
   return it == subscribers_.end() ? 0 : it->second.size();
 }
@@ -340,12 +348,12 @@ void LocalBinding::pump() {
     // Every contended deliver posts a drain, so no frame can strand: it is
     // picked up either by the current lock holder or by this task.
     executor_.post([this] {
-      const std::lock_guard<std::mutex> lock(receive_mutex_);
+      const std::lock_guard<common::OwnerMutex> lock(receive_mutex_);
       drain_locked();
     });
     return;
   }
-  const std::lock_guard<std::mutex> lock(receive_mutex_, std::adopt_lock);
+  const std::lock_guard<common::OwnerMutex> lock(receive_mutex_, std::adopt_lock);
   drain_locked();
 }
 
@@ -367,7 +375,7 @@ void LocalBinding::process(Frame& frame) {
     return;
   }
   {
-    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::lock_guard<common::OwnerMutex> lock(mutex_);
     ++msgs_received_;
     if (message.tag.has_value()) {
       ++tagged_received_;
@@ -409,7 +417,7 @@ void LocalBinding::handle_request(const someip::Message& message, const net::End
   }
   RequestHandler handler;
   {
-    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::lock_guard<common::OwnerMutex> lock(mutex_);
     const auto it = methods_.find({message.service, message.method});
     if (it != methods_.end()) {
       handler = it->second;
@@ -427,7 +435,7 @@ void LocalBinding::handle_request(const someip::Message& message, const net::End
 void LocalBinding::handle_response(const someip::Message& message) {
   ResponseHandler handler;
   {
-    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::lock_guard<common::OwnerMutex> lock(mutex_);
     const auto it = pending_.find(message.session);
     if (it == pending_.end()) {
       return;  // late response after timeout, or duplicate
@@ -442,7 +450,7 @@ void LocalBinding::handle_response(const someip::Message& message) {
 void LocalBinding::handle_notification(const someip::Message& message) {
   NotificationHandler handler;
   {
-    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::lock_guard<common::OwnerMutex> lock(mutex_);
     const auto it =
         event_handlers_.find({message.service, static_cast<someip::EventId>(message.method)});
     if (it == event_handlers_.end()) {
@@ -465,7 +473,7 @@ bool LocalBinding::received_tag_armed() const { return receive_bypass_.armed(); 
 std::optional<someip::WireTag> LocalBinding::peek_send_tag() const { return send_bypass_.peek(); }
 
 TransportStats LocalBinding::stats() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<common::OwnerMutex> lock(mutex_);
   TransportStats stats;
   stats.requests_sent = requests_sent_;
   stats.responses_received = responses_received_;

@@ -19,6 +19,11 @@
 // race-free). A message sent from within a handler running on the same
 // thread is queued and processed by the active drain loop instead of
 // recursing, so request→response→request chains cannot deadlock.
+//
+// A binding built on a DES executor (Executor::single_threaded) is owned
+// by the kernel thread: it claims its mutexes and bypasses as
+// single-owner, so delivery and dispatch take no locks. The LocalHub and
+// the inbox stay thread-safe.
 #pragma once
 
 #include <atomic>
@@ -32,6 +37,7 @@
 #include "ara/com/transport_binding.hpp"
 #include "common/executor.hpp"
 #include "common/mpsc_queue.hpp"
+#include "common/owner_mutex.hpp"
 #include "obs/obs.hpp"
 #include "someip/timestamp_bypass.hpp"
 
@@ -124,6 +130,9 @@ class LocalBinding final : public TransportBinding {
   [[nodiscard]] TransportStats stats() const override;
   [[nodiscard]] std::string_view transport_name() const noexcept override { return "local"; }
 
+  /// True when built on a single-threaded (DES) executor: no locking.
+  [[nodiscard]] bool single_owner() const noexcept { return mutex_.single_owner(); }
+
  private:
   struct Frame {
     someip::Message message;
@@ -163,10 +172,10 @@ class LocalBinding final : public TransportBinding {
   someip::TimestampBypass receive_bypass_;
 
   common::MpscQueue<Frame> inbox_;
-  std::mutex receive_mutex_;
+  common::OwnerMutex receive_mutex_;
   std::atomic<std::thread::id> pumping_thread_{};
 
-  mutable std::mutex mutex_;
+  mutable common::OwnerMutex mutex_;
   someip::SessionId next_session_{1};
   std::map<someip::SessionId, ResponseHandler> pending_;
   std::map<std::pair<someip::ServiceId, someip::MethodId>, RequestHandler> methods_;

@@ -10,6 +10,7 @@
 //     workload performs zero allocations.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <utility>
@@ -29,9 +30,53 @@ class BinaryHeap {
 
   void push(T item) {
     items_.push_back(std::move(item));
-    // Hole-based sift-up: one move per level instead of a three-move swap.
-    std::size_t index = items_.size() - 1;
-    T value = std::move(items_[index]);
+    T value = std::move(items_.back());
+    sift_up(items_.size() - 1, value);
+  }
+
+  void pop() {
+    T value = std::move(items_.back());
+    items_.pop_back();
+    if (!items_.empty()) {
+      sift_down(0, value);
+    }
+  }
+
+  /// Removes the first element, in storage order, that satisfies `pred`:
+  /// a linear scan plus one sift. Returns false when none does.
+  template <typename Pred>
+  bool erase_first_if(Pred pred) {
+    const auto it = std::find_if(items_.begin(), items_.end(), pred);
+    if (it == items_.end()) {
+      return false;
+    }
+    const auto index = static_cast<std::size_t>(it - items_.begin());
+    T value = std::move(items_.back());
+    items_.pop_back();
+    if (index == items_.size()) {
+      return true;  // the match was the last slot
+    }
+    // The displaced last element fills the hole: it moves up when it is
+    // smaller than the hole's parent, down otherwise.
+    if (index > 0 && less_(value, items_[(index - 1) / 2])) {
+      sift_up(index, value);
+    } else {
+      sift_down(index, value);
+    }
+    return true;
+  }
+
+  /// Removes and returns the smallest element.
+  [[nodiscard]] T pop_move() {
+    T out = std::move(items_.front());
+    pop();
+    return out;
+  }
+
+ private:
+  // Hole-based sifts: one move per level instead of a three-move swap;
+  // `value` is moved into the hole at `index` once the heap order holds.
+  void sift_up(std::size_t index, T& value) {
     while (index > 0) {
       const std::size_t parent = (index - 1) / 2;
       if (!less_(value, items_[parent])) {
@@ -43,15 +88,8 @@ class BinaryHeap {
     items_[index] = std::move(value);
   }
 
-  void pop() {
-    T value = std::move(items_.back());
-    items_.pop_back();
-    if (items_.empty()) {
-      return;
-    }
-    // Hole-based sift-down of the displaced last element.
+  void sift_down(std::size_t index, T& value) {
     const std::size_t count = items_.size();
-    std::size_t index = 0;
     for (;;) {
       std::size_t child = 2 * index + 1;
       if (child >= count) {
@@ -68,15 +106,6 @@ class BinaryHeap {
     }
     items_[index] = std::move(value);
   }
-
-  /// Removes and returns the smallest element.
-  [[nodiscard]] T pop_move() {
-    T out = std::move(items_.front());
-    pop();
-    return out;
-  }
-
- private:
 
   std::vector<T> items_;
   [[no_unique_address]] Less less_{};

@@ -28,6 +28,11 @@ class Executor {
 
   /// The executor's notion of current physical time.
   [[nodiscard]] virtual TimePoint now() const = 0;
+
+  /// True when every task runs on the one thread that posts them (the DES
+  /// executors). Objects built on such an executor are owned by that
+  /// thread and may drop their cross-thread locking (common::OwnerMutex).
+  [[nodiscard]] virtual bool single_threaded() const noexcept { return false; }
 };
 
 }  // namespace dear::common

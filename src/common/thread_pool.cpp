@@ -15,7 +15,12 @@ ThreadPoolExecutor::ThreadPoolExecutor(std::size_t workers) {
   timer_thread_ = std::thread([this] { timer_loop(); });
 }
 
-ThreadPoolExecutor::~ThreadPoolExecutor() {
+ThreadPoolExecutor::~ThreadPoolExecutor() { shutdown(); }
+
+void ThreadPoolExecutor::shutdown() {
+  if (!timer_thread_.joinable()) {
+    return;
+  }
   {
     const std::lock_guard<std::mutex> lock(timer_mutex_);
     timer_shutdown_ = true;
@@ -58,6 +63,9 @@ TimePoint ThreadPoolExecutor::now() const {
 }
 
 void ThreadPoolExecutor::drain() {
+  if (!timer_thread_.joinable()) {
+    return;  // shut down: nothing runs any more
+  }
   // First wait for the timer queue to flush everything currently due.
   {
     std::unique_lock<std::mutex> lock(timer_mutex_);

@@ -36,6 +36,13 @@ class ThreadPoolExecutor final : public Executor {
   /// deadline already passed) has completed and the queue is empty.
   void drain();
 
+  /// Stops the pool: delayed tasks not yet due are dropped, queued tasks
+  /// (and any they post) run to completion, then the threads are joined.
+  /// Tasks posted afterwards never run, and drain() returns at once.
+  /// Idempotent; the destructor calls it. An owner whose other members
+  /// are used by pool tasks calls it before destroying them.
+  void shutdown();
+
   [[nodiscard]] std::size_t worker_count() const noexcept { return workers_.size(); }
 
  private:

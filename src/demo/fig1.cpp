@@ -99,6 +99,10 @@ struct Fig1RealHarness::Impl {
     proxy->set_call_timeout(2 * kSecond);
   }
 
+  // Pool tasks (network deliveries, call timeouts) use every member
+  // below; stop the pool before any of those is destroyed.
+  ~Impl() { pool.shutdown(); }
+
   common::ThreadPoolExecutor pool;
   someip::ServiceDiscovery discovery;
   net::RtNetwork network;
@@ -379,6 +383,9 @@ Fig1Outcome run_fig1_dear_threaded(std::size_t workers, Duration call_spacing) {
   client_thread.join();
   server_thread.join();
   watchdog.join();
+  // Deliveries still running on the pool schedule into the environments;
+  // stop the pool before the world is destroyed.
+  pool.shutdown();
   outcome.protocol_errors = world.protocol_errors();
   return outcome;
 }

@@ -7,10 +7,14 @@
 //
 // LogicalAction::schedule derives the event tag from the *current logical
 // tag* plus a delay; PhysicalAction::schedule derives it from the physical
-// clock and is safe to call from any thread (or from DES handlers in sim
-// mode). PhysicalAction::schedule_at places an event at an explicit tag —
+// clock. PhysicalAction::schedule_at places an event at an explicit tag —
 // the primitive the DEAR transactors use to realize the PTIDES
 // safe-to-process rule (tag = t + D + L + E).
+//
+// Under the threaded driver both PhysicalAction entry points are safe to
+// call from any thread. Under the DES driver the scheduler is single-owner
+// (see scheduler.hpp): they may only be called from the kernel thread that
+// drives it, i.e. from DES handlers and reaction bodies.
 #pragma once
 
 #include <stdexcept>
@@ -115,7 +119,8 @@ class PhysicalAction final : public ValuedAction<T> {
  public:
   PhysicalAction(std::string name, Reactor* container, Duration min_delay = 0);
 
-  /// Tags the event with (physical now + min_delay + delay). Thread-safe.
+  /// Tags the event with (physical now + min_delay + delay). Thread-safe
+  /// unless the scheduler is single-owner.
   void schedule(ImmutableValuePtr<T> value, Duration delay = 0);
   void schedule(const T& value, Duration delay = 0) {
     schedule(make_immutable_value<T>(value), delay);
@@ -124,7 +129,8 @@ class PhysicalAction final : public ValuedAction<T> {
 
   /// Places an event at an explicit tag (the DEAR safe-to-process entry
   /// point). Returns false — without scheduling — when `tag` is not
-  /// strictly greater than the current tag (a tardy event). Thread-safe.
+  /// strictly greater than the current tag (a tardy event). Thread-safe
+  /// unless the scheduler is single-owner.
   [[nodiscard]] bool schedule_at(const Tag& tag, ImmutableValuePtr<T> value);
   [[nodiscard]] bool schedule_at(const Tag& tag, const T& value) {
     return schedule_at(tag, make_immutable_value<T>(value));

@@ -70,6 +70,14 @@ void Scheduler::configure(int level_count, unsigned workers, bool keepalive, Dur
   worker_slots_ = std::make_unique<WorkerSlot[]>(worker_slot_count_);
 }
 
+void Scheduler::claim_single_owner() {
+  if (state_ != State::kIdle) {
+    throw std::logic_error("claim_single_owner on a started scheduler");
+  }
+  mutex_.claim_single_owner();
+  staging_mutex_.claim_single_owner();
+}
+
 void Scheduler::enqueue_locked(BaseAction* action, const Tag& tag) {
   assert(state_ != State::kFinished);
   if (event_queue_.insert(action, tag)) {
@@ -89,6 +97,9 @@ void Scheduler::enqueue_batch_locked(BaseAction* const* actions, std::size_t cou
 
 void Scheduler::set_current_tag_locked(const Tag& tag) noexcept {
   current_tag_ = tag;
+  if (single_owner()) {
+    return;  // current_tag() reads current_tag_ directly
+  }
   // Seqlock write: odd sequence marks the snapshot in flux, the release
   // fence orders the field stores before the closing (even) increment.
   tag_seq_.fetch_add(1, std::memory_order_relaxed);
@@ -99,6 +110,16 @@ void Scheduler::set_current_tag_locked(const Tag& tag) noexcept {
 }
 
 void Scheduler::notify() {
+  if (single_owner()) {
+    // Nobody waits on cv_, and nobody else can set the flag in between.
+    if (wake_pending_.load(std::memory_order_relaxed)) {
+      wake_pending_.store(false, std::memory_order_relaxed);
+      if (wake_callback_) {
+        wake_callback_();
+      }
+    }
+    return;
+  }
   cv_.notify_all();
   bool expected = true;
   if (wake_pending_.compare_exchange_strong(expected, false) && wake_callback_) {
@@ -108,7 +129,7 @@ void Scheduler::notify() {
 
 void Scheduler::request_stop() {
   {
-    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::lock_guard<common::OwnerMutex> lock(mutex_);
     if (state_ == State::kFinished) {
       return;
     }
@@ -123,7 +144,7 @@ void Scheduler::request_stop() {
 }
 
 void Scheduler::start_at(const Tag& start_tag) {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<common::OwnerMutex> lock(mutex_);
   if (state_ != State::kIdle) {
     throw std::logic_error("scheduler already started");
   }
@@ -140,7 +161,7 @@ void Scheduler::start_at(const Tag& start_tag) {
 }
 
 Tag Scheduler::next_tag() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<common::OwnerMutex> lock(mutex_);
   if (state_ != State::kRunning) {
     return Tag::maximum();
   }
@@ -160,7 +181,7 @@ void Scheduler::prepare_tag_locked(const Tag& tag, bool is_stop) {
     obs::gauge_max(obs::Gauge::kSchedQueueDepthPeak, event_queue_.pending_events());
   }
 
-  const std::lock_guard<std::mutex> staging_lock(staging_mutex_);
+  const std::lock_guard<common::OwnerMutex> staging_lock(staging_mutex_);
   if (event_queue_.pop_at(tag, popped_actions_)) {
     for (BaseAction* action : popped_actions_) {
       action->setup(tag);  // Timer::setup re-arms via enqueue_locked
@@ -198,7 +219,7 @@ void Scheduler::stage_port_triggers(BasePort& port) {
     slot->records.push_back(StagedRecord{active_batch_index_, false, &port});
     return;
   }
-  const std::lock_guard<std::mutex> lock(staging_mutex_);
+  const std::lock_guard<common::OwnerMutex> lock(staging_mutex_);
   assert(port.triggered_closure().empty() ||
          port.triggered_closure().front()->level() > current_level_);
   for (Reaction* reaction : port.triggered_closure()) {
@@ -211,7 +232,7 @@ void Scheduler::register_set_port(BasePort& port) {
     slot->records.push_back(StagedRecord{active_batch_index_, true, &port});
     return;
   }
-  const std::lock_guard<std::mutex> lock(staging_mutex_);
+  const std::lock_guard<common::OwnerMutex> lock(staging_mutex_);
   set_ports_.push_back(&port);
 }
 
@@ -225,7 +246,7 @@ void Scheduler::execute_reaction(Reaction& reaction) {
     deadline_violations_.fetch_add(1, std::memory_order_relaxed);
   }
   if (trace_.enabled()) {
-    const std::lock_guard<std::mutex> lock(staging_mutex_);
+    const std::lock_guard<common::OwnerMutex> lock(staging_mutex_);
     trace_.record(current_tag_, reaction.fqn(), violated);
   }
   {
@@ -234,7 +255,7 @@ void Scheduler::execute_reaction(Reaction& reaction) {
                               static_cast<std::int32_t>(reaction.level()));
     reaction.execute(current_tag_, physical_now);
   }
-  worker_slots_[0].reactions_executed.fetch_add(1, std::memory_order_relaxed);
+  worker_slots_[0].count_reaction();  // slot 0 belongs to the orchestrating thread
   if (exec_cost_hook_) {
     busy_offset_ += exec_cost_hook_(reaction);
   }
@@ -260,7 +281,7 @@ void Scheduler::execute_reaction_parallel(Reaction& reaction, WorkerSlot& slot,
                               static_cast<std::int32_t>(reaction.level()));
     reaction.execute(current_tag_, physical_now);
   }
-  slot.reactions_executed.fetch_add(1, std::memory_order_relaxed);
+  slot.count_reaction();
 }
 
 void Scheduler::execute_staged() {
@@ -272,7 +293,7 @@ void Scheduler::execute_staged() {
     // rotate, so no level allocates in steady state.
     level_batch_buffer_.clear();
     {
-      const std::lock_guard<std::mutex> lock(staging_mutex_);
+      const std::lock_guard<common::OwnerMutex> lock(staging_mutex_);
       current_level_ = static_cast<int>(level);
       level_batch_buffer_.swap(staged_[level]);
     }
@@ -303,7 +324,7 @@ void Scheduler::execute_staged() {
                             level_batch_buffer_.end());
   }
   {
-    const std::lock_guard<std::mutex> lock(staging_mutex_);
+    const std::lock_guard<common::OwnerMutex> lock(staging_mutex_);
     current_level_ = -1;
   }
 }
@@ -432,7 +453,7 @@ void Scheduler::worker_loop(std::size_t worker_index) {
 }
 
 void Scheduler::merge_level_effects(const std::vector<Reaction*>& level_reactions) {
-  const std::lock_guard<std::mutex> lock(staging_mutex_);
+  const std::lock_guard<common::OwnerMutex> lock(staging_mutex_);
   // K-way merge of the per-worker effect buffers in batch-index order:
   // each worker's buffer is already sorted (claims are monotonic), and an
   // index executes on exactly one worker, so the merged stream replays the
@@ -498,7 +519,7 @@ void Scheduler::merge_level_effects(const std::vector<Reaction*>& level_reaction
 }
 
 void Scheduler::finalize_tag_locked() {
-  const std::lock_guard<std::mutex> staging_lock(staging_mutex_);
+  const std::lock_guard<common::OwnerMutex> staging_lock(staging_mutex_);
   for (BasePort* port : set_ports_) {
     port->cleanup();
   }
@@ -510,7 +531,7 @@ void Scheduler::finalize_tag_locked() {
 }
 
 std::optional<Scheduler::TagResult> Scheduler::process_next_tag(TimePoint horizon) {
-  std::unique_lock<std::mutex> lock(mutex_);
+  std::unique_lock<common::OwnerMutex> lock(mutex_);
   if (state_ != State::kRunning) {
     return std::nullopt;
   }
@@ -547,6 +568,9 @@ std::optional<Scheduler::TagResult> Scheduler::process_next_tag(TimePoint horizo
 }
 
 void Scheduler::run_threaded() {
+  if (single_owner()) {
+    throw std::logic_error("run_threaded on a single-owner scheduler (driven by SimDriver)");
+  }
   auto* real_clock = dynamic_cast<RealClock*>(&clock_);
   if (real_clock == nullptr) {
     throw std::logic_error(
@@ -559,7 +583,7 @@ void Scheduler::run_threaded() {
 
   start_at(Tag{clock_.now(), 0});
 
-  std::unique_lock<std::mutex> lock(mutex_);
+  std::unique_lock<std::mutex> lock(mutex_.native());
   while (state_ == State::kRunning) {
     Tag next = event_queue_.earliest();
     if (stop_tag_ < next) {

@@ -25,6 +25,17 @@
 // batch-index) order, so staging, port cleanup and the execution trace are
 // bit-identical to a serial run at every worker count (asserted by
 // tests/reactor/parallel_conformance_test.cpp).
+//
+// Thread safety depends on the driver. Under the threaded driver, event
+// insertion (actions, request_stop) is safe from any thread: the tag loop
+// and inserters share mutex_, reactions stage through staging_mutex_, and
+// current_tag() reads a seqlock-published copy. Under the DES driver one
+// kernel thread does everything, so SimDriver claims the scheduler as
+// single-owner before it starts: both mutexes become no-ops, the seqlock
+// is skipped, and notify() neither signals the condition variable nor pays
+// an atomic read-modify-write. A claimed scheduler must never be touched
+// from a second thread; debug builds assert on overlapping acquisitions,
+// and run_threaded() refuses a claimed scheduler.
 #pragma once
 
 #include <atomic>
@@ -38,6 +49,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/owner_mutex.hpp"
 #include "reactor/event_queue.hpp"
 #include "reactor/physical_clock.hpp"
 #include "reactor/reaction.hpp"
@@ -63,6 +75,12 @@ class Scheduler {
 
   void configure(int level_count, unsigned workers, bool keepalive, Duration timeout);
 
+  /// Declares that one thread will drive this scheduler for its whole life
+  /// (SimDriver does, before start_at): drops the locks and atomics of the
+  /// tag loop. Throws std::logic_error once started.
+  void claim_single_owner();
+  [[nodiscard]] bool single_owner() const noexcept { return mutex_.single_owner(); }
+
   /// Invoked (outside the lock) whenever the earliest pending tag becomes
   /// earlier than it was — the SimDriver uses this to re-arm its kernel
   /// wake-up.
@@ -74,7 +92,7 @@ class Scheduler {
   /// values in their pending map atomically with queue insertion.
   template <typename Fn>
   auto with_lock(Fn&& fn) {
-    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::lock_guard<common::OwnerMutex> lock(mutex_);
     return fn();
   }
 
@@ -92,8 +110,12 @@ class Scheduler {
 
   /// Lock-free snapshot of the current logical tag (seqlock over the
   /// published copy). Callers hit this once per reaction, so it must not
-  /// contend with event insertion on the scheduler mutex.
+  /// contend with event insertion on the scheduler mutex. A single-owner
+  /// scheduler has no other reader and skips the publication.
   [[nodiscard]] Tag current_tag() const noexcept {
+    if (single_owner()) {
+      return current_tag_;
+    }
     for (;;) {
       const std::uint32_t before = tag_seq_.load(std::memory_order_acquire);
       const Tag tag{published_tag_time_.load(std::memory_order_relaxed),
@@ -131,7 +153,8 @@ class Scheduler {
 
   // --- threaded driver ------------------------------------------------------------
 
-  /// Blocking execution loop (requires a RealClock).
+  /// Blocking execution loop (requires a RealClock and an unclaimed
+  /// scheduler; throws std::logic_error otherwise).
   void run_threaded();
 
   /// Requests shutdown at the earliest opportunity (thread-safe).
@@ -160,13 +183,13 @@ class Scheduler {
   [[nodiscard]] std::optional<TagResult> process_next_tag(TimePoint horizon);
 
   [[nodiscard]] bool finished() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::lock_guard<common::OwnerMutex> lock(mutex_);
     return state_ == State::kFinished;
   }
 
   /// True between start_at() and the processing of the stop tag.
   [[nodiscard]] bool running() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::lock_guard<common::OwnerMutex> lock(mutex_);
     return state_ == State::kRunning;
   }
 
@@ -213,6 +236,13 @@ class Scheduler {
   /// private staging/trace buffers are written by exactly one worker, and
   /// padding keeps neighbouring workers' writes off each other's lines.
   struct alignas(64) WorkerSlot {
+    /// One writer per slot, so a plain increment suffices; the atomic only
+    /// keeps reactions_executed()'s relaxed reads from other threads sound.
+    void count_reaction() noexcept {
+      reactions_executed.store(reactions_executed.load(std::memory_order_relaxed) + 1,
+                               std::memory_order_relaxed);
+    }
+
     std::atomic<std::uint64_t> reactions_executed{0};
     std::vector<StagedRecord> records;
     std::vector<LocalTraceRecord> trace;
@@ -234,8 +264,8 @@ class Scheduler {
   /// Requires the lock; `is_stop` additionally triggers shutdown actions.
   void prepare_tag_locked(const Tag& tag, bool is_stop);
 
-  /// Updates current_tag_ and publishes the seqlock snapshot. Requires the
-  /// lock.
+  /// Updates current_tag_ and, unless single-owner, publishes the seqlock
+  /// snapshot. Requires the lock.
   void set_current_tag_locked(const Tag& tag) noexcept;
 
   /// Executes staged levels; the lock must NOT be held. Appends executed
@@ -263,7 +293,10 @@ class Scheduler {
   Environment& environment_;
   PhysicalClock& clock_;
 
-  mutable std::mutex mutex_;
+  /// Both scheduler mutexes are claimed together (claim_single_owner);
+  /// mutex_'s claim is the single-owner flag the tag loop tests. The
+  /// threaded driver waits on cv_ with mutex_.native().
+  mutable common::OwnerMutex mutex_;
   std::condition_variable cv_;
   std::function<void()> wake_callback_;
   std::atomic<bool> wake_pending_{false};
@@ -281,7 +314,7 @@ class Scheduler {
   std::atomic<std::uint32_t> published_tag_microstep_{0};
 
   // Staging of reactions for the tag being processed.
-  std::mutex staging_mutex_;
+  common::OwnerMutex staging_mutex_;
   std::vector<std::vector<Reaction*>> staged_;
   int current_level_{-1};
   std::vector<BasePort*> set_ports_;

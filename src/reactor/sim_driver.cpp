@@ -18,6 +18,8 @@ void SimDriver::start() {
   }
   started_ = true;
   environment_.assemble();
+  // The kernel thread is the only one that ever touches this scheduler.
+  environment_.scheduler().claim_single_owner();
   environment_.scheduler().set_wake_callback([this] { arm(); });
   environment_.scheduler().set_exec_cost_hook([this](const Reaction& reaction) -> Duration {
     if (!reaction.has_modeled_cost()) {

@@ -7,6 +7,10 @@
 // the paper's case study) can share one kernel — this is the co-simulation
 // of distributed reactor programs.
 //
+// start() claims the scheduler as single-owner (scheduler.hpp): the kernel
+// thread is the only one that ever touches it, so the tag loop runs
+// without locks or atomics.
+//
 // Modeled execution cost: reactions tagged with set_modeled_cost consume
 // platform time; the driver tracks a busy-until watermark and defers the
 // next tag accordingly. Cost inflation beyond a reaction's deadline thus

@@ -15,26 +15,12 @@ EventId Kernel::schedule_after(Duration delay, Handler handler, int priority) {
 }
 
 bool Kernel::cancel(EventId id) {
-  if (id >= next_id_) {
-    return false;
-  }
-  // Tombstone; the queue entry is discarded when it reaches the top.
-  return cancelled_.insert(id).second;
-}
-
-void Kernel::skim() {
-  while (!queue_.empty()) {
-    const auto it = cancelled_.find(queue_.top().id);
-    if (it == cancelled_.end()) {
-      return;
-    }
-    cancelled_.erase(it);
-    queue_.pop();
-  }
+  // Only a queued event can be cancelled; it leaves the queue at once, so
+  // an event that already ran (or was cancelled) is simply not found.
+  return queue_.erase_first_if([id](const Event& event) { return event.id == id; });
 }
 
 bool Kernel::step() {
-  skim();
   if (queue_.empty()) {
     return false;
   }
@@ -58,7 +44,6 @@ std::uint64_t Kernel::run() {
 std::uint64_t Kernel::run_until(TimePoint horizon) {
   std::uint64_t count = 0;
   while (!stopped_) {
-    skim();
     if (queue_.empty() || queue_.top().time > horizon) {
       break;
     }
@@ -72,13 +57,9 @@ std::uint64_t Kernel::run_until(TimePoint horizon) {
 }
 
 TimePoint Kernel::next_event_time() const {
-  const_cast<Kernel*>(this)->skim();
   return queue_.empty() ? kTimeMax : queue_.top().time;
 }
 
-bool Kernel::empty() const {
-  const_cast<Kernel*>(this)->skim();
-  return queue_.empty();
-}
+bool Kernel::empty() const { return queue_.empty(); }
 
 }  // namespace dear::sim

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
 #include "common/binary_heap.hpp"
@@ -48,8 +47,9 @@ class Kernel {
   /// Schedules `handler` `delay` from now (negative delays clamp to 0).
   EventId schedule_after(Duration delay, Handler handler, int priority = 0);
 
-  /// Cancels a pending event. Returns false when the event already ran,
-  /// was cancelled before, or never existed.
+  /// Cancels a pending event and removes it from the queue (a scan of the
+  /// pending events). Returns false when the event already ran, was
+  /// cancelled before, or never existed.
   bool cancel(EventId id);
 
   /// Current simulation time.
@@ -98,14 +98,10 @@ class Kernel {
     }
   };
 
-  /// Pops cancelled events off the top of the queue.
-  void skim();
-
   /// Same pooled min-heap as the reactor event queue: capacity is retained
   /// across pop/push cycles and the top event moves out without the
   /// const_cast std::priority_queue forced on handler extraction.
   common::BinaryHeap<Event, Sooner> queue_;
-  std::unordered_set<EventId> cancelled_;
   TimePoint now_{0};
   EventId next_id_{0};
   std::uint64_t processed_{0};

@@ -32,6 +32,7 @@ class SimExecutor final : public common::Executor {
   }
 
   [[nodiscard]] TimePoint now() const override { return kernel_.now(); }
+  [[nodiscard]] bool single_threaded() const noexcept override { return true; }
 
   [[nodiscard]] Kernel& kernel() noexcept { return kernel_; }
 
@@ -53,6 +54,7 @@ class ImmediateSimExecutor final : public common::Executor {
     kernel_.schedule_after(delay, std::move(task));
   }
   [[nodiscard]] TimePoint now() const override { return kernel_.now(); }
+  [[nodiscard]] bool single_threaded() const noexcept override { return true; }
 
  private:
   Kernel& kernel_;

@@ -17,6 +17,14 @@ constexpr std::string_view kLogComponent = "someip.binding";
 Binding::Binding(net::Network& network, common::Executor& executor, net::Endpoint self,
                  ClientId client_id)
     : network_(network), executor_(executor), self_(self), client_id_(client_id) {
+  if (executor_.single_threaded()) {
+    // A DES executor: the kernel thread is the only one that sends,
+    // receives or times out on this binding.
+    mutex_.claim_single_owner();
+    receive_mutex_.claim_single_owner();
+    send_bypass_.claim_single_owner();
+    receive_bypass_.claim_single_owner();
+  }
   // Pre-size the dedup set: no rehash allocations on the receive path.
   recent_request_keys_.reserve(kRecentRequestWindow + 1);
   network_.bind(self_, [this](const net::Packet& packet) { on_packet(packet); });
@@ -51,7 +59,7 @@ void Binding::send_message(const net::Endpoint& destination, Message message) {
   }
   const std::size_t wire_bytes = message.encoded_size();
   {
-    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::lock_guard<common::OwnerMutex> lock(mutex_);
     ++msgs_sent_;
     bytes_sent_ += wire_bytes;
     if (message.tag.has_value()) {
@@ -70,7 +78,7 @@ SessionId Binding::call(const net::Endpoint& server, ServiceId service, MethodId
                         Duration timeout) {
   SessionId session = 0;
   {
-    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::lock_guard<common::OwnerMutex> lock(mutex_);
     session = next_session_++;
     if (next_session_ == 0) {
       next_session_ = 1;  // session id 0 is reserved
@@ -92,7 +100,7 @@ SessionId Binding::call(const net::Endpoint& server, ServiceId service, MethodId
     executor_.post_after(timeout, [this, session, service, method] {
       ResponseHandler handler;
       {
-        const std::lock_guard<std::mutex> lock(mutex_);
+        const std::lock_guard<common::OwnerMutex> lock(mutex_);
         const auto it = pending_.find(session);
         if (it == pending_.end()) {
           return;  // response already arrived
@@ -124,7 +132,7 @@ void Binding::call_no_return(const net::Endpoint& server, ServiceId service, Met
   message.type = MessageType::kRequestNoReturn;
   message.payload = std::move(payload);
   {
-    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::lock_guard<common::OwnerMutex> lock(mutex_);
     ++requests_sent_;
   }
   send_message(server, std::move(message));
@@ -133,7 +141,7 @@ void Binding::call_no_return(const net::Endpoint& server, ServiceId service, Met
 void Binding::subscribe(const net::Endpoint& server, ServiceId service, EventId event,
                         NotificationHandler handler) {
   {
-    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::lock_guard<common::OwnerMutex> lock(mutex_);
     event_handlers_[{service, event}] = std::move(handler);
   }
   Writer writer;
@@ -150,7 +158,7 @@ void Binding::subscribe(const net::Endpoint& server, ServiceId service, EventId 
 
 void Binding::unsubscribe(const net::Endpoint& server, ServiceId service, EventId event) {
   {
-    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::lock_guard<common::OwnerMutex> lock(mutex_);
     event_handlers_.erase({service, event});
   }
   Writer writer;
@@ -166,12 +174,12 @@ void Binding::unsubscribe(const net::Endpoint& server, ServiceId service, EventI
 }
 
 void Binding::provide_method(ServiceId service, MethodId method, RequestHandler handler) {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<common::OwnerMutex> lock(mutex_);
   methods_[{service, method}] = std::move(handler);
 }
 
 void Binding::remove_method(ServiceId service, MethodId method) {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<common::OwnerMutex> lock(mutex_);
   methods_.erase({service, method});
 }
 
@@ -191,7 +199,7 @@ void Binding::respond(const Message& request, const net::Endpoint& to,
 void Binding::notify(ServiceId service, EventId event, std::vector<std::uint8_t> payload) {
   std::vector<net::Endpoint> subscribers;
   {
-    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::lock_guard<common::OwnerMutex> lock(mutex_);
     const auto it = subscribers_.find({service, event});
     if (it != subscribers_.end()) {
       subscribers = it->second;
@@ -221,7 +229,7 @@ void Binding::notify_loaned(ServiceId service, EventId event, common::LoanedBuff
   }
   std::vector<net::Endpoint> subscribers;
   {
-    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::lock_guard<common::OwnerMutex> lock(mutex_);
     const auto it = subscribers_.find({service, event});
     if (it != subscribers_.end()) {
       subscribers = it->second;
@@ -249,7 +257,7 @@ void Binding::notify_loaned(ServiceId service, EventId event, common::LoanedBuff
 }
 
 std::size_t Binding::subscriber_count(ServiceId service, EventId event) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<common::OwnerMutex> lock(mutex_);
   const auto it = subscribers_.find({service, event});
   return it == subscribers_.end() ? 0 : it->second.size();
 }
@@ -258,14 +266,14 @@ void Binding::on_packet(const net::Packet& packet) {
   // Serialize the receive path: the deposit→handler pairing below must not
   // interleave with another message's. Decoding into the scratch message
   // (payload capacity recycled) rides the same serialization.
-  const std::lock_guard<std::mutex> receive_lock(receive_mutex_);
+  const std::lock_guard<common::OwnerMutex> receive_lock(receive_mutex_);
   {
-    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::lock_guard<common::OwnerMutex> lock(mutex_);
     ++msgs_received_;
     bytes_received_ += packet.payload.size();
   }
   if (!Message::decode_into(packet.payload.data(), packet.payload.size(), rx_message_)) {
-    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::lock_guard<common::OwnerMutex> lock(mutex_);
     ++malformed_received_;
     DEAR_LOG_WARN(kLogComponent) << self_.to_string() << ": dropping malformed packet from "
                                  << packet.source.to_string();
@@ -281,7 +289,7 @@ void Binding::on_packet(const net::Packet& packet) {
   }
   if (message.tag.has_value()) {
     {
-      const std::lock_guard<std::mutex> lock(mutex_);
+      const std::lock_guard<common::OwnerMutex> lock(mutex_);
       ++tagged_received_;
     }
     // Figure 3, steps 7 and 18: the modified binding deposits the received
@@ -326,7 +334,7 @@ bool Binding::record_request(ClientId client, SessionId session) {
 void Binding::handle_request(const Message& message, const net::Endpoint& from) {
   RequestHandler handler;
   {
-    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::lock_guard<common::OwnerMutex> lock(mutex_);
     // At-most-once delivery for sessioned requests: a network-duplicated
     // datagram must not execute the method a second time.
     if (message.type == MessageType::kRequest && message.session != 0 &&
@@ -364,7 +372,7 @@ void Binding::handle_request(const Message& message, const net::Endpoint& from) 
 void Binding::handle_response(const Message& message) {
   ResponseHandler handler;
   {
-    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::lock_guard<common::OwnerMutex> lock(mutex_);
     const auto it = pending_.find(message.session);
     if (it == pending_.end()) {
       return;  // late response after timeout, or duplicate
@@ -379,7 +387,7 @@ void Binding::handle_response(const Message& message) {
 void Binding::handle_notification(const Message& message, const net::Endpoint& /*from*/) {
   NotificationHandler handler;
   {
-    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::lock_guard<common::OwnerMutex> lock(mutex_);
     const auto it = event_handlers_.find({message.service, static_cast<EventId>(message.method)});
     if (it == event_handlers_.end()) {
       return;
@@ -395,11 +403,11 @@ void Binding::handle_control(const Message& message, const net::Endpoint& from) 
   const ServiceId service = reader.read_u16();
   const EventId event = reader.read_u16();
   if (!reader.ok()) {
-    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::lock_guard<common::OwnerMutex> lock(mutex_);
     ++malformed_received_;
     return;
   }
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<common::OwnerMutex> lock(mutex_);
   auto& list = subscribers_[{service, event}];
   const auto it = std::find(list.begin(), list.end(), from);
   if (message.method == kSubscribeMethod) {

@@ -10,18 +10,21 @@
 //
 // The receive path is serialized per binding (vsomeip dispatches
 // per-application in the same way), which also makes the deposit→handler
-// pairing race-free.
+// pairing race-free. A binding built on a DES executor
+// (Executor::single_threaded) is owned by the kernel thread and claims its
+// mutexes and bypasses as single-owner: no locking on send or receive. Its
+// network must then deliver on that thread too, as SimNetwork does.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <unordered_set>
 #include <vector>
 
 #include "common/executor.hpp"
 #include "common/flat_map.hpp"
+#include "common/owner_mutex.hpp"
 #include "common/time.hpp"
 #include "net/network.hpp"
 #include "someip/message.hpp"
@@ -106,6 +109,8 @@ class Binding {
 
   [[nodiscard]] net::Endpoint endpoint() const noexcept { return self_; }
   [[nodiscard]] ClientId client_id() const noexcept { return client_id_; }
+  /// True when built on a single-threaded (DES) executor: no locking.
+  [[nodiscard]] bool single_owner() const noexcept { return mutex_.single_owner(); }
 
   // --- deterministic fault injection -----------------------------------------
 
@@ -155,8 +160,8 @@ class Binding {
   TimestampBypass send_bypass_;
   TimestampBypass receive_bypass_;
 
-  mutable std::mutex mutex_;
-  std::mutex receive_mutex_;
+  mutable common::OwnerMutex mutex_;
+  common::OwnerMutex receive_mutex_;
 
   /// True (and recorded) the first time (client, session) is seen within
   /// the recent-request window; false for a duplicate. Call under mutex_.

@@ -12,18 +12,24 @@
 // Deposit/collect pairs rely on the synchronous call nesting between
 // transactor and binding, exactly like the paper's implementation; the slot
 // is mutex-protected because the real-threads runtime may operate bindings
-// from several threads.
+// from several threads. A binding on a DES executor claims its bypasses as
+// single-owner, which drops that locking.
 #pragma once
 
-#include <mutex>
 #include <optional>
 
+#include "common/owner_mutex.hpp"
 #include "someip/message.hpp"
 
 namespace dear::someip {
 
 class TimestampBypass {
  public:
+  /// One thread will use this slot for its whole life (legal only before
+  /// first use): deposit/collect stop locking.
+  void claim_single_owner() noexcept { mutex_.claim_single_owner(); }
+  [[nodiscard]] bool single_owner() const noexcept { return mutex_.single_owner(); }
+
   /// Places a tag in the slot. Overwrites any previous tag (a leftover tag
   /// indicates a protocol misuse; collect_stale() exposes it for tests).
   void deposit(WireTag tag);
@@ -43,7 +49,7 @@ class TimestampBypass {
   [[nodiscard]] std::uint64_t overwrites() const;
 
  private:
-  mutable std::mutex mutex_;
+  mutable common::OwnerMutex mutex_;
   std::optional<WireTag> slot_;
   std::uint64_t overwrites_{0};
 };

@@ -220,5 +220,77 @@ TEST_F(SimDriverTest, LatePhysicalActionWakesIdleEnvironment) {
   EXPECT_EQ(sink.seen[0], 80_ms);
 }
 
+TEST(SingleOwnerScheduler, SimDriverClaimsTheSchedulerAtStart) {
+  sim::Kernel kernel;
+  SimClock clock(kernel);
+  Environment env(clock);
+  Counter counter(env, 10_ms, 5);
+  Recorder<int> recorder(env);
+  env.connect(counter.out, recorder.in);
+  std::vector<Tag> seen;
+  class Probe final : public Reactor {
+   public:
+    Probe(Environment& env, std::vector<Tag>& seen)
+        : Reactor("probe", env), timer_("t", this, 10_ms) {
+      add_reaction("look",
+                   [this, &env, &seen] {
+                     // The single-owner current_tag() skips the seqlock; it
+                     // must still agree with the tag the reaction runs at.
+                     EXPECT_EQ(env.current_tag(), current_tag());
+                     seen.push_back(env.current_tag());
+                   })
+          .triggered_by(timer_);
+    }
+
+   private:
+    Timer timer_;
+  };
+  Probe probe(env, seen);
+  SimDriver driver(env, kernel, common::Rng(1));
+  EXPECT_FALSE(env.scheduler().single_owner());
+  driver.start();
+  EXPECT_TRUE(env.scheduler().single_owner());
+  kernel.run_until(1_s);
+  EXPECT_TRUE(driver.finished());
+  EXPECT_EQ(recorder.entries.size(), 5u);
+  EXPECT_EQ(seen.size(), 5u);
+  // 5 emits + 5 records + 5 probes through the plain serial counter.
+  EXPECT_EQ(env.scheduler().reactions_executed(), 15u);
+  EXPECT_THROW(env.scheduler().claim_single_owner(), std::logic_error);
+}
+
+TEST(SingleOwnerScheduler, RunThreadedRefusesAClaimedScheduler) {
+  sim::Kernel kernel;
+  SimClock sim_clock(kernel);
+  Environment sim_env(sim_clock);
+  Counter sim_counter(sim_env, 1_ms, 1);
+  SimDriver driver(sim_env, kernel, common::Rng(1));
+  driver.start();
+  try {
+    sim_env.scheduler().run_threaded();
+    ADD_FAILURE() << "run_threaded accepted a SimDriver-driven scheduler";
+  } catch (const std::logic_error& error) {
+    EXPECT_NE(std::string(error.what()).find("single-owner"), std::string::npos) << error.what();
+  }
+
+  // The same refusal on a real clock: ownership, not the clock, decides.
+  RealClock real_clock;
+  Environment env(real_clock);
+  Counter counter(env, 1_ms, 1);
+  env.assemble();
+  env.scheduler().claim_single_owner();
+  EXPECT_THROW(env.run(), std::logic_error);
+  EXPECT_EQ(counter.count(), 0);
+}
+
+TEST(SingleOwnerScheduler, ThreadedDriverKeepsItsLocks) {
+  RealClock clock;
+  Environment env(clock);
+  Counter counter(env, 1_ms, 3);
+  env.run();
+  EXPECT_FALSE(env.scheduler().single_owner());
+  EXPECT_EQ(counter.count(), 3);
+}
+
 }  // namespace
 }  // namespace dear::reactor

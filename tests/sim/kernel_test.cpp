@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
 #include <vector>
+
+#include "common/rng.hpp"
 
 namespace dear::sim {
 namespace {
@@ -85,6 +89,65 @@ TEST(Kernel, CancelPreventsExecution) {
 TEST(Kernel, CancelUnknownIdFails) {
   Kernel kernel;
   EXPECT_FALSE(kernel.cancel(12345));
+}
+
+TEST(Kernel, CancelAfterRunFails) {
+  Kernel kernel;
+  int runs = 0;
+  EventId self = 0;
+  bool self_cancelled = true;
+  const EventId id = kernel.schedule_at(10, [&] { ++runs; });
+  self = kernel.schedule_at(15, [&] { self_cancelled = kernel.cancel(self); });
+  kernel.run();
+  EXPECT_EQ(runs, 1);
+  EXPECT_FALSE(self_cancelled);  // a running event is no longer pending
+  EXPECT_FALSE(kernel.cancel(id));
+  EXPECT_TRUE(kernel.empty());
+  kernel.schedule_at(20, [&] { ++runs; });
+  EXPECT_EQ(kernel.run(), 1u);
+  EXPECT_EQ(runs, 2);
+}
+
+TEST(Kernel, CancelAnywhereInTheQueueKeepsTheOrder) {
+  // Cancelled events leave the middle of the heap; the survivors must
+  // still run in (time, priority, insertion) order.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    common::Rng rng(seed);
+    Kernel kernel;
+    struct Key {
+      TimePoint time;
+      int priority;
+      EventId id;
+      bool operator<(const Key& other) const {
+        return std::tie(time, priority, id) < std::tie(other.time, other.priority, other.id);
+      }
+      bool operator==(const Key& other) const = default;
+    };
+    std::vector<Key> scheduled;
+    std::vector<Key> ran;
+    for (int i = 0; i < 48; ++i) {
+      const auto time = static_cast<TimePoint>(rng.next_below(16));
+      const auto priority = static_cast<int>(rng.next_below(3));
+      const EventId id = kernel.schedule_at(
+          time, [&ran, &kernel, priority, i] {
+            ran.push_back(Key{kernel.now(), priority, static_cast<EventId>(i)});
+          },
+          priority);
+      scheduled.push_back(Key{time, priority, id});
+    }
+    std::vector<Key> survivors;
+    for (const Key& key : scheduled) {
+      if (rng.next_below(3) == 0) {
+        ASSERT_TRUE(kernel.cancel(key.id));
+        ASSERT_FALSE(kernel.cancel(key.id));
+      } else {
+        survivors.push_back(key);
+      }
+    }
+    std::sort(survivors.begin(), survivors.end());
+    kernel.run();
+    EXPECT_EQ(ran, survivors) << "seed " << seed;
+  }
 }
 
 TEST(Kernel, HandlersCanScheduleMoreEvents) {
