@@ -5,7 +5,7 @@
 // Two workloads, identical for both backends:
 //   * method round trip — client calls an echo method and waits for the
 //     response; per-call latency distribution (p50/p99 via
-//     common::BinnedHistogram);
+//     obs::Histogram);
 //   * notify throughput — server publishes N event notifications to one
 //     subscriber; sustained messages/second.
 //
@@ -36,11 +36,10 @@
 #include "ara/com/someip_binding.hpp"
 #include "ara/generated.hpp"
 #include "ara/runtime.hpp"
-#include "common/flags.hpp"
-#include "common/histogram.hpp"
 #include "common/thread_pool.hpp"
 #include "harness.hpp"
 #include "net/rt_network.hpp"
+#include "obs/histogram.hpp"
 
 namespace {
 
@@ -297,7 +296,7 @@ struct LatencySummary {
 
 LatencySummary summarize(const std::vector<double>& samples_ns) {
   const double max = *std::max_element(samples_ns.begin(), samples_ns.end());
-  common::BinnedHistogram histogram(0.0, max * 1.001 + 1.0, 4096);
+  obs::Histogram histogram(0.0, max * 1.001 + 1.0, 4096);
   double sum = 0.0;
   for (const double sample : samples_ns) {
     histogram.add(sample);
@@ -332,23 +331,17 @@ int main(int argc, char** argv) {
       "bench_binding_backends",
       "Transport backend comparison: SOME/IP loopback vs zero-copy LocalBinding, raw and "
       "typed.");
-  harness.cli().add_int("round-trips", common::env_int("DEAR_BINDING_ROUND_TRIPS", 3000),
-                        "echo round trips per backend");
-  harness.cli().add_int("notifies", common::env_int("DEAR_BINDING_NOTIFIES", 100'000),
-                        "event notifications per backend");
+  harness.cli().add_int("round-trips", 3000, "echo round trips per backend");
+  harness.cli().add_int("notifies", 100'000, "event notifications per backend");
   harness.cli().add_int("payload", 64, "payload bytes");
   harness.cli().add_int("workers", 2, "executor worker threads");
   if (!harness.parse(argc, argv)) {
     return harness.exit_code();
   }
-  const auto round_trips = static_cast<std::uint64_t>(
-      std::max<std::int64_t>(harness.cli().get_int("round-trips"), 1));
-  const auto notifies =
-      static_cast<std::uint64_t>(std::max<std::int64_t>(harness.cli().get_int("notifies"), 1));
-  const auto payload =
-      static_cast<std::size_t>(std::max<std::int64_t>(harness.cli().get_int("payload"), 0));
-  const auto workers =
-      static_cast<std::size_t>(std::max<std::int64_t>(harness.cli().get_int("workers"), 1));
+  const auto round_trips = std::max<std::uint64_t>(harness.cli().get_int("round-trips"), 1);
+  const auto notifies = std::max<std::uint64_t>(harness.cli().get_int("notifies"), 1);
+  const std::size_t payload = harness.cli().get_int("payload");
+  const std::size_t workers = std::max<std::uint64_t>(harness.cli().get_int("workers"), 1);
 
   std::printf("=====================================================================\n");
   std::printf("Transport backend comparison (real threads, %zu workers)\n", workers);

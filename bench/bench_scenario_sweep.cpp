@@ -8,24 +8,19 @@
 // contract). Digest equality is always enforced; the speedup threshold is
 // enforced only when the host actually has at least --speedup-workers
 // cores (a 1-core container cannot exhibit parallel speedup).
-//
-// Environment knobs: DEAR_SWEEP_SCENARIOS, DEAR_SWEEP_FRAMES.
 #include <cstdio>
 #include <thread>
 #include <vector>
 
 #include "common/cli.hpp"
-#include "common/flags.hpp"
 #include "scenario/presets.hpp"
 #include "scenario/runner.hpp"
 
 int main(int argc, char** argv) {
   dear::common::Cli cli("bench_scenario_sweep",
                         "Measures campaign throughput scaling over worker counts.");
-  cli.add_int("scenarios", dear::common::env_int("DEAR_SWEEP_SCENARIOS", 64),
-              "grid size (homogeneous DEAR scenarios)");
-  cli.add_int("frames", dear::common::env_int("DEAR_SWEEP_FRAMES", 2000),
-              "frames per scenario");
+  cli.add_int("scenarios", 64, "grid size (homogeneous DEAR scenarios)");
+  cli.add_int("frames", 2000, "frames per scenario");
   cli.add_int("seed", 1, "campaign seed");
   cli.add_int("max-workers", 4, "highest worker count measured (1, 2, 4, ... up to this)");
   cli.add_double("min-speedup", 3.0,
@@ -36,12 +31,12 @@ int main(int argc, char** argv) {
     return cli.exit_code();
   }
 
-  const auto scenarios = static_cast<std::uint64_t>(cli.get_int("scenarios"));
-  const auto frames = static_cast<std::uint64_t>(cli.get_int("frames"));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  const auto max_workers = static_cast<std::size_t>(cli.get_int("max-workers"));
+  const std::uint64_t scenarios = cli.get_int("scenarios");
+  const std::uint64_t frames = cli.get_int("frames");
+  const std::uint64_t seed = cli.get_int("seed");
+  const std::size_t max_workers = cli.get_int("max-workers");
   const double min_speedup = cli.get_double("min-speedup");
-  const auto speedup_workers = static_cast<std::size_t>(cli.get_int("speedup-workers"));
+  const std::size_t speedup_workers = cli.get_int("speedup-workers");
   const std::size_t cores = std::thread::hardware_concurrency();
 
   const auto campaign = dear::scenario::presets::throughput(scenarios, frames, seed);

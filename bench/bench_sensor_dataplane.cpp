@@ -32,10 +32,8 @@ int main(int argc, char** argv) {
   }
 
   dear::bench::DataplaneOptions options;
-  options.frames = static_cast<std::uint64_t>(
-      std::max<std::int64_t>(harness.cli().get_int("frames"), 4));
-  options.steady_frames = static_cast<std::uint64_t>(
-      std::max<std::int64_t>(harness.cli().get_int("steady-frames"), 8));
+  options.frames = std::max<std::uint64_t>(harness.cli().get_int("frames"), 4);
+  options.steady_frames = std::max<std::uint64_t>(harness.cli().get_int("steady-frames"), 8);
   options.golden_digest =
       harness.cli().get_flag("no-anchor-digests") ? 0 : kDearDigest300f7;
   dear::bench::run_dataplane_suite(harness, options);

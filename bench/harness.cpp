@@ -29,8 +29,8 @@ bool Harness::parse(int argc, const char* const* argv) {
   if (!cli_.parse(argc, argv)) {
     return false;
   }
-  warmup_ = static_cast<std::uint64_t>(std::max<std::int64_t>(cli_.get_int("warmup"), 0));
-  repeats_ = static_cast<std::uint64_t>(std::max<std::int64_t>(cli_.get_int("repeats"), 1));
+  warmup_ = cli_.get_int("warmup");
+  repeats_ = std::max<std::uint64_t>(cli_.get_int("repeats"), 1);
   quick_ = cli_.get_flag("quick");
   if (quick_) {
     warmup_ = std::min<std::uint64_t>(warmup_, 1);

@@ -26,8 +26,8 @@ int main(int argc, char** argv) {
   }
 
   dear::acc::AccScenarioConfig config;
-  config.frames = static_cast<std::uint64_t>(cli.get_int("scans"));
-  config.platform_seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  config.frames = cli.get_int("scans");
+  config.platform_seed = cli.get_int("seed");
   config.sensor_seed = config.platform_seed + 1000;
   config.deadline_scale = cli.get_double("deadline-scale");
   const bool local = cli.get_flag("local-transport");

@@ -4,25 +4,31 @@
 // to the unchanged AP service interfaces through transactors, with the
 // paper's deadlines (5/25/25/5 ms, L = 5 ms, E = 0). Expect zero errors
 // and a deterministic output digest.
-//
-// Flags: --frames N (default 20000), --seed N (default 7),
-//        --deadline-scale F (default 1.0; try 0.5 to see the trade-off),
-//        --local-transport (deploy inter-SWC services over the zero-copy
-//        in-process binding instead of SOME/IP; same outputs and tags)
 #include <cstdio>
 
 #include "brake/dear_pipeline.hpp"
-#include "common/flags.hpp"
+#include "common/cli.hpp"
 
 int main(int argc, char** argv) {
-  const dear::common::Flags flags(argc, argv);
+  dear::common::Cli cli("brake_assistant_dear",
+                        "Runs the deterministic brake assistant built on DEAR.");
+  cli.add_int("frames", 20'000, "camera frames to simulate");
+  cli.add_int("seed", 7, "platform seed (sensor seed derives from it)");
+  cli.add_double("deadline-scale", 1.0,
+                 "global scale on the transactor deadlines (try 0.5 to see the trade-off)");
+  cli.add_flag("local-transport",
+               "deploy inter-SWC services over the zero-copy in-process binding instead of "
+               "SOME/IP (same outputs and tags)");
+  if (!cli.parse(argc, argv)) {
+    return cli.exit_code();
+  }
 
   dear::brake::DearScenarioConfig config;
-  config.frames = static_cast<std::uint64_t>(flags.get_int("frames", 20'000));
-  config.platform_seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
+  config.frames = cli.get_int("frames");
+  config.platform_seed = cli.get_int("seed");
   config.sensor_seed = config.platform_seed + 1000;
-  config.deadline_scale = flags.get_double("deadline-scale", 1.0);
-  const bool local = flags.get_bool("local-transport", false);
+  config.deadline_scale = cli.get_double("deadline-scale");
+  const bool local = cli.get_flag("local-transport");
   config.transport = local ? dear::scenario::Transport::kLocal : dear::scenario::Transport::kSomeIp;
 
   std::printf(

@@ -4,19 +4,23 @@
 // Runs one experiment instance and reports the four error categories of
 // Figure 5. Different seeds model different process start offsets — watch
 // the error rate swing by orders of magnitude.
-//
-// Flags: --frames N (default 20000), --seed N (default 7)
 #include <cstdio>
 
 #include "brake/nondet_pipeline.hpp"
-#include "common/flags.hpp"
+#include "common/cli.hpp"
 
 int main(int argc, char** argv) {
-  const dear::common::Flags flags(argc, argv);
+  dear::common::Cli cli("brake_assistant_nondet",
+                        "Runs the stock (nondeterministic) brake assistant.");
+  cli.add_int("frames", 20'000, "camera frames to simulate");
+  cli.add_int("seed", 7, "platform seed (sensor seed derives from it)");
+  if (!cli.parse(argc, argv)) {
+    return cli.exit_code();
+  }
 
   dear::brake::ScenarioConfig config;
-  config.frames = static_cast<std::uint64_t>(flags.get_int("frames", 20'000));
-  config.platform_seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
+  config.frames = cli.get_int("frames");
+  config.platform_seed = cli.get_int("seed");
   config.sensor_seed = config.platform_seed + 1000;
 
   std::printf("running the stock brake assistant: %llu frames, seed %llu ...\n",

@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
     return cli.exit_code();
   }
 
-  common::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed")));
+  common::Rng rng(cli.get_int("seed"));
   sim::Kernel kernel;
   net::SimNetwork network(kernel, rng.stream("net"));
   someip::ServiceDiscovery discovery;

@@ -35,8 +35,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const auto frames = static_cast<std::uint64_t>(cli.get_int("frames"));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  const std::uint64_t frames = cli.get_int("frames");
+  const std::uint64_t seed = cli.get_int("seed");
   const std::string preset = cli.get_string("preset");
 
   dear::scenario::CampaignSpec campaign;
@@ -45,8 +45,7 @@ int main(int argc, char** argv) {
   } else if (preset == "fault-sweep") {
     campaign = dear::scenario::presets::fault_sweep(frames, seed);
   } else if (preset == "throughput") {
-    campaign = dear::scenario::presets::throughput(
-        static_cast<std::uint64_t>(cli.get_int("scenarios")), frames, seed);
+    campaign = dear::scenario::presets::throughput(cli.get_int("scenarios"), frames, seed);
   } else if (preset == "fault-tolerance") {
     campaign = dear::scenario::presets::fault_tolerance_sweep(frames, seed);
   } else if (preset == "fault-tolerance-smoke") {
@@ -60,7 +59,7 @@ int main(int argc, char** argv) {
   }
 
   dear::scenario::RunnerOptions options;
-  options.workers = static_cast<std::size_t>(cli.get_int("workers"));
+  options.workers = cli.get_int("workers");
   options.annotate_timing = cli.get_flag("timing");
   const dear::scenario::CampaignRunner runner(options);
 

@@ -7,7 +7,7 @@
 // that "its scope is limited to individual SWCs ... Applications that
 // consist of multiple communicating deterministic clients can still
 // exhibit nondeterminism" through message ordering and transport timing.
-// We implement it as the baseline for bench_det_client_baseline.
+// We implement it as the baseline for `dear_reports det-client`.
 #pragma once
 
 #include <cstdint>

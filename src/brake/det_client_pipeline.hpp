@@ -18,8 +18,8 @@
 // (cycle-driven activation, deterministic random numbers, deterministic
 // worker pool) but "its scope is limited to individual SWCs" — the
 // buffer-based communication between SWCs is untouched, so the Figure 5
-// error classes persist. bench_det_client_baseline contrasts this with
-// DEAR; bench_fig5_error_prevalence sweeps all three variants.
+// error classes persist. `dear_reports det-client` runs all three
+// variants (classic, deterministic client, DEAR) on the same seeds.
 #pragma once
 
 #include "brake/nondet_pipeline.hpp"

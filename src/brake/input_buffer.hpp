@@ -2,7 +2,7 @@
 //
 // The APD uses one-slot buffers ("latest wins"); a natural alternative is
 // a small FIFO queue that absorbs jitter at the cost of staleness. The
-// buffer-depth ablation (bench_buffer_ablation) quantifies that trade:
+// buffer-depth ablation (`dear_reports ablation`) quantifies that trade:
 // deeper buffers drop fewer inputs but feed the logic older data.
 #pragma once
 

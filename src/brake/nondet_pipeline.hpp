@@ -42,12 +42,12 @@ struct ScenarioConfig : scenario::PlatformKnobs {
   /// SWCs is transient rather than permanent.
   double task_period_drift_ppm{40.0};
   /// Use the AP "deterministic client" cycle model inside each SWC
-  /// (baseline for bench_det_client_baseline). Only intra-SWC behavior
+  /// (baseline for `dear_reports det-client`). Only intra-SWC behavior
   /// changes; communication stays buffer-based.
   bool use_deterministic_client{false};
   /// Input buffer depth per SWC: 1 reproduces the APD one-slot ("latest
   /// wins") semantics; larger values queue FIFO and evict the oldest.
-  /// Ablated by bench_buffer_ablation.
+  /// Ablated by `dear_reports ablation`.
   std::size_t input_queue_depth{1};
 };
 

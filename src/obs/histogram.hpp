@@ -1,11 +1,11 @@
 // Fixed-bucket histogram core.
 //
 // One implementation of the uniform-bucket math (bucket index, linear
-// interpolated quantiles, merge) serving both callers that used to carry
-// their own copy: common::BinnedHistogram delegates here, and the metrics
-// registry's per-thread bucket cells use the static helpers directly so an
-// observe() is an index computation plus one relaxed store, with the
-// Histogram object materialized only at snapshot time.
+// interpolated quantiles, merge): the bench and report programs use the
+// class directly, and the metrics registry's per-thread bucket cells use
+// the static helpers so an observe() is an index computation plus one
+// relaxed store, with the Histogram object materialized only at snapshot
+// time.
 #pragma once
 
 #include <algorithm>

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <vector>
+
 namespace dear::common {
 namespace {
 
@@ -18,7 +21,7 @@ TEST(Cli, DefaultsApplyWhenNothingIsPassed) {
   Cli cli = make_cli();
   const char* argv[] = {"harness"};
   ASSERT_TRUE(cli.parse(1, argv));
-  EXPECT_EQ(cli.get_int("frames"), 100);
+  EXPECT_EQ(cli.get_int("frames"), 100u);
   EXPECT_DOUBLE_EQ(cli.get_double("scale"), 1.5);
   EXPECT_EQ(cli.get_string("out"), "report.json");
   EXPECT_FALSE(cli.get_flag("verbose"));
@@ -29,7 +32,7 @@ TEST(Cli, TypedValuesParseFromBothSyntaxes) {
   Cli cli = make_cli();
   const char* argv[] = {"harness", "--frames=250", "--scale", "0.5", "--verbose"};
   ASSERT_TRUE(cli.parse(5, argv));
-  EXPECT_EQ(cli.get_int("frames"), 250);
+  EXPECT_EQ(cli.get_int("frames"), 250u);
   EXPECT_DOUBLE_EQ(cli.get_double("scale"), 0.5);
   EXPECT_TRUE(cli.get_flag("verbose"));
   EXPECT_TRUE(cli.was_set("frames"));
@@ -68,11 +71,60 @@ TEST(Cli, MalformedValuesAreRejectedNotTruncated) {
   }
   {
     Cli cli = make_cli();
-    const char* argv[] = {"harness", "--frames", "-3", "--scale", "2e-1", "--verbose=yes"};
+    const char* argv[] = {"harness", "--frames", "-3"};  // counts are unsigned
+    EXPECT_FALSE(cli.parse(3, argv));
+    EXPECT_EQ(cli.exit_code(), 1);
+  }
+  {
+    Cli cli = make_cli();
+    const char* argv[] = {"harness", "--frames", "7", "--scale", "2e-1", "--verbose=yes"};
     EXPECT_TRUE(cli.parse(6, argv));
-    EXPECT_EQ(cli.get_int("frames"), -3);
+    EXPECT_EQ(cli.get_int("frames"), 7u);
     EXPECT_DOUBLE_EQ(cli.get_double("scale"), 0.2);
     EXPECT_TRUE(cli.get_flag("verbose"));
+  }
+}
+
+TEST(Cli, NegativeIntegersAreRejected) {
+  for (const char* value : {"-1", "-0", "+5", " 5", "0x10"}) {
+    Cli cli = make_cli();
+    const char* argv[] = {"harness", "--frames", value};
+    EXPECT_FALSE(cli.parse(3, argv)) << value;
+    EXPECT_EQ(cli.exit_code(), 1) << value;
+  }
+  Cli cli = make_cli();
+  const char* argv[] = {"harness", "--frames=-1"};
+  EXPECT_FALSE(cli.parse(2, argv));
+}
+
+TEST(Cli, IntegerOverflowIsRejected) {
+  {
+    Cli cli = make_cli();
+    const char* argv[] = {"harness", "--frames", "18446744073709551615"};  // 2^64 - 1
+    ASSERT_TRUE(cli.parse(3, argv));
+    EXPECT_EQ(cli.get_int("frames"), 18446744073709551615u);
+  }
+  {
+    Cli cli = make_cli();
+    const char* argv[] = {"harness", "--frames", "18446744073709551616"};  // 2^64
+    EXPECT_FALSE(cli.parse(3, argv));
+    EXPECT_EQ(cli.exit_code(), 1);
+  }
+}
+
+TEST(Cli, PositionalArgumentsAreRejected) {
+  {
+    Cli cli = make_cli();
+    const char* argv[] = {"harness", "extra-positional"};
+    EXPECT_FALSE(cli.parse(2, argv));
+    EXPECT_EQ(cli.exit_code(), 1);
+  }
+  {
+    // A flag with an `=` value does not take the next token.
+    Cli cli = make_cli();
+    const char* argv[] = {"harness", "--frames=5", "6"};
+    EXPECT_FALSE(cli.parse(3, argv));
+    EXPECT_EQ(cli.exit_code(), 1);
   }
 }
 
@@ -95,13 +147,58 @@ TEST(Cli, UnregisteredAccessThrows) {
   EXPECT_THROW((void)cli.get_int("scale"), std::logic_error) << "type mismatch must throw";
 }
 
-TEST(Flags, NamesReturnsPassedFlagsSorted) {
-  const char* argv[] = {"harness", "--beta", "--alpha=1"};
-  const Flags flags(3, argv);
-  const auto names = flags.names();
-  ASSERT_EQ(names.size(), 2u);
-  EXPECT_EQ(names[0], "alpha");
-  EXPECT_EQ(names[1], "beta");
+// Token grammar of Cli::parse.
+
+[[nodiscard]] Cli parse_ok(std::initializer_list<const char*> args) {
+  Cli cli("prog", "Token grammar.");
+  cli.add_int("frames", 0, "");
+  cli.add_double("scale", 0.0, "");
+  cli.add_string("name", "", "");
+  cli.add_string("label", "", "");
+  cli.add_flag("verbose", "");
+  cli.add_flag("fast", "");
+  cli.add_flag("slow", "");
+  cli.add_flag("n", "");
+  std::vector<const char*> argv{"prog"};
+  argv.insert(argv.end(), args.begin(), args.end());
+  EXPECT_TRUE(cli.parse(static_cast<int>(argv.size()), argv.data()));
+  return cli;
+}
+
+TEST(Flags, EqualsSyntax) {
+  const Cli cli = parse_ok({"--frames=100", "--scale=0.5", "--name=hello"});
+  EXPECT_EQ(cli.get_int("frames"), 100u);
+  EXPECT_DOUBLE_EQ(cli.get_double("scale"), 0.5);
+  EXPECT_EQ(cli.get_string("name"), "hello");
+}
+
+TEST(Flags, SpaceSyntax) {
+  const Cli cli = parse_ok({"--frames", "42", "--label", "x"});
+  EXPECT_EQ(cli.get_int("frames"), 42u);
+  EXPECT_EQ(cli.get_string("label"), "x");
+}
+
+TEST(Flags, BooleanForms) {
+  const Cli cli = parse_ok({"--verbose", "--fast=true", "--slow=false", "--n=1"});
+  EXPECT_TRUE(cli.get_flag("verbose"));
+  EXPECT_TRUE(cli.get_flag("fast"));
+  EXPECT_FALSE(cli.get_flag("slow"));
+  EXPECT_TRUE(cli.get_flag("n"));
+}
+
+TEST(Flags, Fallbacks) {
+  const Cli cli = parse_ok({});
+  EXPECT_EQ(cli.get_int("frames"), 0u);
+  EXPECT_DOUBLE_EQ(cli.get_double("scale"), 0.0);
+  EXPECT_EQ(cli.get_string("name"), "");
+  EXPECT_FALSE(cli.get_flag("verbose"));
+  EXPECT_FALSE(cli.was_set("frames"));
+}
+
+TEST(Flags, FlagFollowedByFlagIsBoolean) {
+  const Cli cli = parse_ok({"--verbose", "--frames", "7"});
+  EXPECT_TRUE(cli.get_flag("verbose"));
+  EXPECT_EQ(cli.get_int("frames"), 7u);
 }
 
 }  // namespace

@@ -360,5 +360,78 @@ TEST(ObsHistogram, BucketEdgesAndQuantiles) {
   EXPECT_THROW(hist.merge(Histogram(0.0, 50.0, 10)), std::invalid_argument);
 }
 
+TEST(ObsHistogram, CountsAndTotals) {
+  // Integer outcomes counted one per bucket, as the Figure 1 report does.
+  Histogram h(0.0, 4.0, 4);
+  EXPECT_EQ(h.total(), 0u);
+  h.add(3);
+  h.add(3);
+  h.add(0);
+  h.add(7);
+  h.add(-1);
+  EXPECT_EQ(h.bin(3), 2u);
+  EXPECT_EQ(h.bin(0), 1u);
+  EXPECT_EQ(h.bin(1), 0u);
+  EXPECT_EQ(h.underflow(), 1u);
+  EXPECT_EQ(h.overflow(), 1u);
+  EXPECT_EQ(h.total(), 5u);
+}
+
+TEST(ObsHistogram, BulkAdd) {
+  Histogram h(0.0, 4.0, 4);
+  h.add(1, 10);
+  h.add(2, 30);
+  EXPECT_EQ(h.total(), 40u);
+  EXPECT_EQ(h.bin(1), 10u);
+  EXPECT_EQ(h.bin(2), 30u);
+}
+
+TEST(BinnedHistogram, RejectsBadConstruction) {
+  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
+  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
+  EXPECT_THROW(Histogram(2.0, 1.0, 4), std::invalid_argument);
+}
+
+TEST(BinnedHistogram, BinsAndOverflow) {
+  Histogram h(0.0, 10.0, 10);
+  h.add(0.5);
+  h.add(9.99);
+  h.add(-1.0);
+  h.add(10.0);
+  h.add(25.0);
+  EXPECT_EQ(h.bin(0), 1u);
+  EXPECT_EQ(h.bin(9), 1u);
+  EXPECT_EQ(h.underflow(), 1u);
+  EXPECT_EQ(h.overflow(), 2u);
+  EXPECT_EQ(h.total(), 5u);
+}
+
+TEST(BinnedHistogram, BinEdges) {
+  const Histogram h(10.0, 20.0, 5);
+  EXPECT_DOUBLE_EQ(h.bin_lower(0), 10.0);
+  EXPECT_DOUBLE_EQ(h.bin_upper(0), 12.0);
+  EXPECT_DOUBLE_EQ(h.bin_lower(4), 18.0);
+  EXPECT_DOUBLE_EQ(h.bin_upper(4), 20.0);
+}
+
+TEST(BinnedHistogram, QuantileMonotone) {
+  Histogram h(0.0, 100.0, 100);
+  for (int i = 0; i < 1000; ++i) {
+    h.add(static_cast<double>(i % 100) + 0.5);
+  }
+  const double q10 = h.quantile(0.10);
+  const double q50 = h.quantile(0.50);
+  const double q90 = h.quantile(0.90);
+  EXPECT_LE(q10, q50);
+  EXPECT_LE(q50, q90);
+  EXPECT_NEAR(q50, 50.0, 2.0);
+  EXPECT_NEAR(q90, 90.0, 2.0);
+}
+
+TEST(BinnedHistogram, QuantileEmpty) {
+  const Histogram h(0.0, 1.0, 4);
+  EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);
+}
+
 }  // namespace
 }  // namespace dear::obs
