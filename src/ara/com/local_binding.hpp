@@ -1,4 +1,4 @@
-// Zero-copy intra-process backend of the transport binding contract.
+// Zero-copy intra-process backend of the binding engine.
 //
 // For SWCs deployed into the same OS process there is no reason to pay for
 // SOME/IP serialization and a (simulated or real) network hop: LocalBinding
@@ -6,7 +6,10 @@
 // through a lock-free MPSC queue into the destination binding. Logical
 // tags travel in-band on the message (Message::tag), so the DEAR bypass
 // contract behaves exactly as over the wire, minus the 12-byte trailer
-// codec.
+// codec. Everything else — sessions, timeouts, tables, fan-out, fault
+// checks, counters — is the shared engine (transport_binding.hpp); this
+// class adds only the hand-off, the inbox drain and direct subscription
+// at the peer (no control protocol).
 //
 // Routing is per-process: a LocalHub maps endpoints to bindings, playing
 // the role the datagram network plays for the SOME/IP backend. Endpoint
@@ -18,28 +21,19 @@
 // as the SOME/IP receive path, which makes the tag deposit→handler pairing
 // race-free). A message sent from within a handler running on the same
 // thread is queued and processed by the active drain loop instead of
-// recursing, so request→response→request chains cannot deadlock.
-//
-// A binding built on a DES executor (Executor::single_threaded) is owned
-// by the kernel thread: it claims its mutexes and bypasses as
-// single-owner, so delivery and dispatch take no locks. The LocalHub and
-// the inbox stay thread-safe.
+// recursing, so request→response→request chains cannot deadlock. On a DES
+// executor the binding is single-owner; the LocalHub and the inbox stay
+// thread-safe.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "ara/com/transport_binding.hpp"
-#include "common/executor.hpp"
 #include "common/mpsc_queue.hpp"
-#include "common/owner_mutex.hpp"
-#include "obs/obs.hpp"
-#include "someip/timestamp_bypass.hpp"
 
 namespace dear::ara::com {
 
@@ -68,6 +62,7 @@ class LocalHub {
  private:
   friend class LocalBinding;
 
+  /// Throws std::logic_error when the binding's endpoint is already taken.
   void attach(LocalBinding* binding);
   void detach(const net::Endpoint& endpoint);
   void count_undeliverable();
@@ -82,62 +77,27 @@ class LocalBinding final : public TransportBinding {
   /// The executor is used for timeout synthesis and for draining the inbox
   /// when two threads deliver concurrently; the binding must outlive any
   /// work queued on it. On the uncontended path delivery never leaves the
-  /// sending thread.
+  /// sending thread. Throws std::logic_error when `self` is already
+  /// attached to `hub`.
   LocalBinding(LocalHub& hub, common::Executor& executor, net::Endpoint self,
                someip::ClientId client_id);
   ~LocalBinding() override;
 
-  LocalBinding(const LocalBinding&) = delete;
-  LocalBinding& operator=(const LocalBinding&) = delete;
-
-  // --- TransportBinding ----------------------------------------------------
-
-  someip::SessionId call(const net::Endpoint& server, someip::ServiceId service,
-                         someip::MethodId method, std::vector<std::uint8_t> payload,
-                         ResponseHandler on_response, Duration timeout) override;
-  void call_no_return(const net::Endpoint& server, someip::ServiceId service,
-                      someip::MethodId method, std::vector<std::uint8_t> payload) override;
-  void subscribe(const net::Endpoint& server, someip::ServiceId service, someip::EventId event,
-                 NotificationHandler handler) override;
-  void unsubscribe(const net::Endpoint& server, someip::ServiceId service,
-                   someip::EventId event) override;
-
-  void provide_method(someip::ServiceId service, someip::MethodId method,
-                      RequestHandler handler) override;
-  void remove_method(someip::ServiceId service, someip::MethodId method) override;
-  void respond(const someip::Message& request, const net::Endpoint& to,
-               std::vector<std::uint8_t> payload, someip::ReturnCode return_code) override;
-  void notify(someip::ServiceId service, someip::EventId event,
-              std::vector<std::uint8_t> payload) override;
-  /// Sensor data plane: every subscriber receives a handle to the same
-  /// slab (copy = refcount retain) — zero encode, zero payload memcpy,
-  /// and zero allocations on the steady-state path.
-  void notify_loaned(someip::ServiceId service, someip::EventId event,
-                     common::LoanedBuffer payload) override;
-  [[nodiscard]] std::size_t subscriber_count(someip::ServiceId service,
-                                             someip::EventId event) const override;
-
-  void attach_send_tag(const someip::WireTag& tag) override;
-  [[nodiscard]] std::optional<someip::WireTag> collect_received_tag() override;
-  [[nodiscard]] bool received_tag_armed() const override;
-  [[nodiscard]] std::optional<someip::WireTag> peek_send_tag() const override;
-
-  void set_fault_plan(const ft::FaultPlan* plan) override { fault_plan_ = plan; }
-  [[nodiscard]] const ft::FaultPlan* fault_plan() const noexcept override { return fault_plan_; }
-
-  [[nodiscard]] net::Endpoint endpoint() const noexcept override { return self_; }
-  [[nodiscard]] someip::ClientId client_id() const noexcept override { return client_id_; }
-  [[nodiscard]] TransportStats stats() const override;
   [[nodiscard]] std::string_view transport_name() const noexcept override { return "local"; }
-
-  /// True when built on a single-threaded (DES) executor: no locking.
-  [[nodiscard]] bool single_owner() const noexcept { return mutex_.single_owner(); }
 
  private:
   struct Frame {
     someip::Message message;
     net::Endpoint from;
   };
+
+  /// Routes the message to the peer's inbox. The payload (vector or
+  /// loaned slab) is moved, never copied or serialized.
+  void transmit(const net::Endpoint& destination, someip::Message message) override;
+  /// In-process subscription management needs no control protocol:
+  /// register directly with the serving binding.
+  void send_subscription(const net::Endpoint& server, someip::ServiceId service,
+                         someip::EventId event, bool subscribe) override;
 
   /// Peer-side entry point: enqueue, then drain unless this thread is
   /// already inside this binding's drain loop (the outer loop picks the
@@ -147,50 +107,10 @@ class LocalBinding final : public TransportBinding {
   void deliver(Frame frame);
   void pump();
   void drain_locked();
-  void process(Frame& frame);
-
-  void handle_request(const someip::Message& message, const net::Endpoint& from);
-  void handle_response(const someip::Message& message);
-  void handle_notification(const someip::Message& message);
-
-  /// Collects the pending send tag into the message and routes it. The
-  /// payload is moved, never copied or serialized.
-  void send_frame(const net::Endpoint& destination, someip::Message message);
-
-  void add_subscriber(someip::ServiceId service, someip::EventId event,
-                      const net::Endpoint& subscriber);
-  void remove_subscriber(someip::ServiceId service, someip::EventId event,
-                         const net::Endpoint& subscriber);
 
   LocalHub& hub_;
-  common::Executor& executor_;
-  net::Endpoint self_;
-  someip::ClientId client_id_;
-  const ft::FaultPlan* fault_plan_{nullptr};
-
-  someip::TimestampBypass send_bypass_;
-  someip::TimestampBypass receive_bypass_;
-
   common::MpscQueue<Frame> inbox_;
-  common::OwnerMutex receive_mutex_;
   std::atomic<std::thread::id> pumping_thread_{};
-
-  mutable common::OwnerMutex mutex_;
-  someip::SessionId next_session_{1};
-  std::map<someip::SessionId, ResponseHandler> pending_;
-  std::map<std::pair<someip::ServiceId, someip::MethodId>, RequestHandler> methods_;
-  std::map<std::pair<someip::ServiceId, someip::EventId>, NotificationHandler> event_handlers_;
-  std::map<std::pair<someip::ServiceId, someip::EventId>, std::vector<net::Endpoint>> subscribers_;
-
-  std::uint64_t msgs_sent_{0};
-  std::uint64_t msgs_received_{0};
-  std::uint64_t requests_sent_{0};
-  std::uint64_t responses_received_{0};
-  std::uint64_t notifications_sent_{0};
-  std::uint64_t notifications_received_{0};
-  std::uint64_t tagged_sent_{0};
-  std::uint64_t tagged_received_{0};
-  std::uint64_t timeouts_{0};
 };
 
 }  // namespace dear::ara::com

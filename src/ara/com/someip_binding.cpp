@@ -1,87 +1,134 @@
 #include "ara/com/someip_binding.hpp"
 
+#include <mutex>
+#include <utility>
+
+#include "common/logging.hpp"
+#include "someip/serialization.hpp"
+
 namespace dear::ara::com {
 
-SomeIpBinding::SomeIpBinding(net::Network& network, common::Executor& executor, net::Endpoint self,
-                             someip::ClientId client_id)
-    : binding_(network, executor, self, client_id) {}
-
-someip::SessionId SomeIpBinding::call(const net::Endpoint& server, someip::ServiceId service,
-                                      someip::MethodId method, std::vector<std::uint8_t> payload,
-                                      ResponseHandler on_response, Duration timeout) {
-  return binding_.call(server, service, method, std::move(payload), std::move(on_response),
-                       timeout);
+namespace {
+constexpr std::string_view kLogComponent = "someip.binding";
 }
 
-void SomeIpBinding::call_no_return(const net::Endpoint& server, someip::ServiceId service,
-                                   someip::MethodId method, std::vector<std::uint8_t> payload) {
-  binding_.call_no_return(server, service, method, std::move(payload));
+SomeIpBinding::SomeIpBinding(net::Network& network, common::Executor& executor,
+                             net::Endpoint self, someip::ClientId client_id)
+    : TransportBinding(executor, self, client_id,
+                       {obs::Counter::kSomeipMsgsSent, obs::Counter::kSomeipMsgsReceived,
+                        obs::Counter::kSomeipTaggedSent, obs::Counter::kSomeipTaggedReceived,
+                        obs::Counter::kSomeipTimeouts}),
+      network_(network) {
+  // Pre-size the dedup set: no rehash allocations on the receive path.
+  recent_request_keys_.reserve(kRecentRequestWindow + 1);
+  network_.bind(self, [this](const net::Packet& packet) { on_packet(packet); });
 }
 
-void SomeIpBinding::subscribe(const net::Endpoint& server, someip::ServiceId service,
-                              someip::EventId event, NotificationHandler handler) {
-  binding_.subscribe(server, service, event, std::move(handler));
+SomeIpBinding::~SomeIpBinding() {
+  network_.unbind(endpoint());
+  obs::count(obs::Counter::kSomeipBytesSent, bytes_sent_);
+  obs::count(obs::Counter::kSomeipBytesReceived, bytes_received_);
+  obs::count(obs::Counter::kSomeipDedupHits, duplicate_requests_);
+  obs::count(obs::Counter::kSomeipMalformed, stats().malformed_received);
 }
 
-void SomeIpBinding::unsubscribe(const net::Endpoint& server, someip::ServiceId service,
-                                someip::EventId event) {
-  binding_.unsubscribe(server, service, event);
+std::uint64_t SomeIpBinding::duplicate_requests() const {
+  const std::lock_guard<common::OwnerMutex> lock(mutex_);
+  return duplicate_requests_;
 }
 
-void SomeIpBinding::provide_method(someip::ServiceId service, someip::MethodId method,
-                                   RequestHandler handler) {
-  binding_.provide_method(service, method, std::move(handler));
+void SomeIpBinding::transmit(const net::Endpoint& destination, someip::Message message) {
+  const std::size_t wire_bytes = message.encoded_size();
+  {
+    const std::lock_guard<common::OwnerMutex> lock(mutex_);
+    bytes_sent_ += wire_bytes;
+  }
+  // Encode into a recycled wire buffer; the network layer releases it back
+  // to the pool after delivery, closing the allocation-free send cycle.
+  std::vector<std::uint8_t> wire = common::BufferPool::instance().acquire(wire_bytes);
+  message.encode_into(wire);
+  network_.send(endpoint(), destination, std::move(wire));
 }
 
-void SomeIpBinding::remove_method(someip::ServiceId service, someip::MethodId method) {
-  binding_.remove_method(service, method);
+void SomeIpBinding::send_subscription(const net::Endpoint& server, someip::ServiceId service,
+                                      someip::EventId event, bool subscribe) {
+  someip::Writer writer;
+  writer.write_u16(service);
+  writer.write_u16(event);
+  someip::Message message;
+  message.service = kControlService;
+  message.method = subscribe ? kSubscribeMethod : kUnsubscribeMethod;
+  message.client = client_id();
+  message.type = someip::MessageType::kRequestNoReturn;
+  message.payload = writer.take();
+  send_message(server, std::move(message));
 }
 
-void SomeIpBinding::respond(const someip::Message& request, const net::Endpoint& to,
-                            std::vector<std::uint8_t> payload, someip::ReturnCode return_code) {
-  binding_.respond(request, to, std::move(payload), return_code);
+void SomeIpBinding::on_packet(const net::Packet& packet) {
+  // Serialize the receive path: the engine's deposit→handler pairing must
+  // not interleave with another message's. Decoding into the scratch
+  // message (payload capacity recycled) rides the same serialization.
+  const std::lock_guard<common::OwnerMutex> receive_lock(receive_mutex_);
+  {
+    const std::lock_guard<common::OwnerMutex> lock(mutex_);
+    bytes_received_ += packet.payload.size();
+  }
+  if (!someip::Message::decode_into(packet.payload.data(), packet.payload.size(), rx_message_)) {
+    count_malformed();
+    DEAR_LOG_WARN(kLogComponent) << endpoint().to_string() << ": dropping malformed packet from "
+                                 << packet.source.to_string();
+    return;
+  }
+  receive(rx_message_, packet.source);
 }
 
-void SomeIpBinding::notify(someip::ServiceId service, someip::EventId event,
-                           std::vector<std::uint8_t> payload) {
-  binding_.notify(service, event, std::move(payload));
+bool SomeIpBinding::admit_request(const someip::Message& request, const net::Endpoint& from) {
+  // Subscription management arrives as requests to the control service.
+  if (request.service == kControlService) {
+    handle_control(request, from);
+    return false;
+  }
+  // At-most-once delivery for sessioned requests: a network-duplicated
+  // datagram must not execute the method a second time.
+  if (request.type != someip::MessageType::kRequest || request.session == 0) {
+    return true;
+  }
+  const std::lock_guard<common::OwnerMutex> lock(mutex_);
+  return record_request(request.client, request.session);
 }
 
-void SomeIpBinding::notify_loaned(someip::ServiceId service, someip::EventId event,
-                                  common::LoanedBuffer payload) {
-  binding_.notify_loaned(service, event, std::move(payload));
+bool SomeIpBinding::record_request(someip::ClientId client, someip::SessionId session) {
+  const std::uint32_t key =
+      (static_cast<std::uint32_t>(client) << 16) | static_cast<std::uint32_t>(session);
+  if (!recent_request_keys_.insert(key).second) {
+    ++duplicate_requests_;
+    return false;
+  }
+  // Bound the window FIFO-style: duplicates arrive within one link latency
+  // of the original, so a small horizon is ample.
+  if (recent_request_count_ == kRecentRequestWindow) {
+    recent_request_keys_.erase(recent_request_ring_[recent_request_head_]);
+  } else {
+    ++recent_request_count_;
+  }
+  recent_request_ring_[recent_request_head_] = key;
+  recent_request_head_ = (recent_request_head_ + 1) % kRecentRequestWindow;
+  return true;
 }
 
-std::size_t SomeIpBinding::subscriber_count(someip::ServiceId service,
-                                            someip::EventId event) const {
-  return binding_.subscriber_count(service, event);
-}
-
-void SomeIpBinding::attach_send_tag(const someip::WireTag& tag) {
-  binding_.send_bypass().deposit(tag);
-}
-
-std::optional<someip::WireTag> SomeIpBinding::collect_received_tag() {
-  return binding_.receive_bypass().collect();
-}
-
-bool SomeIpBinding::received_tag_armed() const { return binding_.receive_bypass().armed(); }
-
-net::Endpoint SomeIpBinding::endpoint() const noexcept { return binding_.endpoint(); }
-
-someip::ClientId SomeIpBinding::client_id() const noexcept { return binding_.client_id(); }
-
-TransportStats SomeIpBinding::stats() const {
-  TransportStats stats;
-  stats.requests_sent = binding_.requests_sent();
-  stats.responses_received = binding_.responses_received();
-  stats.notifications_sent = binding_.notifications_sent();
-  stats.notifications_received = binding_.notifications_received();
-  stats.tagged_sent = binding_.tagged_sent();
-  stats.tagged_received = binding_.tagged_received();
-  stats.malformed_received = binding_.malformed_received();
-  stats.timeouts = binding_.timeouts();
-  return stats;
+void SomeIpBinding::handle_control(const someip::Message& message, const net::Endpoint& from) {
+  someip::Reader reader(message.payload);
+  const someip::ServiceId service = reader.read_u16();
+  const someip::EventId event = reader.read_u16();
+  if (!reader.ok()) {
+    count_malformed();
+    return;
+  }
+  if (message.method == kSubscribeMethod) {
+    add_subscriber(service, event, from);
+  } else if (message.method == kUnsubscribeMethod) {
+    remove_subscriber(service, event, from);
+  }
 }
 
 }  // namespace dear::ara::com

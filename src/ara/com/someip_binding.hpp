@@ -1,69 +1,81 @@
-// SOME/IP backend of the transport-agnostic binding contract.
+// SOME/IP backend of the binding engine: the paper's modified SOME/IP
+// stack over a net::Network.
 //
-// A thin adapter: the protocol engine (framing, session matching,
-// subscription control messages, the DEAR tag trailer) lives unchanged in
-// someip::Binding; this class maps it onto the TransportBinding interface
-// so the ara::com layer never names the concrete transport.
+// One binding per SWC process endpoint. On top of the shared engine
+// (transport_binding.hpp) it frames every message onto the wire — the DEAR
+// tag travels as a 12-byte trailer — decodes arriving datagrams (counting
+// the malformed ones), manages event subscriptions with a small control
+// protocol, and gives sessioned requests at-most-once delivery, since only
+// a network duplicates datagrams.
+//
+// The receive path is serialized per binding (vsomeip dispatches
+// per-application in the same way). A binding on a DES executor needs its
+// network to deliver on the kernel thread too, as SimNetwork does.
 #pragma once
 
+#include <array>
+#include <cstdint>
+#include <unordered_set>
+
 #include "ara/com/transport_binding.hpp"
-#include "someip/binding.hpp"
+#include "net/network.hpp"
 
 namespace dear::ara::com {
 
 class SomeIpBinding final : public TransportBinding {
  public:
+  /// Control service used for subscription management (mirrors the SD
+  /// service id reserved by SOME/IP).
+  static constexpr someip::ServiceId kControlService = 0xFFFF;
+  static constexpr someip::MethodId kSubscribeMethod = 0x0001;
+  static constexpr someip::MethodId kUnsubscribeMethod = 0x0002;
+
+  /// Binds `self` on `network`; throws std::logic_error when the endpoint
+  /// is already bound.
   SomeIpBinding(net::Network& network, common::Executor& executor, net::Endpoint self,
                 someip::ClientId client_id);
+  ~SomeIpBinding() override;
 
-  // --- TransportBinding ----------------------------------------------------
-
-  someip::SessionId call(const net::Endpoint& server, someip::ServiceId service,
-                         someip::MethodId method, std::vector<std::uint8_t> payload,
-                         ResponseHandler on_response, Duration timeout) override;
-  void call_no_return(const net::Endpoint& server, someip::ServiceId service,
-                      someip::MethodId method, std::vector<std::uint8_t> payload) override;
-  void subscribe(const net::Endpoint& server, someip::ServiceId service, someip::EventId event,
-                 NotificationHandler handler) override;
-  void unsubscribe(const net::Endpoint& server, someip::ServiceId service,
-                   someip::EventId event) override;
-
-  void provide_method(someip::ServiceId service, someip::MethodId method,
-                      RequestHandler handler) override;
-  void remove_method(someip::ServiceId service, someip::MethodId method) override;
-  void respond(const someip::Message& request, const net::Endpoint& to,
-               std::vector<std::uint8_t> payload, someip::ReturnCode return_code) override;
-  void notify(someip::ServiceId service, someip::EventId event,
-              std::vector<std::uint8_t> payload) override;
-  void notify_loaned(someip::ServiceId service, someip::EventId event,
-                     common::LoanedBuffer payload) override;
-  [[nodiscard]] std::size_t subscriber_count(someip::ServiceId service,
-                                             someip::EventId event) const override;
-
-  void attach_send_tag(const someip::WireTag& tag) override;
-  [[nodiscard]] std::optional<someip::WireTag> collect_received_tag() override;
-  [[nodiscard]] bool received_tag_armed() const override;
-  [[nodiscard]] std::optional<someip::WireTag> peek_send_tag() const override {
-    return binding_.send_bypass().peek();
-  }
-
-  void set_fault_plan(const ft::FaultPlan* plan) override { binding_.set_fault_plan(plan); }
-  [[nodiscard]] const ft::FaultPlan* fault_plan() const noexcept override {
-    return binding_.fault_plan();
-  }
-
-  [[nodiscard]] net::Endpoint endpoint() const noexcept override;
-  [[nodiscard]] someip::ClientId client_id() const noexcept override;
-  [[nodiscard]] TransportStats stats() const override;
   [[nodiscard]] std::string_view transport_name() const noexcept override { return "someip"; }
 
-  /// The underlying protocol engine, for wire-level tests and stats that
-  /// have no transport-agnostic meaning (e.g. malformed-frame counters).
-  [[nodiscard]] someip::Binding& wire() noexcept { return binding_; }
-  [[nodiscard]] const someip::Binding& wire() const noexcept { return binding_; }
+  /// Requests discarded by at-most-once delivery (same client and session
+  /// seen before, e.g. a network-duplicated datagram).
+  [[nodiscard]] std::uint64_t duplicate_requests() const;
 
  private:
-  someip::Binding binding_;
+  void transmit(const net::Endpoint& destination, someip::Message message) override;
+  void send_subscription(const net::Endpoint& server, someip::ServiceId service,
+                         someip::EventId event, bool subscribe) override;
+  bool admit_request(const someip::Message& request, const net::Endpoint& from) override;
+
+  void on_packet(const net::Packet& packet);
+  void handle_control(const someip::Message& message, const net::Endpoint& from);
+
+  /// True (and recorded) the first time (client, session) is seen within
+  /// the recent-request window; false for a duplicate. Call under mutex_.
+  [[nodiscard]] bool record_request(someip::ClientId client, someip::SessionId session);
+
+  net::Network& network_;
+
+  /// Recently seen (client << 16 | session) request keys, FIFO-bounded.
+  /// Method execution is not idempotent (each request gets its own
+  /// response and its own server-side call state), so a duplicated
+  /// request datagram must be dropped here — SOME/IP sessions exist
+  /// precisely to give requests at-most-once identity. O(1) per request:
+  /// this runs under mutex_ on the real-time receive path.
+  static constexpr std::size_t kRecentRequestWindow = 128;
+  std::unordered_set<std::uint32_t> recent_request_keys_;
+  std::array<std::uint32_t, kRecentRequestWindow> recent_request_ring_{};
+  std::size_t recent_request_head_{0};
+  std::size_t recent_request_count_{0};
+
+  /// Receive-path scratch message (guarded by receive_mutex_): payload
+  /// capacity is recycled across packets.
+  someip::Message rx_message_;
+
+  std::uint64_t bytes_sent_{0};
+  std::uint64_t bytes_received_{0};
+  std::uint64_t duplicate_requests_{0};
 };
 
 }  // namespace dear::ara::com

@@ -22,8 +22,9 @@ class Network {
 
   virtual ~Network() = default;
 
-  /// Registers the receiver for an endpoint. Binding an already-bound
-  /// endpoint replaces the handler.
+  /// Registers the receiver for an endpoint. An endpoint binds once:
+  /// binding an already-bound endpoint throws std::logic_error, since the
+  /// first receiver's unbind would otherwise silence the second.
   virtual void bind(Endpoint endpoint, ReceiveHandler handler) = 0;
 
   virtual void unbind(Endpoint endpoint) = 0;

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <mutex>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "common/executor.hpp"
@@ -20,7 +21,9 @@ class RtNetwork final : public Network {
 
   void bind(Endpoint endpoint, ReceiveHandler handler) override {
     const std::lock_guard<std::mutex> lock(mutex_);
-    receivers_[endpoint] = std::move(handler);
+    if (!receivers_.emplace(endpoint, std::move(handler)).second) {
+      throw std::logic_error("RtNetwork: endpoint " + endpoint.to_string() + " is already bound");
+    }
   }
 
   void unbind(Endpoint endpoint) override {

@@ -1,5 +1,7 @@
 #include "net/sim_network.hpp"
 
+#include <stdexcept>
+
 #include "common/buffer_pool.hpp"
 
 namespace dear::net {
@@ -7,7 +9,9 @@ namespace dear::net {
 SimNetwork::SimNetwork(sim::Kernel& kernel, common::Rng rng) : kernel_(kernel), rng_(rng) {}
 
 void SimNetwork::bind(Endpoint endpoint, ReceiveHandler handler) {
-  receivers_[endpoint] = std::move(handler);
+  if (!receivers_.emplace(endpoint, std::move(handler)).second) {
+    throw std::logic_error("SimNetwork: endpoint " + endpoint.to_string() + " is already bound");
+  }
 }
 
 void SimNetwork::unbind(Endpoint endpoint) { receivers_.erase(endpoint); }

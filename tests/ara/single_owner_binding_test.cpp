@@ -8,10 +8,10 @@
 #include <vector>
 
 #include "ara/com/local_binding.hpp"
+#include "ara/com/someip_binding.hpp"
 #include "common/thread_pool.hpp"
 #include "net/sim_network.hpp"
 #include "sim/sim_executor.hpp"
-#include "someip/binding.hpp"
 
 namespace dear::ara {
 namespace {
@@ -26,12 +26,14 @@ TEST(SingleOwnerBinding, DesExecutorBindingsAreSingleOwner) {
   sim::ImmediateSimExecutor immediate(kernel);
   com::LocalHub hub;
 
-  const someip::Binding wire(network, jittered, {1, 100}, 0x01);
+  const com::SomeIpBinding wire(network, jittered, {1, 100}, 0x01);
   const com::LocalBinding local(hub, immediate, {1, 101}, 0x02);
-  EXPECT_TRUE(wire.single_owner());
-  EXPECT_TRUE(wire.send_bypass().single_owner());
-  EXPECT_TRUE(wire.receive_bypass().single_owner());
-  EXPECT_TRUE(local.single_owner());
+  const com::TransportBinding* const bindings[] = {&wire, &local};
+  for (const com::TransportBinding* binding : bindings) {
+    EXPECT_TRUE(binding->single_owner()) << binding->transport_name();
+    EXPECT_TRUE(binding->send_bypass().single_owner()) << binding->transport_name();
+    EXPECT_TRUE(binding->receive_bypass().single_owner()) << binding->transport_name();
+  }
 }
 
 TEST(SingleOwnerBinding, ThreadPoolBindingsStayLocked) {
@@ -40,15 +42,15 @@ TEST(SingleOwnerBinding, ThreadPoolBindingsStayLocked) {
   common::ThreadPoolExecutor pool(2);
   com::LocalHub hub;
 
-  const someip::Binding wire(network, pool, {1, 100}, 0x01);
-  EXPECT_FALSE(wire.single_owner());
-  EXPECT_FALSE(wire.send_bypass().single_owner());
-  EXPECT_FALSE(wire.receive_bypass().single_owner());
-
+  const com::SomeIpBinding wire(network, pool, {1, 100}, 0x01);
   com::LocalBinding server(hub, pool, {1, 101}, 0x02);
   com::LocalBinding client(hub, pool, {2, 201}, 0x03);
-  EXPECT_FALSE(server.single_owner());
-  EXPECT_FALSE(client.single_owner());
+  const com::TransportBinding* const bindings[] = {&wire, &server, &client};
+  for (const com::TransportBinding* binding : bindings) {
+    EXPECT_FALSE(binding->single_owner()) << binding->transport_name();
+    EXPECT_FALSE(binding->send_bypass().single_owner()) << binding->transport_name();
+    EXPECT_FALSE(binding->receive_bypass().single_owner()) << binding->transport_name();
+  }
 
   // Concurrent senders into one subscriber: every counter and handler
   // table access stays serialized, so nothing is lost or double-counted.

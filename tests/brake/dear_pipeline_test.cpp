@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "scenario/spec.hpp"
+
 namespace dear::brake {
 namespace {
 
@@ -153,6 +155,18 @@ TEST(DearPipeline, LocalTransportMatchesSomeIpObservableBehavior) {
   EXPECT_EQ(local.output_digest, someip.output_digest);
   EXPECT_EQ(local.tag_digest, someip.tag_digest);
   EXPECT_EQ(local.frames_processed_eba, someip.frames_processed_eba);
+}
+
+TEST(DearPipeline, AnchorDigestHoldsOnBothTransports) {
+  // Golden anchor of the DEAR pipeline (300 frames, platform seed 7,
+  // sensor seed 1007): one output digest, whichever transport carries it.
+  constexpr std::uint64_t kDearDigest300f7 = 0xe4eb73d5ff217bdeULL;
+  for (const auto transport : {scenario::Transport::kSomeIp, scenario::Transport::kLocal}) {
+    auto config = small_scenario(7, 1007, 300);
+    config.transport = transport;
+    EXPECT_EQ(run_dear_pipeline(config).output_digest, kDearDigest300f7)
+        << scenario::to_string(transport);
+  }
 }
 
 TEST(DearPipeline, ErrorsRemainDeterministicUnderSameSeeds) {

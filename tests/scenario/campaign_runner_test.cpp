@@ -215,6 +215,18 @@ TEST(CampaignRunner, FaultToleranceSweepDigestIsPinned) {
   }
 }
 
+TEST(CampaignRunner, FaultSweepDigestIsPinned) {
+  // Golden anchor of the 96-scenario fault sweep over all apps and both
+  // transports (120 frames, campaign seed 1); worker-count independent.
+  constexpr std::uint64_t kFaultSweepDigest120f1 = 0x6b2d9413c9b8a160ULL;
+  const auto campaign = presets::fault_sweep(120, 1);
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    const auto report = runner_with(workers).run(campaign);
+    EXPECT_TRUE(report.invariants_ok()) << report.to_table();
+    EXPECT_EQ(report.report_digest(), kFaultSweepDigest120f1) << workers << " worker(s)";
+  }
+}
+
 TEST(CampaignRunner, CrashScenariosShareDigestsAcrossTransportsAndSeeds) {
   // crash_at counts from sensor sample 0's nominal release; the
   // mid-frame boundary (the pipelines sample at 50 ms) keeps it clear of

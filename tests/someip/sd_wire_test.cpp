@@ -1,8 +1,8 @@
 #include "someip/sd_wire.hpp"
 
-#include "someip/binding.hpp"
-
 #include <gtest/gtest.h>
+
+#include "ara/com/someip_binding.hpp"
 
 namespace dear::someip {
 namespace {
@@ -119,7 +119,7 @@ TEST(SdWire, CanTravelInsideSomeipMessage) {
   SdMessage sd;
   sd.entries.push_back(make_offer_entry(0x1234, 1, endpoint(0x7F000001, 30490)));
   someip::Message carrier;
-  carrier.service = kControlService;
+  carrier.service = ara::com::SomeIpBinding::kControlService;
   carrier.method = 0x8100;  // SD method id
   carrier.type = MessageType::kNotification;
   carrier.payload = sd.encode();
