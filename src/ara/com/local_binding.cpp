@@ -121,6 +121,8 @@ void LocalBinding::drain_locked() {
   pumping_thread_.store(std::this_thread::get_id(), std::memory_order_release);
   while (auto frame = inbox_.pop()) {
     receive(frame->message, frame->from);
+    // The payload ends its trip here; hand it back for the next send.
+    common::BufferPool::instance().release(std::move(frame->message.payload));
   }
   pumping_thread_.store(std::thread::id{}, std::memory_order_release);
 }

@@ -19,8 +19,6 @@ SomeIpBinding::SomeIpBinding(net::Network& network, common::Executor& executor,
                         obs::Counter::kSomeipTaggedSent, obs::Counter::kSomeipTaggedReceived,
                         obs::Counter::kSomeipTimeouts}),
       network_(network) {
-  // Pre-size the dedup set: no rehash allocations on the receive path.
-  recent_request_keys_.reserve(kRecentRequestWindow + 1);
   network_.bind(self, [this](const net::Packet& packet) { on_packet(packet); });
 }
 
@@ -44,15 +42,17 @@ void SomeIpBinding::transmit(const net::Endpoint& destination, someip::Message m
     bytes_sent_ += wire_bytes;
   }
   // Encode into a recycled wire buffer; the network layer releases it back
-  // to the pool after delivery, closing the allocation-free send cycle.
+  // to the pool after delivery, closing the allocation-free send cycle. The
+  // payload is spent once framed, so it goes back to the pool here.
   std::vector<std::uint8_t> wire = common::BufferPool::instance().acquire(wire_bytes);
   message.encode_into(wire);
+  common::BufferPool::instance().release(std::move(message.payload));
   network_.send(endpoint(), destination, std::move(wire));
 }
 
 void SomeIpBinding::send_subscription(const net::Endpoint& server, someip::ServiceId service,
                                       someip::EventId event, bool subscribe) {
-  someip::Writer writer;
+  someip::Writer writer(common::BufferPool::instance().acquire());
   writer.write_u16(service);
   writer.write_u16(event);
   someip::Message message;
@@ -100,17 +100,16 @@ bool SomeIpBinding::admit_request(const someip::Message& request, const net::End
 bool SomeIpBinding::record_request(someip::ClientId client, someip::SessionId session) {
   const std::uint32_t key =
       (static_cast<std::uint32_t>(client) << 16) | static_cast<std::uint32_t>(session);
-  if (!recent_request_keys_.insert(key).second) {
+  bool seen = false;
+  for (const std::uint32_t recent : recent_request_ring_) {
+    seen |= recent == key;
+  }
+  if (seen) {
     ++duplicate_requests_;
     return false;
   }
   // Bound the window FIFO-style: duplicates arrive within one link latency
   // of the original, so a small horizon is ample.
-  if (recent_request_count_ == kRecentRequestWindow) {
-    recent_request_keys_.erase(recent_request_ring_[recent_request_head_]);
-  } else {
-    ++recent_request_count_;
-  }
   recent_request_ring_[recent_request_head_] = key;
   recent_request_head_ = (recent_request_head_ + 1) % kRecentRequestWindow;
   return true;

@@ -15,7 +15,6 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_set>
 
 #include "ara/com/transport_binding.hpp"
 #include "net/network.hpp"
@@ -61,13 +60,12 @@ class SomeIpBinding final : public TransportBinding {
   /// Method execution is not idempotent (each request gets its own
   /// response and its own server-side call state), so a duplicated
   /// request datagram must be dropped here — SOME/IP sessions exist
-  /// precisely to give requests at-most-once identity. O(1) per request:
-  /// this runs under mutex_ on the real-time receive path.
+  /// precisely to give requests at-most-once identity. A lookup is one
+  /// fixed-length scan of the ring (no allocation, vectorizable); the
+  /// zero-initialized slots never match, since sessioned keys are nonzero.
   static constexpr std::size_t kRecentRequestWindow = 128;
-  std::unordered_set<std::uint32_t> recent_request_keys_;
   std::array<std::uint32_t, kRecentRequestWindow> recent_request_ring_{};
   std::size_t recent_request_head_{0};
-  std::size_t recent_request_count_{0};
 
   /// Receive-path scratch message (guarded by receive_mutex_): payload
   /// capacity is recycled across packets.

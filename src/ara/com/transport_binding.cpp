@@ -46,6 +46,7 @@ bool TransportBinding::crash_drops(const someip::Message& message) const {
 void TransportBinding::send_message(const net::Endpoint& destination, someip::Message message) {
   message.tag = send_bypass_.collect();
   if (crash_drops(message)) {
+    common::BufferPool::instance().release(std::move(message.payload));
     return;
   }
   {
@@ -236,9 +237,12 @@ void TransportBinding::notify(someip::ServiceId service, someip::EventId event,
     if (last) {
       message.payload = std::move(payload);
     } else {
-      message.payload = payload;
+      message.payload = common::BufferPool::instance().acquire_copy(payload);
     }
   });
+  // No subscriber took the payload; recycle it (a moved-from vector is a
+  // no-op for the pool).
+  common::BufferPool::instance().release(std::move(payload));
 }
 
 void TransportBinding::notify_loaned(someip::ServiceId service, someip::EventId event,

@@ -34,6 +34,13 @@
 // A binding built on a DES executor (Executor::single_threaded) is owned
 // by the kernel thread and claims its mutexes and bypasses as
 // single-owner: no locking on send or receive.
+//
+// Payload vectors handed to call(), call_no_return(), respond() and
+// notify() are consumed, and each goes back to common::BufferPool where its
+// trip ends: after framing on SOME/IP, after the receive handler locally.
+// Payloads from someip::encode_payload() or BufferPool::acquire() therefore
+// recycle without touching the system allocator; a vector from anywhere
+// else joins the pool instead of being freed.
 #pragma once
 
 #include <cstdint>
@@ -117,7 +124,8 @@ class TransportBinding {
                someip::ReturnCode return_code = someip::ReturnCode::kOk);
 
   /// Sends a notification for (service, event) to all subscribers; the
-  /// last subscriber receives the payload itself, the others a copy.
+  /// last subscriber receives the payload itself, the others a pooled
+  /// copy.
   void notify(someip::ServiceId service, someip::EventId event,
               std::vector<std::uint8_t> payload);
 

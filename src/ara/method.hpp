@@ -19,6 +19,7 @@
 #include "ara/future.hpp"
 #include "ara/proxy.hpp"
 #include "ara/skeleton.hpp"
+#include "common/buffer_pool.hpp"
 #include "someip/serialization.hpp"
 
 namespace dear::ara {
@@ -155,6 +156,8 @@ class ProxyMethod {
   /// pending); `issue` captures only a weak_ptr so a call abandoned at
   /// teardown cannot keep itself alive through a reference cycle.
   struct CallState {
+    ~CallState() { common::BufferPool::instance().release(std::move(payload)); }
+
     std::uint32_t attempt{1};
     std::optional<someip::WireTag> armed;
     std::vector<std::uint8_t> payload;
@@ -181,7 +184,8 @@ class ProxyMethod {
         binding.attach_send_tag(tag);
       }
       binding.call(
-          proxy_.server(), proxy_.instance().service, method_, st->payload,
+          proxy_.server(), proxy_.instance().service, method_,
+          common::BufferPool::instance().acquire_copy(st->payload),
           [this, promise, st](const someip::Message& response) mutable {
             const ft::RetryBudget& budget = proxy_.retry_policy();
             if (response.type == someip::MessageType::kError ||

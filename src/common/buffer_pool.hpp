@@ -1,12 +1,19 @@
 // Recycled byte buffers for the wire paths, with per-thread caches.
 //
-// Every SOME/IP message used to allocate (at least) two fresh
-// std::vector<uint8_t>s: one in the Writer while encoding and one for the
-// decoded payload. BufferPool closes the loop: senders acquire() a buffer
-// with warm capacity, the network layers release() the packet payload back
-// once the receive handler returns, and a steady-state message stream
-// touches the system allocator zero times (asserted by the
-// allocation-count regression tests).
+// BufferPool closes the allocation loop of the ara::com message path. Every
+// buffer on it is acquire()d with warm capacity — the typed payload
+// (someip::encode_payload), a fan-out or duplicate copy (acquire_copy), the
+// SOME/IP wire frame — and release()d where its trip ends: the payload once
+// the SOME/IP binding has framed it or the local binding has delivered it,
+// the wire frame once the network's receive handler returns. A steady typed
+// message stream therefore touches the system allocator zero times, for an
+// event fan-out and for a method call plus its response on both transports
+// (asserted by the allocation-count regression tests).
+//
+// The loop balances only if every release()d buffer came from acquire(). A
+// plain vector released as if it were pooled adds one buffer to the shelf
+// per message, up to the byte budget, and shows up as process memory that
+// grows with run length (the pool-balance tests pin this).
 //
 // acquire/release first hit a small thread-local stash (no atomics): a
 // campaign worker's scenarios recycle wire buffers entirely within the
@@ -91,6 +98,14 @@ class BufferPool {
     if (buffer.capacity() < reserve_hint) {
       buffer.reserve(reserve_hint);
     }
+    return buffer;
+  }
+
+  /// A pooled copy of `bytes`: use it wherever a payload is duplicated, so
+  /// the copy is as safe to release() as the original.
+  [[nodiscard]] std::vector<std::uint8_t> acquire_copy(const std::vector<std::uint8_t>& bytes) {
+    std::vector<std::uint8_t> buffer = acquire(bytes.size());
+    buffer.assign(bytes.begin(), bytes.end());
     return buffer;
   }
 

@@ -8,6 +8,18 @@ namespace dear::net {
 
 SimNetwork::SimNetwork(sim::Kernel& kernel, common::Rng rng) : kernel_(kernel), rng_(rng) {}
 
+SimNetwork::~SimNetwork() {
+  for (Packet& packet : in_flight_) {
+    common::BufferPool::instance().release(std::move(packet.payload));
+  }
+  obs::count(obs::Counter::kNetPacketsSent, sent_);
+  obs::count(obs::Counter::kNetPacketsDelivered, delivered_);
+  obs::count(obs::Counter::kNetPacketsDropped, dropped_);
+  obs::count(obs::Counter::kNetPacketsReordered, reordered_);
+  obs::count(obs::Counter::kNetPacketsDuplicated, duplicated_);
+  obs::count(obs::Counter::kNetPacketsPartitionDropped, partition_dropped_);
+}
+
 void SimNetwork::bind(Endpoint endpoint, ReceiveHandler handler) {
   if (!receivers_.emplace(endpoint, std::move(handler)).second) {
     throw std::logic_error("SimNetwork: endpoint " + endpoint.to_string() + " is already bound");
@@ -52,29 +64,34 @@ void SimNetwork::schedule_delivery(const LinkParams& link, PairState& pair, Pack
     pair.last_scheduled_delivery = delivery;
   }
 
-  // The keeper returns the payload to the pool even when the delivery
-  // event dies unrun (kernel torn down mid-flight at scenario end).
-  common::PooledBuffer keeper(std::move(packet.payload));
-  kernel_.schedule_at(delivery,
-                      [this, packet = std::move(packet), keeper = std::move(keeper)]() mutable {
-    // A partition severs the cable: packets in flight when the link went
-    // down die at their delivery time instead of landing.
-    if (link_down(packet.source.node, packet.destination.node)) {
-      ++partition_dropped_;
-      return;  // keeper recycles the buffer
-    }
-    const auto it = receivers_.find(packet.destination);
-    if (it == receivers_.end()) {
-      ++dropped_;
-      return;  // keeper recycles the buffer
-    }
-    packet.payload = keeper.take();
+  std::size_t slot = in_flight_.size();
+  if (free_slots_.empty()) {
+    in_flight_.push_back(std::move(packet));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    in_flight_[slot] = std::move(packet);
+  }
+  kernel_.schedule_at(delivery, [this, slot] { deliver(slot); });
+}
+
+void SimNetwork::deliver(std::size_t slot) {
+  // Move out first: the receive handler may send, which can grow the table.
+  Packet packet = std::move(in_flight_[slot]);
+  free_slots_.push_back(slot);
+  // A partition severs the cable: packets in flight when the link went
+  // down die at their delivery time instead of landing.
+  if (link_down(packet.source.node, packet.destination.node)) {
+    ++partition_dropped_;
+  } else if (const auto it = receivers_.find(packet.destination); it == receivers_.end()) {
+    ++dropped_;
+  } else {
     packet.receive_time = kernel_.now();
     ++delivered_;
     it->second(packet);
-    // Recycle the wire buffer once the receive handler returns.
-    common::BufferPool::instance().release(std::move(packet.payload));
-  });
+  }
+  // Recycle the wire buffer once the receive handler returns.
+  common::BufferPool::instance().release(std::move(packet.payload));
 }
 
 void SimNetwork::send(Endpoint source, Endpoint destination, std::vector<std::uint8_t> payload) {
@@ -102,7 +119,13 @@ void SimNetwork::send(Endpoint source, Endpoint destination, std::vector<std::ui
   auto& pair = pair_state_[{source.node, destination.node}];
   if (duplicate) {
     ++duplicated_;
-    schedule_delivery(link, pair, packet);
+    // The copy is pooled like the original: both are released after
+    // delivery, and a plain copy would grow the pool by one buffer per
+    // duplicate.
+    schedule_delivery(link, pair,
+                      Packet{source, destination,
+                             common::BufferPool::instance().acquire_copy(packet.payload),
+                             packet.send_time});
   }
   schedule_delivery(link, pair, std::move(packet));
 }

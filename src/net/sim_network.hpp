@@ -14,6 +14,7 @@
 #include <set>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "net/network.hpp"
@@ -39,17 +40,12 @@ class SimNetwork final : public Network {
  public:
   SimNetwork(sim::Kernel& kernel, common::Rng rng);
 
-  /// Lifetime totals flush into the metrics registry at teardown; the
-  /// delivery hot path keeps its plain member counters. The duplicated
-  /// count doubles as the registry backing for `net.packets_duplicated`.
-  ~SimNetwork() override {
-    obs::count(obs::Counter::kNetPacketsSent, sent_);
-    obs::count(obs::Counter::kNetPacketsDelivered, delivered_);
-    obs::count(obs::Counter::kNetPacketsDropped, dropped_);
-    obs::count(obs::Counter::kNetPacketsReordered, reordered_);
-    obs::count(obs::Counter::kNetPacketsDuplicated, duplicated_);
-    obs::count(obs::Counter::kNetPacketsPartitionDropped, partition_dropped_);
-  }
+  /// Returns undelivered payloads to the pool (the kernel may be torn
+  /// down with deliveries still queued). Lifetime totals flush into the
+  /// metrics registry; the delivery hot path keeps its plain member
+  /// counters. The duplicated count doubles as the registry backing for
+  /// `net.packets_duplicated`.
+  ~SimNetwork() override;
 
   void bind(Endpoint endpoint, ReceiveHandler handler) override;
   void unbind(Endpoint endpoint) override;
@@ -97,6 +93,9 @@ class SimNetwork final : public Network {
   [[nodiscard]] const LinkParams& link_for(NodeId source, NodeId destination) const;
 
   void schedule_delivery(const LinkParams& link, PairState& pair, Packet packet);
+  /// Kernel event body: moves the packet out of `slot`, frees the slot and
+  /// hands the packet to its receiver.
+  void deliver(std::size_t slot);
 
   sim::Kernel& kernel_;
   common::Rng rng_;
@@ -107,6 +106,12 @@ class SimNetwork final : public Network {
   std::set<std::pair<NodeId, NodeId>> down_links_;
   std::unordered_map<Endpoint, ReceiveHandler, EndpointHash> receivers_;
   std::map<std::pair<NodeId, NodeId>, PairState> pair_state_;
+  /// Packets in flight, by slot. A delivery event captures only its slot,
+  /// which keeps the kernel's handler inside std::function's inline
+  /// storage; freed slots are reused, so a warm network allocates nothing
+  /// per packet. A delivered slot holds a moved-from (empty) packet.
+  std::vector<Packet> in_flight_;
+  std::vector<std::size_t> free_slots_;
   std::uint64_t sent_{0};
   std::uint64_t delivered_{0};
   std::uint64_t dropped_{0};

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "ara/com/local_binding.hpp"
 #include "ara/event.hpp"
 #include "ara/field.hpp"
 #include "ara/method.hpp"
@@ -73,6 +76,34 @@ class AraSimFixture : public ::testing::Test {
   MethodCallProcessingMode skeleton_mode_;
   std::unique_ptr<TestSkeleton> skeleton;
   std::unique_ptr<TestProxy> proxy;
+};
+
+/// A server process (runtimes[0] at kEndpoints[0]) and two client
+/// processes on one DES kernel, over SOME/IP on a SimNetwork or over a
+/// LocalHub.
+struct ThreeProcessWorld {
+  static constexpr net::Endpoint kEndpoints[3] = {{1, 100}, {2, 200}, {3, 300}};
+
+  explicit ThreeProcessWorld(com::BackendKind kind) {
+    for (std::size_t i = 0; i < 3; ++i) {
+      const auto client_id = static_cast<someip::ClientId>(i + 1);
+      if (kind == com::BackendKind::kSomeIp) {
+        runtimes[i] =
+            std::make_unique<Runtime>(network, discovery, executor, kEndpoints[i], client_id);
+      } else {
+        runtimes[i] = std::make_unique<Runtime>(
+            discovery, executor, com::BackendKind::kLocal,
+            std::make_unique<com::LocalBinding>(hub, executor, kEndpoints[i], client_id));
+      }
+    }
+  }
+
+  sim::Kernel kernel;
+  net::SimNetwork network{kernel, common::Rng(22)};
+  com::LocalHub hub;
+  someip::ServiceDiscovery discovery;
+  sim::ImmediateSimExecutor executor{kernel};
+  std::unique_ptr<Runtime> runtimes[3];
 };
 
 }  // namespace dear::ara::testing

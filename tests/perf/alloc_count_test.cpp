@@ -16,6 +16,14 @@
 // never per allocation. A campaign worker's scenarios and the threaded
 // scheduler's event stream must both show ZERO marginal shelf locks.
 //
+// The TypedPath tests extend the message guarantee from Message framing to
+// the typed ara::com path both pipelines run: a SkeletonEvent::Send fanned
+// out to two ProxyEvent subscribers, and a method call plus its response
+// with the typed payload codec, over SOME/IP on a SimNetwork and over a
+// LocalHub. Encode buffers, fan-out copies and wire buffers all recycle
+// through common::BufferPool, and a delivery event fits std::function's
+// inline storage.
+//
 // The allocation-count tests are single-threaded: the counter observes
 // only the workload between the snapshots.
 #include <gtest/gtest.h>
@@ -34,11 +42,13 @@
 #include "common/thread_pool.hpp"
 #include "obs/obs.hpp"
 #include "reactor/runtime.hpp"
+#include "../ara/ara_fixture.hpp"
 #include "../reactor/reactor_fixture.hpp"
 #include "scenario/presets.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/workloads.hpp"
 #include "someip/message.hpp"
+#include "someip/serialization.hpp"
 
 namespace {
 
@@ -408,6 +418,126 @@ TEST(AllocCount, BufferPoolRecyclesWireBuffers) {
     common::BufferPool::instance().release(std::move(buffer));
   }
   EXPECT_EQ(allocation_count() - before, 0u);
+}
+
+// --- typed ara::com message path ----------------------------------------------
+
+using ara::testing::TestProxy;
+using ara::testing::TestSkeleton;
+using ara::testing::ThreeProcessWorld;
+
+/// Allocations per SkeletonEvent::Send to two subscribed ProxyEvents, once
+/// warm. The subscribers use immediate receive handlers: the dispatcher
+/// post of a deferred handler is a separate cost, outside the message path.
+std::uint64_t typed_event_allocations(ara::com::BackendKind kind) {
+  ThreeProcessWorld world(kind);
+  TestSkeleton skeleton(*world.runtimes[0], ara::MethodCallProcessingMode::kEvent);
+  TestProxy first(*world.runtimes[1], ThreeProcessWorld::kEndpoints[0]);
+  TestProxy second(*world.runtimes[2], ThreeProcessWorld::kEndpoints[0]);
+  struct Totals {
+    std::uint64_t received{0};
+    std::uint64_t tick_sum{0};
+  } totals;
+  for (TestProxy* proxy : {&first, &second}) {
+    // One pointer capture: the handler stays in std::function's inline
+    // storage, as the transactors' handlers do.
+    proxy->tick.SetImmediateReceiveHandler([&totals](const std::uint64_t& tick) {
+      ++totals.received;
+      totals.tick_sum += tick;
+    });
+    proxy->tick.Subscribe();
+  }
+  world.kernel.run();  // subscriptions land
+
+  const auto send = [&](std::uint64_t tick) {
+    skeleton.tick.Send(tick);
+    world.kernel.run();
+  };
+  for (std::uint64_t i = 1; i <= 64; ++i) {
+    send(i);  // warm: pool buffers, kernel heap, slot table, inbox nodes
+  }
+  constexpr std::uint64_t kMessages = 500;
+  const std::uint64_t before = allocation_count();
+  for (std::uint64_t i = 65; i < 65 + kMessages; ++i) {
+    send(i);
+  }
+  const std::uint64_t allocations = allocation_count() - before;
+  EXPECT_EQ(totals.received, 2 * (64 + kMessages));
+  EXPECT_EQ(totals.tick_sum, 2 * ((64 + kMessages) * (65 + kMessages) / 2));
+  return allocations;
+}
+
+/// Allocations per method call plus its response, once warm, with the
+/// typed payload codec ara::ProxyMethod and ara::SkeletonMethod use on the
+/// binding's call/respond. (The typed method templates add their own
+/// Future state and request-copy closure on top; this measures the
+/// message path under them.)
+std::uint64_t typed_method_allocations(ara::com::BackendKind kind) {
+  using ara::testing::kAddMethod;
+  using ara::testing::kTestService;
+  ThreeProcessWorld world(kind);
+  ara::com::TransportBinding& server = world.runtimes[0]->binding();
+  ara::com::TransportBinding& client = world.runtimes[1]->binding();
+  server.provide_method(kTestService, kAddMethod,
+                        [&server](const someip::Message& request, const net::Endpoint& from) {
+                          std::int32_t a = 0;
+                          std::int32_t b = 0;
+                          ASSERT_TRUE(someip::decode_payload(request.payload, a, b));
+                          server.respond(request, from,
+                                         someip::encode_payload(static_cast<std::int32_t>(a + b)));
+                        });
+  struct Totals {
+    std::uint64_t responses{0};
+    std::int64_t sum{0};
+  } totals;
+  const auto call = [&](std::int32_t i) {
+    client.call(ThreeProcessWorld::kEndpoints[0], kTestService, kAddMethod,
+                someip::encode_payload(i, std::int32_t{1}),
+                [&totals](const someip::Message& response) {
+                  std::int32_t sum = 0;
+                  ASSERT_TRUE(someip::decode_payload(response.payload, sum));
+                  ++totals.responses;
+                  totals.sum += sum;
+                });
+    world.kernel.run();
+  };
+  for (std::int32_t i = 1; i <= 64; ++i) {
+    call(i);  // warm
+  }
+  constexpr std::int32_t kCalls = 500;
+  const std::uint64_t before = allocation_count();
+  for (std::int32_t i = 65; i < 65 + kCalls; ++i) {
+    call(i);
+  }
+  const std::uint64_t allocations = allocation_count() - before;
+  EXPECT_EQ(totals.responses, 64u + kCalls);
+  // Each call returns i + 1 for i = 1 .. 564.
+  EXPECT_EQ(totals.sum, (64 + kCalls) * (65 + kCalls) / 2 + (64 + kCalls));
+  return allocations;
+}
+
+TEST(AllocCount, TypedEventFanOutOverSomeIpIsAllocationFree) {
+  const std::uint64_t allocations = typed_event_allocations(ara::com::BackendKind::kSomeIp);
+  EXPECT_EQ(allocations, 0u) << "typed SOME/IP event fan-out allocated " << allocations
+                             << " times over 500 sends to two subscribers";
+}
+
+TEST(AllocCount, TypedEventFanOutOverLocalIsAllocationFree) {
+  const std::uint64_t allocations = typed_event_allocations(ara::com::BackendKind::kLocal);
+  EXPECT_EQ(allocations, 0u) << "typed local event fan-out allocated " << allocations
+                             << " times over 500 sends to two subscribers";
+}
+
+TEST(AllocCount, TypedMethodCallOverSomeIpIsAllocationFree) {
+  const std::uint64_t allocations = typed_method_allocations(ara::com::BackendKind::kSomeIp);
+  EXPECT_EQ(allocations, 0u) << "typed SOME/IP method call allocated " << allocations
+                             << " times over 500 calls";
+}
+
+TEST(AllocCount, TypedMethodCallOverLocalIsAllocationFree) {
+  const std::uint64_t allocations = typed_method_allocations(ara::com::BackendKind::kLocal);
+  EXPECT_EQ(allocations, 0u) << "typed local method call allocated " << allocations
+                             << " times over 500 calls";
 }
 
 }  // namespace
