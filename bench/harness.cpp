@@ -81,15 +81,6 @@ CaseResult& Harness::record(const std::string& name, const std::vector<double>& 
   return cases_.back();
 }
 
-const CaseResult* Harness::find(const std::string& name) const noexcept {
-  for (const CaseResult& result : cases_) {
-    if (result.name == name) {
-      return &result;
-    }
-  }
-  return nullptr;
-}
-
 void Harness::gate(const std::string& name, bool ok, const std::string& detail) {
   gates_.push_back(GateResult{name, ok, false, detail});
 }

@@ -1,8 +1,8 @@
-// Shared benchmark harness: every bench in this directory links it.
+// Benchmark harness behind bench_all's hot-path suites (bench/suites.hpp).
 //
 // What it standardizes:
-//   * fixed-seed runs — benches take seeds through flags with fixed
-//     defaults; the harness itself never injects wall-clock entropy;
+//   * fixed-seed runs — suites use fixed seeds; the harness itself never
+//     injects wall-clock entropy;
 //   * warmup/repeat control (--warmup, --repeats, --quick);
 //   * per-case p50/p99/mean latency and throughput extraction;
 //   * machine-readable output: --json <path> writes every case and gate
@@ -14,8 +14,8 @@
 //
 // Typical shape:
 //   bench::Harness h("bench_foo", "What it measures.");
-//   h.cli().add_int("events", 20000, "events per run");
 //   if (!h.parse(argc, argv)) return h.exit_code();
+//   const std::uint64_t ops = h.scale(20000, 2000);
 //   auto& c = h.measure("foo/fast", ops, [&] { ... });
 //   h.gate("foo_speedup", c.throughput_per_s >= 2.0 * base, "details");
 //   return h.finish();
@@ -61,9 +61,6 @@ class Harness {
  public:
   Harness(std::string name, std::string summary);
 
-  /// Register bench-specific options here before parse().
-  [[nodiscard]] common::Cli& cli() noexcept { return cli_; }
-
   /// Parses argv (adding --json/--warmup/--repeats/--quick). False means
   /// exit with exit_code() (--help or bad flag).
   [[nodiscard]] bool parse(int argc, const char* const* argv);
@@ -76,10 +73,9 @@ class Harness {
     return quick_ ? quick_value : full;
   }
 
-  [[nodiscard]] std::uint64_t warmup() const noexcept { return warmup_; }
   [[nodiscard]] std::uint64_t repeats() const noexcept { return repeats_; }
 
-  /// Runs fn() `warmup()` times untimed, then `repeats()` timed times.
+  /// Runs fn() --warmup times untimed, then `repeats()` timed times.
   /// Each timed call yields one latency sample of elapsed / ops_per_call.
   CaseResult& measure(const std::string& name, std::uint64_t ops_per_call,
                       const std::function<void()>& fn);
@@ -93,8 +89,6 @@ class Harness {
   static void counter(CaseResult& result, std::string name, double value) {
     result.counters.emplace_back(std::move(name), value);
   }
-
-  [[nodiscard]] const CaseResult* find(const std::string& name) const noexcept;
 
   /// Sanity gate; failing gates make finish() return 1.
   void gate(const std::string& name, bool ok, const std::string& detail);

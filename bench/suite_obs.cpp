@@ -14,7 +14,6 @@
 #include <cstdio>
 #include <functional>
 
-#include "brake/dear_pipeline.hpp"
 #include "obs/obs.hpp"
 #include "sim/kernel.hpp"
 #include "suites.hpp"
@@ -23,16 +22,6 @@
 namespace dear::bench {
 
 namespace {
-
-/// Fixed-seed DEAR brake pipeline over SOME/IP (the bench_all anchor
-/// workload at 300 frames).
-std::uint64_t run_dear_digest(std::uint64_t frames) {
-  brake::DearScenarioConfig config;
-  config.frames = frames;
-  config.platform_seed = 7;
-  config.sensor_seed = config.platform_seed + 1000;
-  return brake::run_dear_pipeline(config).output_digest;
-}
 
 /// Self-rescheduling DES chain: the kernel's event-queue pump is the
 /// whole loop, and the kernel destructor is where the gated lifetime
@@ -51,7 +40,7 @@ void run_kernel_chain(std::int64_t events) {
 
 }  // namespace
 
-void run_obs_suite(Harness& h, const ObsOverheadOptions& options) {
+void run_obs_suite(Harness& h) {
   // Quick runs share the host with a parallel ctest sweep; preemption
   // noise there dwarfs a 5% contract, so the smoke gate only catches
   // gross regressions. The dedicated Release bench job enforces 5%.
@@ -86,44 +75,7 @@ void run_obs_suite(Harness& h, const ObsOverheadOptions& options) {
   measure_overhead("obs/event_queue", static_cast<std::uint64_t>(kernel_events),
                    [&] { run_kernel_chain(kernel_events); });
 
-  const std::uint64_t frames = options.pipeline_frames;
-  std::uint64_t digest_off = 0;
-  std::uint64_t digest_on = 0;
-  obs::Registry::instance().set_metrics_enabled(false);
-  obs::Registry::instance().set_span_mask(0);
-  const CaseResult& pipe_off =
-      h.measure("obs/dear_pipeline/off", frames, [&] { digest_off = run_dear_digest(frames); });
-  obs::Registry::instance().reset();
-  obs::Registry::instance().set_metrics_enabled(true);
-  obs::Registry::instance().set_span_mask(obs::kDefaultSpanMask);
-  CaseResult& pipe_on =
-      h.measure("obs/dear_pipeline/on", frames, [&] { digest_on = run_dear_digest(frames); });
-  obs::Registry::instance().set_metrics_enabled(false);
-  obs::Registry::instance().set_span_mask(0);
-  const CaseResult& pipe_off2 = h.measure("obs/dear_pipeline/off_again", frames,
-                                          [&] { digest_off = run_dear_digest(frames); });
-
-  const double pipe_baseline = std::max(pipe_off.p50_ns, pipe_off2.p50_ns);
-  const double pipe_overhead =
-      pipe_baseline > 0.0 ? (pipe_on.p50_ns / pipe_baseline - 1.0) * 100.0 : 0.0;
-  Harness::counter(pipe_on, "overhead_percent", pipe_overhead);
-  char detail[192];
-  std::snprintf(detail, sizeof(detail),
-                "enabled p50 %.1fns/frame vs disabled %.1fns/frame: %+.1f%% (gate %.0f%%)",
-                pipe_on.p50_ns, pipe_baseline, pipe_overhead, (factor - 1.0) * 100.0);
-  h.gate("obs/dear_pipeline_overhead_5pct",
-         pipe_on.p50_ns <= pipe_baseline * factor + kEpsilonNs, detail);
-
-  std::snprintf(detail, sizeof(detail), "digest %016llx with obs on, %016llx with obs off",
-                static_cast<unsigned long long>(digest_on),
-                static_cast<unsigned long long>(digest_off));
-  h.gate("obs_digest_invariant", digest_on == digest_off, detail);
-  if (options.golden_digest != 0) {
-    std::snprintf(detail, sizeof(detail), "digest %016llx with obs on, golden %016llx",
-                  static_cast<unsigned long long>(digest_on),
-                  static_cast<unsigned long long>(options.golden_digest));
-    h.gate("obs_digest_anchor", digest_on == options.golden_digest, detail);
-  }
+  measure_overhead("obs/dear_pipeline", kDearAnchorFrames, [] { run_dear_anchor(); });
 
   // Leave the process in the at-rest state for whatever runs next.
   obs::Registry::instance().set_metrics_enabled(false);

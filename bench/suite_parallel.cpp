@@ -7,12 +7,13 @@
 //   * the fault-sweep campaign batch runner — independent DES scenarios
 //     claimed in batches off the runner cursor.
 //
-// Digest gates are unconditional: the threaded trace/tag digests and the
-// campaign report digest must be bit-identical at every worker count.
 // Speedup/overhead floors need real parallel hardware, so they enforce
 // only when the host has >= 2 cores (a 1-core container cannot exhibit
 // parallel speedup; the gate is then recorded as skipped — machine-readable
-// in the report's per-gate "skipped" field).
+// in the report's per-gate "skipped" field). That the trace and report
+// digests do not move with the worker count is pinned by ctest
+// (ParallelConformanceTest.FanoutTraceBitIdenticalToSerial,
+// CampaignRunner.FaultSweepDigestIsPinned).
 #include <cstdint>
 #include <cstdio>
 #include <thread>
@@ -28,16 +29,17 @@ namespace {
 
 constexpr std::size_t kFanoutWidth = 8;
 constexpr unsigned kWorkerCounts[] = {1, 2, 4};
+/// Frames per fault-sweep scenario (the preset is a fixed 96-scenario grid).
+constexpr std::uint64_t kCampaignFrames = 120;
 
 }  // namespace
 
-void run_parallel_scaling_suite(Harness& h, const ParallelScalingOptions& options) {
+void run_parallel_scaling_suite(Harness& h) {
   const std::size_t cores = std::thread::hardware_concurrency();
   char detail[192];
 
   // --- threaded scheduler: per-event cost over worker counts -----------------
-  const auto events = static_cast<std::int64_t>(h.scale(options.threaded_events,
-                                                        options.threaded_events / 10 + 1));
+  const auto events = static_cast<std::int64_t>(h.scale(2'000, 201));
   double per_event_1w = 0.0;
   double overhead_2w = 0.0;
   for (const unsigned workers : kWorkerCounts) {
@@ -68,89 +70,37 @@ void run_parallel_scaling_suite(Harness& h, const ParallelScalingOptions& option
     h.gate("threaded_overhead_3x", overhead_2w <= overhead_ceiling, detail);
   }
 
-  // --- threaded scheduler: digest conformance over worker counts -------------
-  // Separate traced runs (tracing is not part of the measured cost): the
-  // raw trace and tag digests must be bit-identical at every worker count
-  // — the deterministic (level, batch-index) merge at work.
-  const std::int64_t digest_events = std::min<std::int64_t>(events, 500);
-  ThreadedFanoutResult reference{};
-  bool digests_identical = true;
-  for (const unsigned workers : kWorkerCounts) {
-    const ThreadedFanoutResult run =
-        run_fanout_threaded(workers, kFanoutWidth, digest_events, /*tracing=*/true);
-    if (workers == 1) {
-      reference = run;
-    } else if (run.trace_digest != reference.trace_digest ||
-               run.tag_digest != reference.tag_digest || run.sum != reference.sum) {
-      digests_identical = false;
-    }
-  }
-  std::snprintf(detail, sizeof(detail),
-                "trace %016llx / tags %016llx at 1 worker, identical at 2 and 4",
-                static_cast<unsigned long long>(reference.trace_digest),
-                static_cast<unsigned long long>(reference.tag_digest));
-  h.gate("threaded_digest_workers", digests_identical, detail);
-
   // --- campaign batch runner: throughput over worker counts ------------------
-  const auto campaign =
-      dear::scenario::presets::fault_sweep(options.campaign_frames, options.campaign_seed);
+  const auto campaign = scenario::presets::fault_sweep(kCampaignFrames, 1);
   const auto scenario_count = static_cast<std::uint64_t>(campaign.expand().size());
   double serial_throughput = 0.0;
   double speedup_2w = 0.0;
-  std::uint64_t serial_digest = 0;
-  std::size_t serial_violations = 0;
-  bool campaign_digests_identical = true;
   for (const unsigned workers : kWorkerCounts) {
     char name[64];
     if (workers == 1) {
-      std::snprintf(name, sizeof(name), "fault_sweep/%zux%lluf/serial",
-                    static_cast<std::size_t>(scenario_count),
-                    static_cast<unsigned long long>(options.campaign_frames));
+      std::snprintf(name, sizeof(name), "fault_sweep/%llux%lluf/serial",
+                    static_cast<unsigned long long>(scenario_count),
+                    static_cast<unsigned long long>(kCampaignFrames));
     } else {
-      std::snprintf(name, sizeof(name), "fault_sweep/%zux%lluf/%uworkers",
-                    static_cast<std::size_t>(scenario_count),
-                    static_cast<unsigned long long>(options.campaign_frames), workers);
+      std::snprintf(name, sizeof(name), "fault_sweep/%llux%lluf/%uworkers",
+                    static_cast<unsigned long long>(scenario_count),
+                    static_cast<unsigned long long>(kCampaignFrames), workers);
     }
-    std::uint64_t digest = 0;
-    std::size_t violations = 0;
     CaseResult& result = h.measure(name, scenario_count, [&] {
-      dear::scenario::RunnerOptions runner_options;
+      scenario::RunnerOptions runner_options;
       runner_options.workers = workers;
-      const auto report = dear::scenario::CampaignRunner(runner_options).run(campaign);
-      digest = report.report_digest();
-      violations = report.violations.size();
+      (void)scenario::CampaignRunner(runner_options).run(campaign);
     });
     if (workers == 1) {
       serial_throughput = result.throughput_per_s;
-      serial_digest = digest;
-      serial_violations = violations;
-    } else {
-      if (serial_throughput > 0.0) {
-        const double speedup = result.throughput_per_s / serial_throughput;
-        Harness::counter(result, "speedup_vs_serial", speedup);
-        if (workers == 2) {
-          speedup_2w = speedup;
-        }
-      }
-      if (digest != serial_digest || violations != serial_violations) {
-        campaign_digests_identical = false;
+    } else if (serial_throughput > 0.0) {
+      const double speedup = result.throughput_per_s / serial_throughput;
+      Harness::counter(result, "speedup_vs_serial", speedup);
+      if (workers == 2) {
+        speedup_2w = speedup;
       }
     }
   }
-
-  if (options.golden_campaign_digest != 0) {
-    std::snprintf(detail, sizeof(detail), "digest %016llx, expected %016llx, %zu violation(s)",
-                  static_cast<unsigned long long>(serial_digest),
-                  static_cast<unsigned long long>(options.golden_campaign_digest),
-                  serial_violations);
-    h.gate("fault_sweep_digest",
-           serial_digest == options.golden_campaign_digest && serial_violations == 0, detail);
-  }
-  std::snprintf(detail, sizeof(detail),
-                "report digest %016llx identical at 1/2/4 workers: %s",
-                static_cast<unsigned long long>(serial_digest),
-                campaign_digests_identical ? "yes" : "NO");
-  h.gate("fault_sweep_digest_workers", campaign_digests_identical, detail);
 
   const double speedup_floor = h.quick() ? 1.2 : 1.6;
   if (cores < 2) {

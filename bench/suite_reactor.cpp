@@ -3,13 +3,12 @@
 // The headline pair is event_queue/map vs event_queue/pooled: the exact
 // std::map<Tag, std::vector<BaseAction*>> structure the scheduler used
 // before the pooled EventQueue, driven with an identical seeded
-// insert/pop workload. Both queues must produce the same pop sequence
-// (checksum gate) and the pooled queue must clear the 2x throughput floor
-// the overhaul targets. Threaded worker-pool scaling lives in
-// suite_parallel.cpp.
+// insert/pop workload; the pooled queue must clear the 2x throughput floor
+// the overhaul targets. That both pop the same sequence is pinned by
+// EventQueue.InterleavedScheduleAtMatchesMapQueue. Threaded worker-pool
+// scaling lives in suite_parallel.cpp.
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <map>
 #include <vector>
 
@@ -86,8 +85,8 @@ QueuePlan make_queue_plan(std::uint64_t steps, std::uint64_t fan_in, std::uint64
 
 /// Steady-state scheduler traffic: a window of pending tags; every step
 /// pops the earliest bucket and re-schedules each of its actions at the
-/// planned future tag. Returns a checksum over the pop sequence (feeds
-/// the equivalence gate and defeats dead-code elimination).
+/// planned future tag. Returns a checksum over the pop sequence, which
+/// defeats dead-code elimination.
 template <typename Queue>
 std::uint64_t queue_workload(Queue& queue, std::uint64_t steps, const QueuePlan& plan) {
   constexpr std::uint64_t kWindow = 32;  // pending tags of a busy pipeline
@@ -147,8 +146,6 @@ void run_reactor_suite(Harness& h) {
   const double speedup = pooled_case.throughput_per_s /
                          (map_case.throughput_per_s > 0.0 ? map_case.throughput_per_s : 1.0);
   Harness::counter(pooled_case, "speedup_vs_map", speedup);
-  h.gate("event_queue_pop_order_identical", map_checksum == pooled_checksum,
-         "pooled queue must pop the exact sequence the std::map queue popped");
   // Quick (smoke) runs share the host with the rest of a parallel ctest
   // sweep, where preemption bursts can land on either side of the ratio;
   // the dedicated Release bench job and the committed BENCH_hotpath.json
@@ -174,19 +171,6 @@ void run_reactor_suite(Harness& h) {
     Source source(env, loop_events);
     SimDriver driver(env, kernel, common::Rng(1));
     driver.start();
-    kernel.run();
-  });
-
-  const std::int64_t kernel_events = static_cast<std::int64_t>(h.scale(100'000, 10'000));
-  h.measure("des_kernel_raw", static_cast<std::uint64_t>(kernel_events), [&] {
-    sim::Kernel kernel;
-    std::int64_t count = 0;
-    std::function<void()> chain = [&] {
-      if (++count < kernel_events) {
-        kernel.schedule_after(1, chain);
-      }
-    };
-    kernel.schedule_at(0, chain);
     kernel.run();
   });
 }

@@ -1,18 +1,16 @@
-// Hot-path benchmark suites, shared between the per-area bench binaries
-// and the bench_all driver (which aggregates every suite into one
-// BENCH_hotpath.json). Each function runs its cases on the given harness
-// and registers its sanity gates.
+// Hot-path benchmark suites, run together by bench_all (which aggregates
+// every suite into one BENCH_hotpath.json). Each function runs its cases
+// on the given harness and registers its ratio and delivery gates.
+// Correctness properties (digest anchors, worker-count invariance,
+// zero-copy audits) are pinned by ctest, not here.
 #pragma once
-
-#include <cstdint>
 
 #include "harness.hpp"
 
 namespace dear::bench {
 
 /// Reactor scheduler hot paths: map-vs-pooled event queue (with the >= 2x
-/// throughput gate), end-to-end pipeline/fan-out/action-scheduling runs,
-/// and the raw DES kernel baseline.
+/// throughput gate) and end-to-end pipeline/fan-out/action-scheduling runs.
 void run_reactor_suite(Harness& harness);
 
 /// SOME/IP hot paths: encode/decode fresh-vs-pooled (with the pooled p50
@@ -20,79 +18,30 @@ void run_reactor_suite(Harness& harness);
 /// heaviest payload round trip.
 void run_someip_suite(Harness& harness);
 
-struct ParallelScalingOptions {
-  /// Events per threaded-scheduler fan-out run.
-  std::uint64_t threaded_events{2'000};
-  /// Frames per fault-sweep scenario (the preset is a fixed 96-scenario
-  /// grid; case names carry "96x<frames>f").
-  std::uint64_t campaign_frames{120};
-  std::uint64_t campaign_seed{1};
-  /// Golden anchor for the serial campaign report digest; 0 skips the
-  /// anchor gate (standalone runs with non-default frames).
-  std::uint64_t golden_campaign_digest{0};
-};
-
-/// Worker-count scaling: threaded scheduler (per-event overhead ceiling +
-/// trace/tag digest equality at 1/2/4 workers) and the fault-sweep
-/// campaign (>= 1.6x at 2 workers when the host has >= 2 cores, report
-/// digest equality always).
-void run_parallel_scaling_suite(Harness& harness, const ParallelScalingOptions& options);
-
-struct ObsOverheadOptions {
-  /// Frames for the DEAR pipeline overhead pair (the 300-frame anchor
-  /// workload; smaller standalone values skip the golden gate).
-  std::uint64_t pipeline_frames{300};
-  /// Golden output digest the obs-enabled pipeline run must reproduce;
-  /// 0 skips the anchor gate.
-  std::uint64_t golden_digest{0};
-};
+/// Worker-count scaling over 1/2/4 workers: the threaded scheduler
+/// (per-event overhead ceiling at 2 workers) and the 96-scenario fault
+/// sweep (>= 1.6x serial at 2 workers). Both gates need >= 2 cores and
+/// are recorded as skipped otherwise.
+void run_parallel_scaling_suite(Harness& harness);
 
 /// Observability overhead: disabled -> enabled -> disabled triples on the
 /// DES event-queue pump and the DEAR pipeline, gating the enabled p50
-/// within 5% of the slower disabled run, plus the digest-invariance gates
-/// (obs on == obs off == golden anchor).
-void run_obs_suite(Harness& harness, const ObsOverheadOptions& options);
+/// within 5% of the slower disabled run.
+void run_obs_suite(Harness& harness);
 
-struct FtSuiteOptions {
-  /// Frames for the DEAR pipeline idle-overhead triple (the 300-frame
-  /// anchor workload; smaller standalone values skip the golden gate).
-  std::uint64_t pipeline_frames{300};
-  /// Golden output digest the idle-probe run must reproduce; 0 skips the
-  /// anchor gate.
-  std::uint64_t golden_digest{0};
-  /// Frames and seed for the fault-tolerance campaign sweep (48 scenarios
-  /// full, 16 under --quick).
-  std::uint64_t sweep_frames{120};
-  std::uint64_t sweep_seed{1};
-};
-
-/// Fault-tolerance gates: FT-free vs inert-fault-plan triples on the DEAR
-/// pipeline (idle injection hooks within 5%, digests unchanged vs the
-/// golden anchor) plus the fault-tolerance campaign with faults live —
-/// zero determinism violations and report-digest equality at 1/2/4
-/// workers.
-void run_ft_suite(Harness& harness, const FtSuiteOptions& options);
-
-struct DataplaneOptions {
-  /// Frames per measured batch at the 64 KiB payload class. Larger
-  /// classes scale the per-batch frame count down so every row moves a
-  /// comparable byte volume (GB/s stays the comparable unit).
-  std::uint64_t frames{256};
-  /// Frames for the dedicated steady-state counter audit (zero-copy and
-  /// zero-slab-allocation gates on the local loaned path).
-  std::uint64_t steady_frames{128};
-  /// Golden DEAR pipeline output digest the 300-frame anchor workload
-  /// must reproduce with the camera payload plane live; 0 skips the
-  /// anchor gates (standalone runs with non-default frames).
-  std::uint64_t golden_digest{0};
-};
+/// Fault-tolerance idle overhead: FT-free vs inert-fault-plan triple on
+/// the DEAR pipeline, gating the idle injection hooks within 5%.
+void run_ft_suite(Harness& harness);
 
 /// Sensor data plane: loaned-slab vs encode event streaming at
 /// 64 KiB/256 KiB/1 MiB/4 MiB over both transport backends (GB/s +
 /// per-frame p50/p99), the >= 10x local loaned-vs-encode throughput gate
-/// at 1 MiB, steady-state counter audits (zero payload copies, zero slab
-/// allocations on the local loaned path), and the DEAR digest anchors
-/// re-run with a live camera payload plane.
-void run_dataplane_suite(Harness& harness, const DataplaneOptions& options);
+/// at 1 MiB, and a delivery gate per backend.
+void run_dataplane_suite(Harness& harness);
+
+/// Transport backends over real threads: SOME/IP loopback vs the
+/// zero-copy LocalBinding, echo round-trip latency and notify throughput,
+/// with the local-wins-on-p50 gate at representative sample counts.
+void run_binding_suite(Harness& harness);
 
 }  // namespace dear::bench

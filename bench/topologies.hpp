@@ -1,18 +1,21 @@
-// Reactor topologies shared by the benchmark suites.
+// Workloads shared by the benchmark suites.
 //
 // Source -> relays -> sink(s), driven by a logical-action loop — the same
 // topology family as the original microbenchmarks. suite_reactor uses the
 // DES-driven pipeline/fanout runs; suite_parallel drives the fanout under
 // the threaded scheduler at several worker counts (wide same-level batches
-// are what exercise the level claim cursor and completion barrier).
+// are what exercise the level claim cursor and completion barrier). The
+// obs and FT suites share the DEAR anchor pipeline run.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "common/digest.hpp"
+#include "brake/dear_pipeline.hpp"
 #include "reactor/runtime.hpp"
 #include "sim/kernel.hpp"
 
@@ -106,23 +109,14 @@ inline std::int64_t run_fanout(std::size_t sinks, std::int64_t events) {
   return sink_list.front()->sum;
 }
 
-struct ThreadedFanoutResult {
-  std::int64_t sum{0};
-  /// Digest over the raw execution trace, tags relative to the start tag
-  /// (empty runs without tracing leave it 0).
-  std::uint64_t trace_digest{0};
-  /// Digest over the processed (relative) tag sequence of the trace.
-  std::uint64_t tag_digest{0};
-};
-
 /// Threaded-scheduler fan-out with a worker pool: every event stages one
 /// `sinks`-wide level, so the per-level coordination cost dominates.
-inline ThreadedFanoutResult run_fanout_threaded(unsigned workers, std::size_t sinks,
-                                                std::int64_t events, bool tracing = false) {
+/// Returns the first sink's checksum.
+inline std::int64_t run_fanout_threaded(unsigned workers, std::size_t sinks,
+                                        std::int64_t events) {
   reactor::RealClock clock;
   reactor::Environment::Config config;
   config.workers = workers;
-  config.tracing = tracing;
   reactor::Environment env(clock, config);
   Source source(env, events);
   std::vector<std::unique_ptr<Sink>> sink_list;
@@ -131,28 +125,24 @@ inline ThreadedFanoutResult run_fanout_threaded(unsigned workers, std::size_t si
     env.connect(source.out, sink_list.back()->in);
   }
   env.run();
-  ThreadedFanoutResult result;
-  result.sum = sink_list.front()->sum;
-  if (tracing) {
-    const TimePoint start = env.start_time();
-    reactor::Tag previous = reactor::Tag::maximum();
-    for (const reactor::TraceRecord& record : env.trace().records()) {
-      common::mix_digest(result.trace_digest,
-                         static_cast<std::uint64_t>(record.tag.time - start));
-      common::mix_digest(result.trace_digest, record.tag.microstep);
-      for (const char c : record.reaction) {
-        common::mix_digest(result.trace_digest, static_cast<std::uint64_t>(c));
-      }
-      common::mix_digest(result.trace_digest, record.deadline_violated ? 1 : 0);
-      if (!(record.tag == previous)) {
-        previous = record.tag;
-        common::mix_digest(result.tag_digest,
-                           static_cast<std::uint64_t>(record.tag.time - start));
-        common::mix_digest(result.tag_digest, record.tag.microstep);
-      }
-    }
-  }
-  return result;
+  return sink_list.front()->sum;
+}
+
+/// Frames of the DEAR anchor workload below.
+inline constexpr std::uint64_t kDearAnchorFrames = 300;
+
+/// The DEAR brake pipeline over SOME/IP at 300 frames, platform seed 7 —
+/// the workload whose output digest ctest pins
+/// (DearPipeline.AnchorDigestHoldsOnBothTransports). The obs and FT
+/// overhead triples time it; `preflight` runs on the built app before it
+/// starts.
+inline void run_dear_anchor(std::function<void(AppBuilder&)> preflight = {}) {
+  brake::DearScenarioConfig config;
+  config.frames = kDearAnchorFrames;
+  config.platform_seed = 7;
+  config.sensor_seed = config.platform_seed + 1000;
+  config.preflight = std::move(preflight);
+  (void)brake::run_dear_pipeline(config);
 }
 
 }  // namespace dear::bench

@@ -17,7 +17,7 @@
 // get() resolves at compile time (meta::index_of is consteval) and returns
 // the exact typed part — the generated classes add zero overhead over the
 // handwritten subclassing style, which remains supported for legacy code
-// (see bench_binding_backends for the measurement).
+// (tests/ara/descriptor_test.cpp checks wire equivalence between the two).
 #pragma once
 
 #include <optional>

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "dear/app_builder.hpp"
+#include "ft/fault_model.hpp"
+#include "obs/obs.hpp"
 #include "scenario/spec.hpp"
 
 namespace dear::brake {
@@ -159,13 +162,61 @@ TEST(DearPipeline, LocalTransportMatchesSomeIpObservableBehavior) {
 
 TEST(DearPipeline, AnchorDigestHoldsOnBothTransports) {
   // Golden anchor of the DEAR pipeline (300 frames, platform seed 7,
-  // sensor seed 1007): one output digest, whichever transport carries it.
+  // sensor seed 1007): one output digest, whichever transport carries it,
+  // and whatever runs beside the tagged control plane — metrics and spans,
+  // an inert fault plan on every node, or 1 MiB camera bursts on the
+  // payload plane.
   constexpr std::uint64_t kDearDigest300f7 = 0xe4eb73d5ff217bdeULL;
   for (const auto transport : {scenario::Transport::kSomeIp, scenario::Transport::kLocal}) {
+    const std::string_view name = scenario::to_string(transport);
     auto config = small_scenario(7, 1007, 300);
     config.transport = transport;
-    EXPECT_EQ(run_dear_pipeline(config).output_digest, kDearDigest300f7)
-        << scenario::to_string(transport);
+    EXPECT_EQ(run_dear_pipeline(config).output_digest, kDearDigest300f7) << name;
+
+    {
+      auto& registry = obs::Registry::instance();
+      const bool metrics_were_enabled = obs::Registry::metrics_enabled();
+      const std::uint32_t span_mask = obs::Registry::span_mask();
+      const std::uint64_t events_before = registry.counter_total(obs::Counter::kSimEventsProcessed);
+      registry.set_metrics_enabled(true);
+      registry.set_span_mask(obs::kDefaultSpanMask);
+      const std::uint64_t digest = run_dear_pipeline(config).output_digest;
+      const std::uint64_t events_recorded =
+          registry.counter_total(obs::Counter::kSimEventsProcessed) - events_before;
+      registry.set_metrics_enabled(metrics_were_enabled);
+      registry.set_span_mask(span_mask);
+      registry.reset();
+      EXPECT_EQ(digest, kDearDigest300f7) << name << " with metrics and spans live";
+      EXPECT_GT(events_recorded, 0u) << name << ": the registry recorded nothing";
+    }
+
+    {
+      // The real victim (computer vision), an empty crash window and zero
+      // call-fault probabilities: every send and receive takes the
+      // plan-installed branch and injects nothing.
+      ft::FaultPlan idle_plan;
+      auto idle_config = config;
+      idle_config.preflight = [&idle_plan](AppBuilder& app) {
+        for (const auto& node : app.nodes()) {
+          if (node->name() == "cv") {
+            idle_plan.victim = node->runtime().endpoint();
+          }
+          node->runtime().set_fault_plan(&idle_plan);
+        }
+      };
+      EXPECT_EQ(run_dear_pipeline(idle_config).output_digest, kDearDigest300f7)
+          << name << " with an inert fault plan";
+      EXPECT_NE(idle_plan.victim, net::Endpoint{}) << name << ": preflight found no cv node";
+    }
+
+    {
+      auto payload_config = config;
+      payload_config.camera_payload_bytes = 1024u * 1024u;
+      const auto result = run_dear_pipeline(payload_config);
+      EXPECT_EQ(result.output_digest, kDearDigest300f7) << name << " with 1 MiB camera bursts";
+      EXPECT_EQ(result.camera_payload_frames, 300u) << name;
+      EXPECT_EQ(result.camera_payload_drops, 0u) << name;
+    }
   }
 }
 

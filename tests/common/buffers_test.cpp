@@ -1,63 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <string>
+#include <stdexcept>
 
-#include "common/one_slot_buffer.hpp"
 #include "common/ring_buffer.hpp"
 
 namespace dear::common {
 namespace {
-
-// --- OneSlotBuffer -----------------------------------------------------------
-
-TEST(OneSlotBuffer, TakeFromEmptyIsNullopt) {
-  OneSlotBuffer<int> buffer;
-  EXPECT_FALSE(buffer.take().has_value());
-  EXPECT_EQ(buffer.empty_takes(), 1u);
-}
-
-TEST(OneSlotBuffer, StoreThenTake) {
-  OneSlotBuffer<int> buffer;
-  EXPECT_FALSE(buffer.store(42));
-  const auto value = buffer.take();
-  ASSERT_TRUE(value.has_value());
-  EXPECT_EQ(*value, 42);
-  EXPECT_FALSE(buffer.take().has_value());
-}
-
-TEST(OneSlotBuffer, OverwriteIsReportedAndCounted) {
-  OneSlotBuffer<std::string> buffer;
-  EXPECT_FALSE(buffer.store("first"));
-  EXPECT_TRUE(buffer.store("second"));  // the dropped-input case of §IV.A
-  EXPECT_EQ(buffer.overwrites(), 1u);
-  const auto value = buffer.take();
-  ASSERT_TRUE(value.has_value());
-  EXPECT_EQ(*value, "second");  // latest wins
-}
-
-TEST(OneSlotBuffer, CountersTrackTraffic) {
-  OneSlotBuffer<int> buffer;
-  (void)buffer.store(1);
-  (void)buffer.take();
-  (void)buffer.store(2);
-  (void)buffer.store(3);
-  (void)buffer.take();
-  (void)buffer.take();
-  EXPECT_EQ(buffer.stores(), 3u);
-  EXPECT_EQ(buffer.takes(), 2u);
-  EXPECT_EQ(buffer.empty_takes(), 1u);
-  EXPECT_EQ(buffer.overwrites(), 1u);
-}
-
-TEST(OneSlotBuffer, PeekDoesNotConsume) {
-  OneSlotBuffer<int> buffer;
-  (void)buffer.store(5);
-  EXPECT_EQ(buffer.peek().value(), 5);
-  EXPECT_EQ(buffer.take().value(), 5);
-  EXPECT_FALSE(buffer.peek().has_value());
-}
-
-// --- RingBuffer ------------------------------------------------------------------
 
 TEST(RingBuffer, RejectsZeroCapacity) {
   EXPECT_THROW(RingBuffer<int>(0), std::invalid_argument);

@@ -385,6 +385,10 @@ TEST(AllocCount, LoanedFrameRoundTripLocalIsAllocationAndCopyFree) {
         obs::Registry::instance().counter_total(obs::Counter::kDataplanePayloadCopies);
     const std::uint64_t slab_allocs_before =
         obs::Registry::instance().counter_total(obs::Counter::kPoolSlabAllocs);
+    const std::uint64_t slab_loans_before =
+        obs::Registry::instance().counter_total(obs::Counter::kPoolSlabLoans);
+    const std::uint64_t shelf_hits_before =
+        obs::Registry::instance().counter_total(obs::Counter::kPoolSlabShelfHits);
     const std::uint64_t before = allocation_count();
     for (std::uint64_t i = 0; i < 100; ++i) {
       send_frame(16 + i);
@@ -398,6 +402,13 @@ TEST(AllocCount, LoanedFrameRoundTripLocalIsAllocationAndCopyFree) {
     EXPECT_EQ(obs::Registry::instance().counter_total(obs::Counter::kPoolSlabAllocs) -
                   slab_allocs_before,
               0u);
+    // Every one of the 100 loans is served from the shelf.
+    EXPECT_EQ(obs::Registry::instance().counter_total(obs::Counter::kPoolSlabLoans) -
+                  slab_loans_before,
+              100u);
+    EXPECT_EQ(obs::Registry::instance().counter_total(obs::Counter::kPoolSlabShelfHits) -
+                  shelf_hits_before,
+              100u);
     EXPECT_EQ(frames_seen, 116u);
     EXPECT_EQ(bytes_seen, 116u * 1024u * 1024u);
   }

@@ -208,7 +208,7 @@ TEST(CampaignRunner, FaultToleranceSweepDigestIsPinned) {
   // logical output moved; it must not depend on the worker count.
   constexpr std::uint64_t kFtSweepDigest120f1 = 0xfe0b62691b00faf4ULL;
   const auto campaign = presets::fault_tolerance_sweep(120, 1);
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     const auto report = runner_with(workers).run(campaign);
     EXPECT_TRUE(report.invariants_ok()) << report.to_table();
     EXPECT_EQ(report.report_digest(), kFtSweepDigest120f1) << workers << " worker(s)";
@@ -220,7 +220,7 @@ TEST(CampaignRunner, FaultSweepDigestIsPinned) {
   // transports (120 frames, campaign seed 1); worker-count independent.
   constexpr std::uint64_t kFaultSweepDigest120f1 = 0x6b2d9413c9b8a160ULL;
   const auto campaign = presets::fault_sweep(120, 1);
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     const auto report = runner_with(workers).run(campaign);
     EXPECT_TRUE(report.invariants_ok()) << report.to_table();
     EXPECT_EQ(report.report_digest(), kFaultSweepDigest120f1) << workers << " worker(s)";
