@@ -1,6 +1,8 @@
 #include "analysis/app_facts.hpp"
 
+#include <algorithm>
 #include <string>
+#include <string_view>
 
 #include "analysis/extract.hpp"
 #include "dear/app_builder.hpp"
@@ -11,11 +13,11 @@ namespace {
 
 /// Strips the hosting node's name prefix from a transactor name
 /// ("preproc.VideoAdapter.frame" → "VideoAdapter.frame").
-[[nodiscard]] std::string member_suffix(const AppBuilder::TransactorRecord& record) {
-  const std::string& name = record.transactor->name();
-  const std::string prefix = record.node->name() + ".";
-  if (name.rfind(prefix, 0) == 0) {
-    return name.substr(prefix.size());
+[[nodiscard]] std::string_view member_suffix(const AppBuilder::TransactorRecord& record) {
+  const std::string_view name = record.transactor->name();
+  const std::string_view node = record.node->name();
+  if (name.size() > node.size() && name.starts_with(node) && name[node.size()] == '.') {
+    return name.substr(node.size() + 1);
   }
   return name;
 }
@@ -36,17 +38,20 @@ Facts extract_app(const AppBuilder& app) {
   // Declaration order (servers first, per the AppBuilder contract) keeps
   // the table deterministic.
   const auto& records = app.transactor_records();
+  facts.channels.reserve(static_cast<std::size_t>(
+      std::count_if(records.begin(), records.end(), [](const auto& r) { return !r.server; })));
+  facts.budgets.reserve(app.budget_records().size());
   for (const auto& client : records) {
     if (client.server) {
       continue;
     }
-    const std::string suffix = member_suffix(client);
+    const std::string_view suffix = member_suffix(client);
     for (const auto& server : records) {
       if (!server.server || member_suffix(server) != suffix) {
         continue;
       }
       ChannelFact channel;
-      channel.member = suffix;
+      channel.member = std::string(suffix);
       channel.server_node = server.node->name();
       channel.client_node = client.node->name();
       channel.latency_bound = client.transactor->config().latency_bound;

@@ -24,7 +24,7 @@ void append_format(std::string& out, const char* format, ...) {
   }
 }
 
-[[nodiscard]] std::string json_escape(const std::string& text) {
+[[nodiscard]] std::string json_escape(std::string_view text) {
   std::string out;
   out.reserve(text.size());
   for (const char c : text) {
@@ -46,37 +46,62 @@ void append_format(std::string& out, const char* format, ...) {
   return out;
 }
 
-void append_index_list(std::string& out, const std::vector<std::size_t>& values) {
+void append_index_list(std::string& out, std::span<const std::uint32_t> values) {
   out += '[';
   for (std::size_t i = 0; i < values.size(); ++i) {
-    append_format(out, "%s%zu", i == 0 ? "" : ",", values[i]);
+    append_format(out, "%s%u", i == 0 ? "" : ",", static_cast<unsigned>(values[i]));
   }
   out += ']';
 }
 
-void append_string_list(std::string& out, const std::vector<std::string>& values) {
+void append_name_list(std::string& out, const Facts& facts, NameList list) {
+  const std::span<const Name> names = facts.names(list);
   out += '[';
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    append_format(out, "%s\"%s\"", i == 0 ? "" : ",", json_escape(values[i]).c_str());
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    append_format(out, "%s\"%s\"", i == 0 ? "" : ",",
+                  json_escape(facts.text(names[i])).c_str());
   }
   out += ']';
 }
 
 }  // namespace
 
+Name Facts::add_text(std::string_view text) {
+  const Name name{static_cast<std::uint32_t>(text_pool.size()),
+                  static_cast<std::uint32_t>(text.size())};
+  text_pool.append(text);
+  return name;
+}
+
+IndexList Facts::add_list(std::span<const std::uint32_t> indices) {
+  const IndexList list{static_cast<std::uint32_t>(index_pool.size()),
+                       static_cast<std::uint32_t>(indices.size())};
+  index_pool.insert(index_pool.end(), indices.begin(), indices.end());
+  return list;
+}
+
+NameList Facts::add_names(std::span<const std::string> names) {
+  const NameList list{static_cast<std::uint32_t>(name_pool.size()),
+                      static_cast<std::uint32_t>(names.size())};
+  for (const std::string& name : names) {
+    name_pool.push_back(add_text(name));
+  }
+  return list;
+}
+
 std::vector<StateFact> Facts::states() const {
   // std::map: state cells sorted by name so the derived table is
   // independent of declaration order.
   std::map<std::string, StateFact> cells;
-  for (std::size_t i = 0; i < reactions.size(); ++i) {
-    for (const std::string& name : reactions[i].state_reads) {
-      auto& cell = cells[name];
-      cell.name = name;
+  for (std::uint32_t i = 0; i < reactions.size(); ++i) {
+    for (const Name name : names(reactions[i].state_reads)) {
+      auto& cell = cells[std::string(text(name))];
+      cell.name = text(name);
       cell.readers.push_back(i);
     }
-    for (const std::string& name : reactions[i].state_writes) {
-      auto& cell = cells[name];
-      cell.name = name;
+    for (const Name name : names(reactions[i].state_writes)) {
+      auto& cell = cells[std::string(text(name))];
+      cell.name = text(name);
       cell.writers.push_back(i);
     }
   }
@@ -92,29 +117,31 @@ std::string Facts::level_table() const {
   // Node order follows first appearance in the reaction table; levels are
   // per-node.
   std::string out;
-  std::vector<std::string> node_order;
+  std::vector<std::string_view> node_order;
   for (const ReactionFact& reaction : reactions) {
-    if (std::find(node_order.begin(), node_order.end(), reaction.node) == node_order.end()) {
-      node_order.push_back(reaction.node);
+    if (std::find(node_order.begin(), node_order.end(), text(reaction.node)) ==
+        node_order.end()) {
+      node_order.push_back(text(reaction.node));
     }
   }
-  for (const std::string& node : node_order) {
+  for (const std::string_view node : node_order) {
     int max_level = -1;
     for (const ReactionFact& reaction : reactions) {
-      if (reaction.node == node) {
+      if (text(reaction.node) == node) {
         max_level = std::max(max_level, reaction.level);
       }
     }
     for (int level = 0; level <= max_level; ++level) {
       std::string line;
       for (const ReactionFact& reaction : reactions) {
-        if (reaction.node == node && reaction.level == level) {
+        if (text(reaction.node) == node && reaction.level == level) {
           line += ' ';
-          line += reaction.fqn;
+          line += text(reaction.fqn);
         }
       }
       if (!line.empty()) {
-        append_format(out, "%s/L%d:", node.c_str(), level);
+        out += node;
+        append_format(out, "/L%d:", level);
         out += line;
         out += '\n';
       }
@@ -134,24 +161,25 @@ std::string Facts::to_json(int indent) const {
   for (std::size_t i = 0; i < reactions.size(); ++i) {
     const ReactionFact& r = reactions[i];
     append_format(out, "%s    {\"node\": \"%s\", \"fqn\": \"%s\", \"level\": %d, ",
-                  pad.c_str(), json_escape(r.node).c_str(), json_escape(r.fqn).c_str(), r.level);
+                  pad.c_str(), json_escape(text(r.node)).c_str(),
+                  json_escape(text(r.fqn)).c_str(), r.level);
     append_format(out, "\"entry\": %s, \"deadline_ns\": %" PRId64 ", \"wcet_ns\": %" PRId64 ", ",
                   r.entry ? "true" : "false", static_cast<std::int64_t>(r.deadline),
                   static_cast<std::int64_t>(r.wcet));
     out += "\"triggers\": ";
-    append_index_list(out, r.triggers);
+    append_index_list(out, list(r.triggers));
     out += ", \"reads\": ";
-    append_index_list(out, r.reads);
+    append_index_list(out, list(r.reads));
     out += ", \"effects\": ";
-    append_index_list(out, r.effects);
+    append_index_list(out, list(r.effects));
     out += ", \"trigger_actions\": ";
-    append_string_list(out, r.trigger_actions);
+    append_name_list(out, *this, r.trigger_actions);
     out += ", \"depends_on\": ";
-    append_index_list(out, r.depends_on);
+    append_index_list(out, list(r.depends_on));
     out += ", \"state_reads\": ";
-    append_string_list(out, r.state_reads);
+    append_name_list(out, *this, r.state_reads);
     out += ", \"state_writes\": ";
-    append_string_list(out, r.state_writes);
+    append_name_list(out, *this, r.state_writes);
     append_format(out, "}%s\n", i + 1 < reactions.size() ? "," : "");
   }
   out += pad + "  ],\n";
@@ -160,10 +188,10 @@ std::string Facts::to_json(int indent) const {
   for (std::size_t i = 0; i < ports.size(); ++i) {
     const PortFact& p = ports[i];
     append_format(out, "%s    {\"node\": \"%s\", \"fqn\": \"%s\", \"writers\": ", pad.c_str(),
-                  json_escape(p.node).c_str(), json_escape(p.fqn).c_str());
-    append_index_list(out, p.writers);
+                  json_escape(text(p.node)).c_str(), json_escape(text(p.fqn)).c_str());
+    append_index_list(out, list(p.writers));
     out += ", \"readers\": ";
-    append_index_list(out, p.readers);
+    append_index_list(out, list(p.readers));
     append_format(out, "}%s\n", i + 1 < ports.size() ? "," : "");
   }
   out += pad + "  ],\n";

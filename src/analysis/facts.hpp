@@ -14,6 +14,8 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,12 +24,30 @@
 
 namespace dear::analysis {
 
+/// A name in Facts::text_pool: `size` bytes from `offset`.
+struct Name {
+  std::uint32_t offset{0};
+  std::uint32_t size{0};
+};
+
+/// A list of indices in Facts::index_pool.
+struct IndexList {
+  std::uint32_t offset{0};
+  std::uint32_t size{0};
+};
+
+/// A list of names in Facts::name_pool.
+struct NameList {
+  std::uint32_t offset{0};
+  std::uint32_t size{0};
+};
+
 /// One reaction (or, for the stock-APD model, one callback/handler
 /// context). Port/reaction references are indices into Facts::ports resp.
-/// Facts::reactions.
+/// Facts::reactions; names and lists live in the Facts' pools.
 struct ReactionFact {
-  std::string node;
-  std::string fqn;
+  Name node;
+  Name fqn;
   /// APG level; -1 when the reaction sits on an instantaneous cycle (or
   /// the workload has no precedence graph at all).
   int level{-1};
@@ -38,22 +58,22 @@ struct ReactionFact {
   /// Modeled execution-time upper bound; 0 when the reaction carries no
   /// cost model.
   Duration wcet{0};
-  std::vector<std::size_t> triggers;            // port indices
-  std::vector<std::size_t> reads;               // port indices (non-triggering)
-  std::vector<std::size_t> effects;             // port indices
-  std::vector<std::string> trigger_actions;     // action names
-  std::vector<std::size_t> depends_on;          // APG predecessors (reaction indices)
-  std::vector<std::string> state_reads;
-  std::vector<std::string> state_writes;
+  IndexList triggers;         // port indices
+  IndexList reads;            // port indices (non-triggering)
+  IndexList effects;          // port indices
+  NameList trigger_actions;   // action names
+  IndexList depends_on;       // APG predecessors (reaction indices, sorted)
+  NameList state_reads;
+  NameList state_writes;
 };
 
 /// One source port (binding chains are resolved to their source) or, for
 /// the stock-APD model, one one-slot input buffer.
 struct PortFact {
-  std::string fqn;
-  std::string node;
-  std::vector<std::size_t> writers;  // reaction indices
-  std::vector<std::size_t> readers;  // reaction indices (triggered + reads)
+  Name fqn;
+  Name node;
+  IndexList writers;  // reaction indices
+  IndexList readers;  // reaction indices (triggered + reads)
 };
 
 /// One cross-binding service connection (server transactor → client
@@ -92,10 +112,13 @@ struct BudgetFact {
 /// Derived view: one named mutable state cell and its accessors.
 struct StateFact {
   std::string name;
-  std::vector<std::size_t> readers;
-  std::vector<std::size_t> writers;
+  std::vector<std::uint32_t> readers;
+  std::vector<std::uint32_t> writers;
 };
 
+/// The fact table. The reaction and port rows are fixed-size; their names
+/// and index/name lists are spans into three flat pools the table owns, so
+/// a table costs a handful of allocations however large the program is.
 struct Facts {
   std::string workload;
   std::vector<ReactionFact> reactions;
@@ -104,9 +127,32 @@ struct Facts {
   std::vector<BudgetFact> budgets;
   /// Nontrivial strongly-connected components of the reaction graph
   /// (instantaneous cycles), as sorted reaction-index lists.
-  std::vector<std::vector<std::size_t>> cycles;
+  std::vector<std::vector<std::uint32_t>> cycles;
   /// Max level count over all nodes (levels are per-node).
   int level_count{0};
+
+  // --- flat storage behind the Name / IndexList / NameList handles ----------
+  std::string text_pool;
+  std::vector<std::uint32_t> index_pool;
+  std::vector<Name> name_pool;
+
+  [[nodiscard]] std::string_view text(Name name) const noexcept {
+    return std::string_view(text_pool).substr(name.offset, name.size);
+  }
+  [[nodiscard]] std::span<const std::uint32_t> list(IndexList list) const noexcept {
+    return std::span<const std::uint32_t>(index_pool).subspan(list.offset, list.size);
+  }
+  [[nodiscard]] std::span<const Name> names(NameList list) const noexcept {
+    return std::span<const Name>(name_pool).subspan(list.offset, list.size);
+  }
+
+  /// Appends to the pools and returns the handle.
+  Name add_text(std::string_view text);
+  IndexList add_list(std::span<const std::uint32_t> indices);
+  IndexList add_list(std::initializer_list<std::uint32_t> indices) {
+    return add_list(std::span<const std::uint32_t>(indices.begin(), indices.size()));
+  }
+  NameList add_names(std::span<const std::string> names);
 
   /// Collects the state-cell table from the reactions' declarations.
   [[nodiscard]] std::vector<StateFact> states() const;

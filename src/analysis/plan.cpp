@@ -87,22 +87,23 @@ StaticPlan build_plan(const Facts& facts) {
   }
   StaticPlan plan;
   for (const ReactionFact& reaction : facts.reactions) {
+    const std::string_view name = facts.text(reaction.node);
     StaticPlan::NodePlan* node = nullptr;
     for (StaticPlan::NodePlan& candidate : plan.nodes) {
-      if (candidate.node == reaction.node) {
+      if (candidate.node == name) {
         node = &candidate;
         break;
       }
     }
     if (node == nullptr) {
-      plan.nodes.push_back(StaticPlan::NodePlan{reaction.node, 0, {}});
+      plan.nodes.push_back(StaticPlan::NodePlan{std::string(name), 0, {}});
       node = &plan.nodes.back();
     }
     const auto level = static_cast<std::size_t>(reaction.level);
     if (node->levels.size() <= level) {
       node->levels.resize(level + 1);
     }
-    node->levels[level].push_back(reaction.fqn);
+    node->levels[level].emplace_back(facts.text(reaction.fqn));
     node->level_count = std::max(node->level_count, reaction.level + 1);
   }
   return plan;

@@ -1,14 +1,14 @@
 // Compiled schedule plans: the static analyzer's level tables, packaged
 // for the runtime.
 //
-// The scheduler re-derives the acyclic-precedence-graph levels on every
-// assemble(); the analyzer already computed them during extraction. A
-// StaticPlan snapshots that level assignment per node so a deployment can
+// assemble() assigns the acyclic-precedence-graph levels that the
+// environment's graph derives by a topological sort. A StaticPlan
+// snapshots the analyzer's level assignment per node so a deployment can
 // hand it back to the runtime (AppBuilder::apply_schedule_plans →
 // Environment::set_schedule_plan → DependencyGraph::apply_plan) and skip
-// the topological sort — after the graph validates the plan against the
-// live topology, so a stale plan fails loudly instead of silently
-// reordering reactions. Consuming a plan is observably identical to
+// the sort — after the graph validates the plan against the live
+// topology, so a stale plan fails loudly instead of silently reordering
+// reactions. Consuming a plan is observably identical to
 // deriving it: traces and digests stay bit-identical at any worker count.
 //
 // The plan also carries the shape data the timing rules and reports want:

@@ -3,36 +3,32 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <span>
 #include <string>
+#include <string_view>
 
 namespace dear::analysis {
 
 namespace {
 
-/// Reachability over the APG successor relation, derived from the
-/// depends_on (predecessor) lists. closure[a][b] == true when a precedes
-/// b transitively — i.e. the runtime is guaranteed to run a before b at
-/// any shared tag.
+/// Reachability over the APG, walked up the depends_on (predecessor)
+/// lists: row b of the flat n×n table marks every reaction that precedes
+/// b transitively. ordered(a, b) holds when either precedes the other —
+/// i.e. the runtime is guaranteed to run the two in a fixed order at any
+/// shared tag.
 class Ordering {
  public:
-  explicit Ordering(const Facts& facts) {
-    const std::size_t n = facts.reactions.size();
-    std::vector<std::vector<std::size_t>> successors(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (const std::size_t dep : facts.reactions[i].depends_on) {
-        successors[dep].push_back(i);
-      }
-    }
-    closure_.assign(n, std::vector<bool>(n, false));
-    std::vector<std::size_t> worklist;
-    for (std::size_t start = 0; start < n; ++start) {
-      worklist.assign(1, start);
+  explicit Ordering(const Facts& facts) : n_(facts.reactions.size()), precedes_(n_ * n_, 0) {
+    std::vector<std::uint32_t> worklist;
+    for (std::size_t start = 0; start < n_; ++start) {
+      char* row = &precedes_[start * n_];
+      worklist.assign(1, static_cast<std::uint32_t>(start));
       while (!worklist.empty()) {
-        const std::size_t v = worklist.back();
+        const std::uint32_t v = worklist.back();
         worklist.pop_back();
-        for (const std::size_t w : successors[v]) {
-          if (!closure_[start][w]) {
-            closure_[start][w] = true;
+        for (const std::uint32_t w : facts.list(facts.reactions[v].depends_on)) {
+          if (row[w] == 0) {
+            row[w] = 1;
             worklist.push_back(w);
           }
         }
@@ -41,28 +37,34 @@ class Ordering {
   }
 
   [[nodiscard]] bool ordered(std::size_t a, std::size_t b) const {
-    return closure_[a][b] || closure_[b][a];
+    return precedes_[a * n_ + b] != 0 || precedes_[b * n_ + a] != 0;
   }
 
  private:
-  std::vector<std::vector<bool>> closure_;
+  std::size_t n_;
+  std::vector<char> precedes_;
 };
 
-[[nodiscard]] std::string join_fqns(const Facts& facts, const std::vector<std::size_t>& members) {
+template <typename Indices>
+[[nodiscard]] std::string join_fqns(const Facts& facts, const Indices& members) {
   std::string out;
   for (const std::size_t member : members) {
     if (!out.empty()) {
       out += ", ";
     }
-    out += facts.reactions[member].fqn;
+    out += facts.text(facts.reactions[member].fqn);
   }
   return out;
 }
 
+[[nodiscard]] std::string fqn_of(const Facts& facts, std::size_t reaction) {
+  return std::string(facts.text(facts.reactions[reaction].fqn));
+}
+
 void check_cycles(const Facts& facts, std::vector<Diagnostic>& out) {
-  for (const std::vector<std::size_t>& cycle : facts.cycles) {
+  for (const std::vector<std::uint32_t>& cycle : facts.cycles) {
     out.push_back(make_diagnostic(
-        Rule::kInstantaneousCycle, facts.reactions[cycle.front()].fqn,
+        Rule::kInstantaneousCycle, fqn_of(facts, cycle.front()),
         "instantaneous causality cycle through: " + join_fqns(facts, cycle)));
   }
 }
@@ -70,30 +72,32 @@ void check_cycles(const Facts& facts, std::vector<Diagnostic>& out) {
 void check_multi_writer(const Facts& facts, const Ordering& ordering,
                         std::vector<Diagnostic>& out) {
   for (const PortFact& port : facts.ports) {
-    if (port.writers.size() < 2) {
+    const std::span<const std::uint32_t> writers = facts.list(port.writers);
+    if (writers.size() < 2) {
       continue;
     }
     bool unordered = false;
     std::pair<std::size_t, std::size_t> witness{0, 0};
-    for (std::size_t a = 0; a < port.writers.size() && !unordered; ++a) {
-      for (std::size_t b = a + 1; b < port.writers.size(); ++b) {
-        if (!ordering.ordered(port.writers[a], port.writers[b])) {
+    for (std::size_t a = 0; a < writers.size() && !unordered; ++a) {
+      for (std::size_t b = a + 1; b < writers.size(); ++b) {
+        if (!ordering.ordered(writers[a], writers[b])) {
           unordered = true;
-          witness = {port.writers[a], port.writers[b]};
+          witness = {writers[a], writers[b]};
           break;
         }
       }
     }
+    const std::string subject(facts.text(port.fqn));
     if (unordered) {
       out.push_back(make_diagnostic(
-          Rule::kMultiWriterPort, port.fqn,
-          "port has unordered writers " + facts.reactions[witness.first].fqn + " and " +
-              facts.reactions[witness.second].fqn + ": the surviving value depends on " +
+          Rule::kMultiWriterPort, subject,
+          "port has unordered writers " + fqn_of(facts, witness.first) + " and " +
+              fqn_of(facts, witness.second) + ": the surviving value depends on " +
               "execution order"));
     } else {
       out.push_back(make_diagnostic(
-          Rule::kOrderedMultiWriterPort, port.fqn,
-          "port written by " + join_fqns(facts, port.writers) +
+          Rule::kOrderedMultiWriterPort, subject,
+          "port written by " + join_fqns(facts, writers) +
               " (totally ordered: last write wins deterministically)"));
     }
   }
@@ -106,7 +110,7 @@ void check_shared_state(const Facts& facts, const Ordering& ordering,
       continue;
     }
     // Every accessor pair with at least one writer needs an ordering edge.
-    std::vector<std::size_t> accessors = cell.writers;
+    std::vector<std::uint32_t> accessors = cell.writers;
     accessors.insert(accessors.end(), cell.readers.begin(), cell.readers.end());
     std::sort(accessors.begin(), accessors.end());
     accessors.erase(std::unique(accessors.begin(), accessors.end()), accessors.end());
@@ -121,8 +125,8 @@ void check_shared_state(const Facts& facts, const Ordering& ordering,
         if (involves_writer && !ordering.ordered(accessors[a], accessors[b])) {
           out.push_back(make_diagnostic(
               Rule::kUnorderedSharedState, cell.name,
-              "state '" + cell.name + "' is accessed by " + facts.reactions[accessors[a]].fqn +
-                  " and " + facts.reactions[accessors[b]].fqn +
+              "state '" + cell.name + "' is accessed by " + fqn_of(facts, accessors[a]) +
+                  " and " + fqn_of(facts, accessors[b]) +
                   " (at least one a writer) with no ordering edge between them"));
           reported = true;
           break;
@@ -151,8 +155,8 @@ void check_dead_reactions(const Facts& facts, std::vector<Diagnostic>& out) {
       if (reachable[i]) {
         continue;
       }
-      for (const std::size_t port : facts.reactions[i].triggers) {
-        for (const std::size_t writer : facts.ports[port].writers) {
+      for (const std::uint32_t port : facts.list(facts.reactions[i].triggers)) {
+        for (const std::uint32_t writer : facts.list(facts.ports[port].writers)) {
           if (reachable[writer]) {
             reachable[i] = true;
             changed = true;
@@ -168,7 +172,7 @@ void check_dead_reactions(const Facts& facts, std::vector<Diagnostic>& out) {
   for (std::size_t i = 0; i < n; ++i) {
     if (!reachable[i]) {
       out.push_back(make_diagnostic(
-          Rule::kDeadReaction, facts.reactions[i].fqn,
+          Rule::kDeadReaction, fqn_of(facts, i),
           "no timer, startup trigger or sensor action can ever trigger this reaction"));
     }
   }
@@ -179,17 +183,18 @@ void check_deadline_budgets(const Facts& facts, std::vector<Diagnostic>& out) {
   // modeled execution-time upper bound on that node. Conservative (max,
   // not chain sum): fires only on certain violations, so clean configs
   // never see a false positive.
-  std::vector<std::string> nodes;
+  std::vector<std::string_view> nodes;
   for (const ReactionFact& reaction : facts.reactions) {
-    if (std::find(nodes.begin(), nodes.end(), reaction.node) == nodes.end()) {
-      nodes.push_back(reaction.node);
+    const std::string_view node = facts.text(reaction.node);
+    if (std::find(nodes.begin(), nodes.end(), node) == nodes.end()) {
+      nodes.push_back(node);
     }
   }
-  for (const std::string& node : nodes) {
+  for (const std::string_view node : nodes) {
     Duration deadline_min = 0;
     Duration wcet_max = 0;
     for (const ReactionFact& reaction : facts.reactions) {
-      if (reaction.node != node) {
+      if (facts.text(reaction.node) != node) {
         continue;
       }
       if (reaction.deadline > 0 && (deadline_min == 0 || reaction.deadline < deadline_min)) {
@@ -204,7 +209,7 @@ void check_deadline_budgets(const Facts& facts, std::vector<Diagnostic>& out) {
                     "WCET %" PRId64 " ns on this node: deadline misses are guaranteed reachable",
                     static_cast<std::int64_t>(deadline_min),
                     static_cast<std::int64_t>(wcet_max));
-      out.push_back(make_diagnostic(Rule::kDeadlineBelowWcet, node, buffer));
+      out.push_back(make_diagnostic(Rule::kDeadlineBelowWcet, std::string(node), buffer));
     }
   }
 }

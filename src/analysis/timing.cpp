@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
+#include <string_view>
 #include <unordered_set>
 
 namespace dear::analysis {
@@ -23,8 +24,8 @@ Duration path_wcet_ending_at(const Facts& facts, std::size_t i, std::vector<Dura
   }
   visiting[i] = 1;
   Duration best = 0;
-  for (const std::size_t p : facts.reactions[i].depends_on) {
-    if (facts.reactions[p].node != facts.reactions[i].node) {
+  for (const std::uint32_t p : facts.list(facts.reactions[i].depends_on)) {
+    if (facts.text(facts.reactions[p].node) != facts.text(facts.reactions[i].node)) {
       continue;
     }
     best = std::max(best, path_wcet_ending_at(facts, p, memo, visiting));
@@ -160,15 +161,16 @@ TimingAnalysis analyze_timing(const Facts& facts) {
   std::vector<char> visiting(facts.reactions.size(), 0);
   for (std::size_t i = 0; i < facts.reactions.size(); ++i) {
     const ReactionFact& reaction = facts.reactions[i];
+    const std::string_view node = facts.text(reaction.node);
     NodeTiming* timing = nullptr;
     for (NodeTiming& entry : out.nodes) {
-      if (entry.node == reaction.node) {
+      if (entry.node == node) {
         timing = &entry;
         break;
       }
     }
     if (timing == nullptr) {
-      out.nodes.push_back(NodeTiming{reaction.node, Duration{0}, Duration{0}});
+      out.nodes.push_back(NodeTiming{std::string(node), Duration{0}, Duration{0}});
       timing = &out.nodes.back();
     }
     timing->critical_path_wcet =
@@ -188,7 +190,7 @@ TimingAnalysis analyze_timing(const Facts& facts) {
       continue;
     }
     for (const ReactionFact& reaction : facts.reactions) {
-      if (reaction.node == entry.node && reaction.entry) {
+      if (facts.text(reaction.node) == entry.node && reaction.entry) {
         sources.push_back(entry.node);
         break;
       }
@@ -338,17 +340,18 @@ void check_timing(const Facts& facts, const TimingAnalysis& timing, unsigned wor
   }
 
   // DEAR-LAT-003: levels wider than the worker pool run sequentialized.
-  std::vector<std::string> node_order;
+  std::vector<std::string_view> node_order;
   for (const ReactionFact& reaction : facts.reactions) {
-    if (std::find(node_order.begin(), node_order.end(), reaction.node) == node_order.end()) {
-      node_order.push_back(reaction.node);
+    const std::string_view node = facts.text(reaction.node);
+    if (std::find(node_order.begin(), node_order.end(), node) == node_order.end()) {
+      node_order.push_back(node);
     }
   }
-  for (const std::string& node : node_order) {
+  for (const std::string_view node : node_order) {
     for (int level = 0; level < facts.level_count; ++level) {
       unsigned width = 0;
       for (const ReactionFact& reaction : facts.reactions) {
-        if (reaction.node == node && reaction.level == level) {
+        if (facts.text(reaction.node) == node && reaction.level == level) {
           ++width;
         }
       }
@@ -358,7 +361,7 @@ void check_timing(const Facts& facts, const TimingAnalysis& timing, unsigned wor
                      "level %d holds %u independent reactions but only %u worker(s) are "
                      "configured: the level runs sequentialized",
                      level, width, workers);
-        out.push_back(make_diagnostic(Rule::kLevelWidthOverWorkers, node, message));
+        out.push_back(make_diagnostic(Rule::kLevelWidthOverWorkers, std::string(node), message));
       }
     }
   }

@@ -1,5 +1,9 @@
 #include "analysis/workload_models.hpp"
 
+#include <span>
+#include <string>
+#include <vector>
+
 namespace dear::analysis {
 
 namespace {
@@ -7,33 +11,44 @@ namespace {
 struct ModelBuilder {
   Facts facts;
 
-  std::size_t reaction(std::string node, std::string name, std::vector<std::string> reads,
-                       std::vector<std::string> writes) {
+  std::uint32_t reaction(const std::string& node, const std::string& name,
+                         const std::vector<std::string>& reads,
+                         const std::vector<std::string>& writes) {
     ReactionFact fact;
-    fact.node = std::move(node);
-    fact.fqn = fact.node + "." + name;
+    fact.node = facts.add_text(node);
+    fact.fqn = facts.add_text(node + "." + name);
     fact.level = -1;  // no precedence graph exists in the stock pipeline
     fact.entry = true;  // periodic callback or asynchronous receive handler
-    fact.trigger_actions.push_back(std::move(name));
-    fact.state_reads = std::move(reads);
-    fact.state_writes = std::move(writes);
-    facts.reactions.push_back(std::move(fact));
-    return facts.reactions.size() - 1;
+    fact.trigger_actions = facts.add_names(std::span<const std::string>(&name, 1));
+    fact.state_reads = facts.add_names(reads);
+    fact.state_writes = facts.add_names(writes);
+    facts.reactions.push_back(fact);
+    return static_cast<std::uint32_t>(facts.reactions.size() - 1);
   }
 
   /// A one-slot input buffer: `store` overwrites it from the receive
   /// path, `take` consumes (clears) it from the periodic callback — both
   /// mutate the slot, with no ordering between the two contexts.
-  void buffer(const std::string& name, const std::string& node, std::size_t store_reaction,
-              std::size_t take_reaction) {
+  void buffer(const std::string& name, const std::string& node, std::uint32_t store_reaction,
+              std::uint32_t take_reaction) {
+    const auto index = static_cast<std::uint32_t>(facts.ports.size());
     PortFact port;
-    port.fqn = name;
-    port.node = node;
-    port.writers = {store_reaction, take_reaction};
-    port.readers = {take_reaction};
-    facts.reactions[store_reaction].effects.push_back(facts.ports.size());
-    facts.reactions[take_reaction].triggers.push_back(facts.ports.size());
-    facts.ports.push_back(std::move(port));
+    port.fqn = facts.add_text(name);
+    port.node = facts.add_text(node);
+    port.writers = facts.add_list({store_reaction, take_reaction});
+    port.readers = facts.add_list({take_reaction});
+    append(facts.reactions[store_reaction].effects, index);
+    append(facts.reactions[take_reaction].triggers, index);
+    facts.ports.push_back(port);
+  }
+
+  /// Lays `list` out again at the end of the index pool with `index`
+  /// appended (a callback may consume several buffers).
+  void append(IndexList& list, std::uint32_t index) {
+    const std::span<const std::uint32_t> current = facts.list(list);
+    std::vector<std::uint32_t> values(current.begin(), current.end());
+    values.push_back(index);
+    list = facts.add_list(values);
   }
 
   void channel(std::string member, std::string server, std::string client) {

@@ -1,9 +1,9 @@
 #include "brake/dear_pipeline.hpp"
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 
 #include "brake/camera.hpp"
 #include "brake/logic.hpp"
@@ -31,6 +31,43 @@ constexpr net::Endpoint kEbaEp{kPlatform2, 104};
 constexpr net::Endpoint kMonitorEp{kPlatform2, 105};
 
 using common::mix_digest;
+
+/// Physical arrival time at the adapter of the frames still in flight, by
+/// frame id. A fixed ring: frame k's slot is reused by frame k + 256, which
+/// evicts the entries of frames lost to faults (they never reach EBA)
+/// without a per-frame allocation. A frame in flight that long would take
+/// 256 sensor periods (12.8 s at the 50 ms default), far beyond what the
+/// transactors' deadlines and latency bounds admit.
+class ArrivalTimes {
+ public:
+  /// Records the first arrival of `frame_id`: a duplicate (network
+  /// duplication, or a stuck sensor re-delivering the previous frame)
+  /// keeps the earlier time while that frame is in flight.
+  void record(std::uint64_t frame_id, TimePoint now) {
+    Slot& slot = slots_[frame_id % slots_.size()];
+    if (!slot.occupied || slot.frame_id != frame_id) {
+      slot = Slot{frame_id, now, true};
+    }
+  }
+
+  /// Removes and returns the arrival time of `frame_id`, if recorded.
+  std::optional<TimePoint> take(std::uint64_t frame_id) {
+    Slot& slot = slots_[frame_id % slots_.size()];
+    if (!slot.occupied || slot.frame_id != frame_id) {
+      return std::nullopt;
+    }
+    slot.occupied = false;
+    return slot.time;
+  }
+
+ private:
+  struct Slot {
+    std::uint64_t frame_id{0};
+    TimePoint time{0};
+    bool occupied{false};
+  };
+  std::array<Slot, 256> slots_{};
+};
 
 // --- SWC logic reactors ----------------------------------------------------------
 
@@ -276,7 +313,7 @@ PipelineResult run_dear_pipeline(const DearScenarioConfig& config) {
   // Physical arrival time of each frame at the adapter, for end-to-end
   // latency accounting (capture→brake would need cross-clock conversion;
   // arrival→brake is the portion the pipeline controls).
-  std::unordered_map<std::uint64_t, TimePoint> arrival_time;
+  ArrivalTimes arrival_time;
 
   auto& adapter_logic = adapter.logic<AdapterLogic>(adapter_cost);
   auto& preproc_logic = preproc.logic<PreprocessingLogic>(preproc_cost);
@@ -294,15 +331,13 @@ PipelineResult run_dear_pipeline(const DearScenarioConfig& config) {
         mix_digest(result.output_digest, vehicles.frame_id);
         mix_digest(result.output_digest, command.brake ? 1 : 0);
         mix_digest(result.output_digest, static_cast<std::uint64_t>(command.intensity * 1e6));
-        const auto it = arrival_time.find(vehicles.frame_id);
-        if (it != arrival_time.end()) {
+        if (const std::optional<TimePoint> arrival = arrival_time.take(vehicles.frame_id)) {
           // The logical offset from the sensor tag is the deterministic
           // part of the tag; the absolute tag follows the camera/network
           // timing inputs.
-          mix_digest(result.tag_digest, static_cast<std::uint64_t>(tag.time - it->second));
+          mix_digest(result.tag_digest, static_cast<std::uint64_t>(tag.time - *arrival));
           mix_digest(result.tag_digest, tag.microstep);
-          result.latency.add(static_cast<double>(kernel.now() - it->second));
-          arrival_time.erase(it);
+          result.latency.add(static_cast<double>(kernel.now() - *arrival));
         }
       },
       fault_tolerance.fallback_period(),
@@ -353,7 +388,7 @@ PipelineResult run_dear_pipeline(const DearScenarioConfig& config) {
     if (!decode_camera_packet(packet.payload, frame)) {
       return;
     }
-    arrival_time.emplace(frame.frame_id, kernel.now());
+    arrival_time.record(frame.frame_id, kernel.now());
     adapter_logic.frame_arrival.schedule(frame);
   });
 

@@ -287,8 +287,9 @@ class AppBuilder : public transact::TransactorStats<AppBuilder> {
   /// passes the gate (kAll: any error; kStructural: graph/tag errors
   /// only — timing-budget findings stay in the report so deliberately
   /// out-of-envelope experiment runs can proceed). Call after wiring,
-  /// before start(). Draws no rng stream and executes no event —
-  /// digests cannot move.
+  /// before start(): it builds each node's reactor graph, which start()
+  /// then assigns levels from, and freezes that node's wiring. Draws no
+  /// rng stream and executes no event — digests cannot move.
   analysis::Report validate() const;  // gates on Gate::kAll
   analysis::Report validate(analysis::Gate gate) const;
 

@@ -21,9 +21,6 @@ void Environment::register_special_actions(Reactor* reactor) {
       scheduler_.register_shutdown(action);
     }
   }
-  for (BasePort* port : reactor->ports()) {
-    port->cache_closure();
-  }
   for (Reactor* child : reactor->children()) {
     register_special_actions(child);
   }
@@ -36,12 +33,24 @@ void Environment::set_schedule_plan(SchedulePlan plan) {
   plan_ = std::make_unique<SchedulePlan>(std::move(plan));
 }
 
+DependencyGraph& Environment::graph() {
+  if (graph_ == nullptr) {
+    graph_ = std::make_unique<DependencyGraph>(top_level_);
+  }
+  return *graph_;
+}
+
+void Environment::throw_wiring_frozen(std::string_view what, const std::string& subject) {
+  throw std::logic_error(std::string(what) + " after the reactor graph was built: " + subject);
+}
+
 void Environment::assemble() {
   if (assembled_) {
     return;
   }
-  graph_ = std::make_unique<DependencyGraph>(top_level_);
-  level_count_ = plan_ != nullptr ? graph_->apply_plan(*plan_) : graph_->assign_levels();
+  DependencyGraph& graph = this->graph();
+  level_count_ = plan_ != nullptr ? graph.apply_plan(*plan_) : graph.assign_levels();
+  graph.bind_port_closures();
   for (Reactor* reactor : top_level_) {
     register_special_actions(reactor);
   }

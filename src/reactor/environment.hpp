@@ -3,10 +3,19 @@
 // Lifecycle: construct reactors → connect ports → assemble() (validates
 // the topology and computes the APG levels) → run() for threaded
 // execution, or attach a SimDriver for discrete-event execution.
+//
+// The environment owns one DependencyGraph, built the first time anything
+// asks for it — the static verifier (AppBuilder::validate()) or
+// assemble() — and shared by every later user. Building it freezes the
+// wiring: connect, connect_delayed and new reactors, ports, actions,
+// reactions or reaction triggers/reads/writes throw std::logic_error from
+// then on, so what was validated is what runs.
 #pragma once
 
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "reactor/physical_clock.hpp"
@@ -39,12 +48,13 @@ class Environment {
   Environment(const Environment&) = delete;
   Environment& operator=(const Environment&) = delete;
 
-  /// Connects `from` to `to`. Must be called before assemble(); `to` must
-  /// not already have an inward binding.
+  /// Connects `from` to `to`. Must be called before the graph is built
+  /// (validate() or assemble()); `to` must not already have an inward
+  /// binding.
   template <typename T>
   void connect(Port<T>& from, Port<T>& to) {
-    if (assembled_) {
-      throw std::logic_error("connect after assemble: " + from.fqn() + " -> " + to.fqn());
+    if (wiring_frozen()) {
+      throw_wiring_frozen("connect", from.fqn() + " -> " + to.fqn());
     }
     from.bind_to(&to);
   }
@@ -56,8 +66,9 @@ class Environment {
   template <typename T>
   void connect_delayed(Port<T>& from, Port<T>& to, Duration delay);
 
-  /// Validates the topology, computes APG levels, registers timers and
-  /// startup/shutdown triggers. Idempotent.
+  /// Validates the topology, assigns the graph's levels (or the installed
+  /// plan's) to the reactions, binds the port trigger closures, registers
+  /// timers and startup/shutdown triggers. Idempotent.
   void assemble();
 
   /// Installs a precomputed level assignment: the next assemble() applies
@@ -85,11 +96,17 @@ class Environment {
   [[nodiscard]] int level_count() const noexcept { return level_count_; }
   [[nodiscard]] Trace& trace() noexcept { return scheduler_.trace(); }
 
-  /// The acyclic precedence graph computed by assemble(); nullptr before
-  /// assembly. The level/writer/dependency tables it exposes are the
-  /// contract consumed by the static verifier and (eventually) the static
-  /// schedule specialization.
-  [[nodiscard]] const DependencyGraph* graph() const noexcept { return graph_.get(); }
+  /// The environment's acyclic precedence graph, built on first use and
+  /// the same object for the environment's lifetime. Building it freezes
+  /// the wiring (see the file comment). The level/writer/dependency tables
+  /// it exposes are the contract consumed by the static verifier, the
+  /// level assignment and the scheduler's port closures.
+  [[nodiscard]] DependencyGraph& graph();
+  /// True once graph() has built the graph: no more wiring is accepted.
+  [[nodiscard]] bool wiring_frozen() const noexcept { return graph_ != nullptr; }
+  /// Throws the std::logic_error for wiring (`what` on `subject`) that
+  /// came after the graph was built.
+  [[noreturn]] static void throw_wiring_frozen(std::string_view what, const std::string& subject);
 
   [[nodiscard]] const std::vector<Reactor*>& top_level() const noexcept { return top_level_; }
   void register_top_level(Reactor* reactor) { top_level_.push_back(reactor); }

@@ -10,13 +10,20 @@
 // level are independent and may execute in parallel. Cycles are reported
 // with the full path.
 //
-// Beyond driving execution, the graph is introspectable: analyze() exposes
-// the adjacency, per-reaction levels, writer sets and dependency sets that
-// the static verifier (src/analysis/) and the future static-schedule
-// specialization consume — without executing a single event.
+// The graph is one set of flat tables, derived in a single pass over the
+// topology: the reactions and ports in collection order, each port's
+// trigger closure (the reactions its source stages when set), and the
+// deduplicated edges in CSR form (compressed sparse row: all rows in one
+// array, row i spanning offsets[i]..offsets[i+1]) in both directions. Each
+// reaction and port records its row, so lookups are O(1). Every
+// reactor::Environment owns exactly one graph, shared by the static
+// verifier (src/analysis/), the level assignment and the port closures
+// the scheduler stages from.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,6 +45,21 @@ struct SchedulePlan {
   int level_count{0};
 };
 
+/// Rows of values in one flat array: row i is values[offsets[i], offsets[i+1]).
+template <typename T>
+struct CsrTable {
+  std::vector<std::uint32_t> offsets;
+  std::vector<T> values;
+
+  /// Number of rows.
+  [[nodiscard]] std::size_t size() const noexcept {
+    return offsets.empty() ? 0 : offsets.size() - 1;
+  }
+  [[nodiscard]] std::span<const T> operator[](std::size_t row) const noexcept {
+    return {values.data() + offsets[row], values.data() + offsets[row + 1]};
+  }
+};
+
 class DependencyGraph {
  public:
   /// Outcome of the non-throwing level analysis. When the graph is cyclic,
@@ -49,8 +71,12 @@ class DependencyGraph {
     std::vector<std::size_t> cyclic;
   };
 
-  /// Collects all reactions reachable from the given top-level reactors.
+  /// Collects all reactions and ports reachable from the given top-level
+  /// reactors and derives the closures and edges.
   explicit DependencyGraph(const std::vector<Reactor*>& top_level);
+
+  DependencyGraph(const DependencyGraph&) = delete;
+  DependencyGraph& operator=(const DependencyGraph&) = delete;
 
   /// Computes levels without mutating the reactions and without throwing;
   /// idempotent (cached). The entry point for static analysis, which wants
@@ -62,11 +88,11 @@ class DependencyGraph {
   int assign_levels();
 
   /// Snapshots the level assignment as a detached plan (fqn → level, in
-  /// graph order). Requires a prior successful assign_levels()/analyze()
-  /// on an acyclic graph; throws std::logic_error otherwise.
+  /// graph order). Runs analyze() if needed; throws std::logic_error on a
+  /// cyclic graph.
   [[nodiscard]] SchedulePlan export_plan();
 
-  /// Installs a precomputed plan instead of running the topological sort:
+  /// Installs a precomputed plan instead of the topological sort's levels:
   /// validates that the plan covers exactly this graph's reactions (by
   /// fqn), that every edge is level-monotone (level[i] < level[j] for each
   /// edge i→j) and that levels are in range, then assigns the levels onto
@@ -75,27 +101,38 @@ class DependencyGraph {
   /// assign_levels().
   int apply_plan(const SchedulePlan& plan);
 
+  /// Points every port's triggered_closure() at this graph's closure
+  /// table. The owning Environment calls it at assembly; the graph must
+  /// outlive every execution of the ports.
+  void bind_port_closures() const;
+
   [[nodiscard]] const std::vector<Reaction*>& reactions() const noexcept { return reactions_; }
+  /// Every port of the collected reactors, in collection order.
+  [[nodiscard]] const std::vector<BasePort*>& ports() const noexcept { return ports_; }
   [[nodiscard]] int level_count() const noexcept { return level_count_; }
 
-  // --- const introspection (valid after analyze()/assign_levels()) -----------
+  // --- const introspection -----------------------------------------------------
 
-  /// Adjacency: edges()[i] lists indices of reactions that must run after
-  /// reaction i. May contain duplicates (a port that both triggers and is
-  /// read contributes one edge each).
-  [[nodiscard]] const std::vector<std::vector<std::size_t>>& edges() const noexcept {
-    return edges_;
+  /// Reactions that must run after reactions()[index], as sorted,
+  /// deduplicated indices into reactions().
+  [[nodiscard]] std::span<const std::uint32_t> successors(std::size_t index) const noexcept {
+    return successors_[index];
   }
+  /// Reactions that must run before reactions()[index] (direct APG
+  /// predecessors), sorted and deduplicated.
+  [[nodiscard]] std::span<const std::uint32_t> predecessors(std::size_t index) const noexcept {
+    return predecessors_[index];
+  }
+  /// Number of distinct edges.
+  [[nodiscard]] std::size_t edge_count() const noexcept { return successors_.values.size(); }
 
-  /// Level computed for reactions()[index] (0-based; meaningless for
-  /// reactions listed in LevelAnalysis::cyclic).
+  /// Level computed for reactions()[index] (0-based; -1 for reactions
+  /// listed in LevelAnalysis::cyclic). Valid after analyze().
   [[nodiscard]] int level_of(std::size_t index) const { return level_.at(index); }
 
-  /// Reactions grouped by level: levels()[l] lists every reaction at level
-  /// l, in graph order. Reactions on a cycle appear in no group.
-  [[nodiscard]] const std::vector<std::vector<Reaction*>>& levels() const noexcept {
-    return by_level_;
-  }
+  /// Reactions grouped by level: levels()[l] spans every reaction at level
+  /// l, in graph order. Empty for a cyclic graph. Valid after analyze().
+  [[nodiscard]] const CsrTable<Reaction*>& levels() const noexcept { return by_level_; }
 
   /// Reactions that may write `port`, resolved through the binding chain
   /// to the source port (writers always register on the source).
@@ -108,17 +145,27 @@ class DependencyGraph {
   /// Index of `reaction` in reactions(), or reactions().size() when the
   /// reaction is not part of this graph.
   [[nodiscard]] std::size_t index_of(const Reaction& reaction) const noexcept;
+  /// Index of `port` in ports(), or ports().size() when the port is not
+  /// part of this graph.
+  [[nodiscard]] std::size_t index_of(const BasePort& port) const noexcept;
 
  private:
   void collect(Reactor* reactor);
+  void build_closures();
   void build_edges();
+  void group_by_level();
+  [[nodiscard]] std::uint32_t row_of(const Reaction& reaction) const;
 
-  std::vector<Reactor*> all_reactors_;
   std::vector<Reaction*> reactions_;
-  // adjacency: edges_[i] lists indices of reactions that must run after i.
-  std::vector<std::vector<std::size_t>> edges_;
+  std::vector<BasePort*> ports_;
+  // One row per port: the reactions staged when the port (or, for a
+  // sink, its source) becomes present — its own triggers plus those of
+  // every transitively bound sink.
+  CsrTable<Reaction*> closures_;
+  CsrTable<std::uint32_t> successors_;    // one row per reaction
+  CsrTable<std::uint32_t> predecessors_;  // one row per reaction
   std::vector<int> level_;
-  std::vector<std::vector<Reaction*>> by_level_;
+  CsrTable<Reaction*> by_level_;          // one row per level
   LevelAnalysis analysis_;
   bool analyzed_{false};
   int level_count_{0};

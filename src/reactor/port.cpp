@@ -26,20 +26,6 @@ void BasePort::bind_to(BasePort* sink) {
   outward_.push_back(sink);
 }
 
-void BasePort::cache_closure() {
-  closure_.clear();
-  // Triggers of this port plus those of every transitively bound sink.
-  std::vector<const BasePort*> frontier{this};
-  while (!frontier.empty()) {
-    const BasePort* port = frontier.back();
-    frontier.pop_back();
-    closure_.insert(closure_.end(), port->triggers_.begin(), port->triggers_.end());
-    for (const BasePort* sink : port->outward_) {
-      frontier.push_back(sink);
-    }
-  }
-}
-
 void BasePort::signal_presence() {
   present_ = true;  // set() is only legal on binding sources
   Scheduler& scheduler = environment().scheduler();

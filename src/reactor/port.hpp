@@ -8,6 +8,8 @@
 #pragma once
 
 #include <cassert>
+#include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -44,9 +46,9 @@ class BasePort : public Element {
   [[nodiscard]] const std::vector<Reaction*>& writers() const noexcept { return writers_; }
 
   /// Reactions to stage when this port's *source* becomes present,
-  /// including reactions triggered by transitively bound sinks. Cached at
-  /// assembly.
-  [[nodiscard]] const std::vector<Reaction*>& triggered_closure() const noexcept {
+  /// including reactions triggered by transitively bound sinks: a row of
+  /// the environment's DependencyGraph, bound at assembly.
+  [[nodiscard]] std::span<Reaction* const> triggered_closure() const noexcept {
     return closure_;
   }
 
@@ -55,7 +57,6 @@ class BasePort : public Element {
   void bind_to(BasePort* sink);
   void add_trigger(Reaction* reaction) { triggers_.push_back(reaction); }
   void add_writer(Reaction* reaction) { writers_.push_back(reaction); }
-  void cache_closure();
 
  protected:
   [[nodiscard]] const BasePort& source() const noexcept {
@@ -79,12 +80,16 @@ class BasePort : public Element {
   virtual void cleanup() noexcept { present_ = false; }
 
  private:
+  friend class DependencyGraph;
+
   PortDirection direction_;
   BasePort* inward_{nullptr};
   std::vector<BasePort*> outward_;
   std::vector<Reaction*> triggers_;
   std::vector<Reaction*> writers_;
-  std::vector<Reaction*> closure_;
+  std::span<Reaction* const> closure_;
+  /// Row in the environment's DependencyGraph port table.
+  std::uint32_t graph_row_{UINT32_MAX};
 };
 
 template <typename T>

@@ -1,6 +1,7 @@
 #include "reactor/reaction.hpp"
 
 #include "reactor/action.hpp"
+#include "reactor/environment.hpp"
 #include "reactor/port.hpp"
 #include "reactor/reactor.hpp"
 
@@ -10,24 +11,34 @@ Reaction::Reaction(std::string name, int priority, Reactor* container, Body body
     : Element(std::move(name), container, container->environment()), body_(std::move(body)),
       priority_(priority) {}
 
+void Reaction::check_wiring_open(std::string_view what) const {
+  if (environment().wiring_frozen()) {
+    Environment::throw_wiring_frozen(what, fqn());
+  }
+}
+
 Reaction& Reaction::triggered_by(BasePort& port) {
+  check_wiring_open("triggered_by");
   port.add_trigger(this);
   dependencies_.push_back(&port);
   return *this;
 }
 
 Reaction& Reaction::triggered_by(BaseAction& action) {
+  check_wiring_open("triggered_by");
   action.add_trigger(this);
   action_triggers_.push_back(&action);
   return *this;
 }
 
 Reaction& Reaction::reads(BasePort& port) {
+  check_wiring_open("reads");
   dependencies_.push_back(&port);
   return *this;
 }
 
 Reaction& Reaction::writes(BasePort& port) {
+  check_wiring_open("writes");
   port.add_writer(this);
   effects_.push_back(&port);
   return *this;

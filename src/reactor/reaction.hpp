@@ -12,8 +12,10 @@
 // When that happens the deadline handler runs *instead of* the body.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <limits>
+#include <string_view>
 #include <vector>
 
 #include "common/time.hpp"
@@ -87,6 +89,9 @@ class Reaction final : public Element {
   /// Runs the body (or the deadline handler on violation).
   void execute(const Tag& tag, TimePoint physical_now);
 
+  /// Rejects a trigger/read/write declaration once the wiring is frozen.
+  void check_wiring_open(std::string_view what) const;
+
   void set_level(int level) noexcept { level_ = level; }
 
   Body body_;
@@ -104,6 +109,8 @@ class Reaction final : public Element {
   // Scheduler staging state: the tag this reaction is already staged for
   // (guarded by the scheduler's staging mutex).
   Tag staged_for_{Tag::maximum()};
+  /// Row in the environment's DependencyGraph reaction table.
+  std::uint32_t graph_row_{UINT32_MAX};
 
   std::uint64_t executions_{0};
   std::uint64_t deadline_violations_{0};

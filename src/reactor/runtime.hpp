@@ -21,6 +21,9 @@ namespace dear::reactor {
 
 template <typename T>
 void Environment::connect_delayed(Port<T>& from, Port<T>& to, Duration delay) {
+  if (wiring_frozen()) {
+    throw_wiring_frozen("connect_delayed", from.fqn() + " -> " + to.fqn());
+  }
   auto relay = std::make_unique<DelayRelay<T>>("_delay" + std::to_string(relay_counter_++),
                                                *this, delay);
   connect(from, relay->in);

@@ -15,6 +15,9 @@ Testbed::Testbed(const PlatformKnobs& knobs, Duration period, Duration link_late
                sim::ExecTimeModel::uniform(0, dispatch_jitter)),
       knobs_(knobs),
       period_(period) {
+  if ((obs::Registry::span_mask() & obs::category_bit(obs::SpanCategory::kScenario)) != 0) {
+    build_start_ns_ = obs::steady_now_ns();
+  }
   net::LinkParams inter_link;
   inter_link.latency = sim::ExecTimeModel::uniform(link_latency_min, link_latency_max);
   network.set_default_link(inter_link);
@@ -37,25 +40,46 @@ AppBuilder::Config Testbed::app_config() noexcept {
 bool Testbed::execute(AppBuilder& app, const RunHooks& hooks,
                       const std::function<void()>& start_sensor,
                       const std::function<void()>& toggle_churn) {
+  // Scenario spans cover the phases of a run: "app.build" from the
+  // testbed's construction to here (the app's wiring), then validate,
+  // start, settle and run.
+  if (build_start_ns_ >= 0) {
+    obs::Span build;
+    build.name = "app.build";
+    build.category = obs::SpanCategory::kScenario;
+    build.start_ns = build_start_ns_;
+    build.duration_ns = obs::steady_now_ns() - build_start_ns_;
+    obs::Registry::record_span(build);
+  }
   if (hooks.preflight) {
     hooks.preflight(app);
   }
   if (hooks.build_only) {
     return false;
   }
-  // Consume the compiled level tables (when a plan is supplied) before the
-  // environments assemble; a stale plan throws here, before any event runs.
-  if (hooks.schedule_plan != nullptr) {
-    app.apply_schedule_plans(*hooks.schedule_plan);
+  {
+    const obs::SpanScope span(obs::SpanCategory::kScenario, "app.validate");
+    // Consume the compiled level tables (when a plan is supplied) before
+    // the environments assemble; a stale plan throws here, before any
+    // event runs.
+    if (hooks.schedule_plan != nullptr) {
+      app.apply_schedule_plans(*hooks.schedule_plan);
+    }
+    // Fail fast on structural determinism violations before any event
+    // runs. The structural gate lets deliberately tightened deadline
+    // budgets through: those runs are out-of-envelope experiments whose
+    // misses the error counters must observe.
+    app.validate(analysis::Gate::kStructural);
   }
-  // Fail fast on structural determinism violations before any event runs.
-  // The structural gate lets deliberately tightened deadline budgets
-  // through: those runs are out-of-envelope experiments whose misses the
-  // error counters must observe.
-  app.validate(analysis::Gate::kStructural);
-
-  app.start();
-  kernel.run_until(settle());
+  {
+    const obs::SpanScope span(obs::SpanCategory::kScenario, "app.start");
+    app.start();
+  }
+  {
+    const obs::SpanScope span(obs::SpanCategory::kScenario, "app.settle");
+    kernel.run_until(settle());
+  }
+  const obs::SpanScope run_span(obs::SpanCategory::kScenario, "app.run");
   start_sensor();
 
   // Subscription churn at a fixed physical cadence. The toggle windows are

@@ -9,7 +9,8 @@
 //     inter-platform default link plus the knob-driven service loopback
 //     link), service discovery, the dispatcher, the settle drain, the
 //     horizon, and the run lifecycle (preflight → schedule plan →
-//     structural validation → start → settle → sensor → churn → horizon);
+//     structural validation → start → settle → sensor → churn → horizon),
+//     each phase an obs span of the scenario category;
 //   - FaultTolerance: the service-fault plan anchored to the sensor
 //     capture grid, the Health service with its heartbeat emitter and
 //     supervisor, and the run's ft::Counters;
@@ -123,6 +124,8 @@ class Testbed {
 
   const PlatformKnobs& knobs_;
   Duration period_;
+  /// Start of the "app.build" span; -1 when scenario spans are off.
+  std::int64_t build_start_ns_{-1};
   // The app, declared after the testbed, is destroyed before it: the
   // LocalBindings its nodes own detach from the hub on destruction.
   ara::com::LocalHub hub_;

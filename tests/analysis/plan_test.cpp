@@ -20,10 +20,10 @@ namespace {
 using scenario::ScenarioSpec;
 using scenario::Workload;
 
-ReactionFact reaction(std::string node, std::string fqn, int level) {
+ReactionFact reaction(Facts& facts, std::string_view node, std::string_view fqn, int level) {
   ReactionFact fact;
-  fact.node = std::move(node);
-  fact.fqn = std::move(fqn);
+  fact.node = facts.add_text(node);
+  fact.fqn = facts.add_text(fqn);
   fact.level = level;
   return fact;
 }
@@ -32,10 +32,10 @@ Facts synthetic_facts() {
   Facts facts;
   facts.workload = "synthetic";
   facts.level_count = 2;
-  facts.reactions.push_back(reaction("a", "a/first", 0));
-  facts.reactions.push_back(reaction("a", "a/second", 1));
-  facts.reactions.push_back(reaction("a", "a/third", 0));
-  facts.reactions.push_back(reaction("b", "b/only", 0));
+  facts.reactions.push_back(reaction(facts, "a", "a/first", 0));
+  facts.reactions.push_back(reaction(facts, "a", "a/second", 1));
+  facts.reactions.push_back(reaction(facts, "a", "a/third", 0));
+  facts.reactions.push_back(reaction(facts, "b", "b/only", 0));
   return facts;
 }
 

@@ -24,11 +24,11 @@ std::size_t count_rule(const std::vector<Diagnostic>& diagnostics, Rule rule) {
                     [rule](const Diagnostic& d) { return d.rule == rule; }));
 }
 
-ReactionFact reaction(std::string node, std::string fqn, int level, bool entry,
-                      Duration deadline = 0, Duration wcet = 0) {
+ReactionFact reaction(Facts& facts, std::string_view node, std::string_view fqn, int level,
+                      bool entry, Duration deadline = 0, Duration wcet = 0) {
   ReactionFact fact;
-  fact.node = std::move(node);
-  fact.fqn = std::move(fqn);
+  fact.node = facts.add_text(node);
+  fact.fqn = facts.add_text(fqn);
   fact.level = level;
   fact.entry = entry;
   fact.deadline = deadline;
@@ -53,9 +53,9 @@ Facts two_hop_facts(Duration budget) {
   Facts facts;
   facts.workload = "synthetic";
   facts.level_count = 1;
-  facts.reactions.push_back(reaction("source", "source/emit", 0, true, 5_ms, 1_ms));
-  facts.reactions.push_back(reaction("mid", "mid/process", 0, false, 10_ms, 4_ms));
-  facts.reactions.push_back(reaction("sink", "sink/consume", 0, false, 5_ms, 1_ms));
+  facts.reactions.push_back(reaction(facts, "source", "source/emit", 0, true, 5_ms, 1_ms));
+  facts.reactions.push_back(reaction(facts, "mid", "mid/process", 0, false, 10_ms, 4_ms));
+  facts.reactions.push_back(reaction(facts, "sink", "sink/consume", 0, false, 5_ms, 1_ms));
   facts.channels.push_back(channel("Iface.x", "source", "mid", 5_ms, 3_ms, 1_ms));
   facts.channels.push_back(channel("Iface.y", "mid", "sink", 10_ms, 3_ms, 2_ms));
   facts.budgets.push_back(BudgetFact{"Iface.y", "mid", budget});
@@ -106,7 +106,7 @@ TEST(Timing, BudgetWithHeadroomIsClean) {
 TEST(Timing, UnreachableBudgetFiresLat004) {
   Facts facts = two_hop_facts(/*budget=*/30_ms);
   // A budget on a node no tagged chain reaches (nothing connects to it).
-  facts.reactions.push_back(reaction("island", "island/idle", 0, false));
+  facts.reactions.push_back(reaction(facts, "island", "island/idle", 0, false));
   facts.budgets.push_back(BudgetFact{"Island.out", "island", 10_ms});
   const TimingAnalysis timing = analyze_timing(facts);
   std::vector<Diagnostic> diagnostics;
@@ -124,8 +124,8 @@ TEST(Timing, CriticalPathOverDeadlineFiresLat002) {
   Facts facts = two_hop_facts(/*budget=*/30_ms);
   // Chain two costed reactions on "mid": 4 + 7 = 11 ms critical path
   // against mid's tightest 10 ms deadline.
-  ReactionFact second = reaction("mid", "mid/postprocess", 1, false, 10_ms, 7_ms);
-  second.depends_on.push_back(1);  // mid/process
+  ReactionFact second = reaction(facts, "mid", "mid/postprocess", 1, false, 10_ms, 7_ms);
+  second.depends_on = facts.add_list({1});  // mid/process
   facts.reactions.push_back(std::move(second));
   const TimingAnalysis timing = analyze_timing(facts);
   const NodeTiming* mid = timing.find_node("mid");
@@ -147,7 +147,7 @@ TEST(Timing, CrossNodeDependenciesStayOffTheCriticalPath) {
   Facts facts = two_hop_facts(/*budget=*/30_ms);
   // sink/consume depending on source/emit (cross-node) must not fold the
   // source's WCET into the sink's intra-node critical path.
-  facts.reactions[2].depends_on.push_back(0);
+  facts.reactions[2].depends_on = facts.add_list({0});
   const TimingAnalysis timing = analyze_timing(facts);
   const NodeTiming* sink = timing.find_node("sink");
   ASSERT_NE(sink, nullptr);
@@ -158,9 +158,9 @@ TEST(Timing, WideLevelFiresLat003OnlyBelowTheWorkerCount) {
   Facts facts;
   facts.workload = "synthetic";
   facts.level_count = 1;
-  facts.reactions.push_back(reaction("node", "node/a", 0, true));
-  facts.reactions.push_back(reaction("node", "node/b", 0, false));
-  facts.reactions.push_back(reaction("node", "node/c", 0, false));
+  facts.reactions.push_back(reaction(facts, "node", "node/a", 0, true));
+  facts.reactions.push_back(reaction(facts, "node", "node/b", 0, false));
+  facts.reactions.push_back(reaction(facts, "node", "node/c", 0, false));
   const TimingAnalysis timing = analyze_timing(facts);
   std::vector<Diagnostic> sequentialized;
   check_timing(facts, timing, /*workers=*/2, sequentialized);

@@ -7,9 +7,17 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "acc/pipeline.hpp"
 #include "analysis/report.hpp"
+#include "analysis/rules.hpp"
+#include "brake/dear_pipeline.hpp"
 #include "net/sim_network.hpp"
+#include "reactor/graph.hpp"
+#include "reactor/runtime.hpp"
+#include "scenario/workloads.hpp"
 #include "sim/sim_executor.hpp"
 
 namespace dear {
@@ -54,7 +62,7 @@ TEST_F(ValidateTest, CleanAppReturnsAReport) {
   EXPECT_EQ(report.error_count(), 0U);
   EXPECT_EQ(report.workload, "app");
   EXPECT_EQ(report.facts.reactions.size(), 2U);
-  EXPECT_EQ(report.facts.reactions[0].node, "solo");
+  EXPECT_EQ(report.facts.text(report.facts.reactions[0].node), "solo");
 }
 
 TEST_F(ValidateTest, ConflictingWritersThrowAnalysisError) {
@@ -89,8 +97,133 @@ TEST_F(ValidateTest, DiagnosticsSpanNodes) {
   right.logic<Writer>("writer", right_target);
   const analysis::Report report = app.validate();
   EXPECT_EQ(report.facts.reactions.size(), 4U);
-  EXPECT_EQ(report.facts.reactions[0].node, "left");
-  EXPECT_EQ(report.facts.reactions[2].node, "right");
+  EXPECT_EQ(report.facts.text(report.facts.reactions[0].node), "left");
+  EXPECT_EQ(report.facts.text(report.facts.reactions[2].node), "right");
+}
+
+// --- one graph per environment, shared by validate() and start() ------------
+
+TEST_F(ValidateTest, ValidateAndStartShareTheEnvironmentGraph) {
+  AppBuilder app(kernel, network, discovery, executor, rng);
+  auto& node = app.node("solo", net::Endpoint{1, 100}, 0x10);
+  auto& target = node.logic<Target>();
+  node.logic<Writer>("writer", target);
+  reactor::DependencyGraph& graph = node.environment().graph();
+  (void)app.validate();
+  EXPECT_EQ(&node.environment().graph(), &graph);
+  app.start();
+  EXPECT_EQ(&node.environment().graph(), &graph);
+  EXPECT_TRUE(node.environment().assembled());
+  EXPECT_EQ(target.reactions()[0]->level(), 1);
+}
+
+TEST_F(ValidateTest, WiringAfterValidateThrows) {
+  // validate() judged a topology; wiring added afterwards would run
+  // unvalidated, so it is rejected.
+  class Relay final : public reactor::Reactor {
+   public:
+    reactor::Input<int> in{"in", this};
+    reactor::Output<int> out{"out", this};
+    explicit Relay(reactor::Environment& env) : Reactor("relay", env) {
+      add_reaction("forward", [] {}).triggered_by(in).writes(out);
+    }
+  };
+  AppBuilder app(kernel, network, discovery, executor, rng);
+  auto& node = app.node("solo", net::Endpoint{1, 100}, 0x10);
+  auto& first = node.logic<Relay>();
+  auto& second = node.logic<Relay>();
+  (void)app.validate();
+  EXPECT_THROW(node.connect(first.out, second.in), std::logic_error);
+  EXPECT_THROW(node.environment().connect_delayed(first.out, second.in, 1_ms), std::logic_error);
+  EXPECT_EQ(second.in.inward_binding(), nullptr);
+}
+
+TEST_F(ValidateTest, CyclicAppFailsValidateAndStart) {
+  class Loop final : public reactor::Reactor {
+   public:
+    reactor::Input<int> in{"in", this};
+    reactor::Output<int> out{"out", this};
+    Loop(reactor::Environment& env, std::string name) : Reactor(std::move(name), env) {
+      add_reaction("loop", [] {}).triggered_by(in).writes(out);
+    }
+  };
+  AppBuilder app(kernel, network, discovery, executor, rng);
+  auto& node = app.node("solo", net::Endpoint{1, 100}, 0x10);
+  auto& a = node.logic<Loop>("loop_a");
+  auto& b = node.logic<Loop>("loop_b");
+  node.connect(a.out, b.in);
+  node.connect(b.out, a.in);
+  try {
+    (void)app.validate(analysis::Gate::kStructural);
+    FAIL() << "expected AnalysisError";
+  } catch (const analysis::AnalysisError& error) {
+    const auto& diagnostics = error.diagnostics();
+    EXPECT_TRUE(std::any_of(diagnostics.begin(), diagnostics.end(), [](const auto& d) {
+      return d.rule == analysis::Rule::kInstantaneousCycle;
+    }));
+    EXPECT_NE(std::string(error.what()).find("DEAR-GRAPH-001"), std::string::npos);
+  }
+  try {
+    app.start();
+    FAIL() << "expected the cycle to stop assembly";
+  } catch (const std::logic_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("cycle"), std::string::npos) << what;
+    EXPECT_NE(what.find("loop_a"), std::string::npos) << what;
+    EXPECT_NE(what.find("loop_b"), std::string::npos) << what;
+  }
+}
+
+/// Every node's exported level table for one built (not started) app,
+/// optionally after a validate() pass over the same graphs.
+template <typename Config, typename Run>
+std::vector<reactor::SchedulePlan> exported_plans(Config config, Run run, bool validate_first) {
+  std::vector<reactor::SchedulePlan> plans;
+  config.build_only = true;
+  config.preflight = [&plans, validate_first](AppBuilder& app) {
+    if (validate_first) {
+      (void)app.validate(analysis::Gate::kStructural);
+    }
+    for (const auto& node : app.nodes()) {
+      plans.push_back(node->environment().graph().export_plan());
+    }
+  };
+  (void)run(config);
+  return plans;
+}
+
+void expect_same_plans(const std::vector<reactor::SchedulePlan>& with,
+                       const std::vector<reactor::SchedulePlan>& without, const char* app) {
+  ASSERT_EQ(with.size(), without.size()) << app;
+  for (std::size_t n = 0; n < with.size(); ++n) {
+    EXPECT_EQ(with[n].level_count, without[n].level_count) << app << " node " << n;
+    ASSERT_EQ(with[n].entries.size(), without[n].entries.size()) << app << " node " << n;
+    for (std::size_t i = 0; i < with[n].entries.size(); ++i) {
+      EXPECT_EQ(with[n].entries[i].fqn, without[n].entries[i].fqn) << app;
+      EXPECT_EQ(with[n].entries[i].level, without[n].entries[i].level) << app;
+    }
+  }
+}
+
+TEST(ValidatePlans, ExportedPlanIsTheSameWithOrWithoutValidate) {
+  scenario::ScenarioSpec brake_spec;
+  brake_spec.workload = scenario::Workload::kBrakeDear;
+  scenario::ScenarioSpec ft_spec = brake_spec;
+  ft_spec.service_faults.crash_at = 2 * kSecond;
+  scenario::ScenarioSpec acc_spec;
+  acc_spec.workload = scenario::Workload::kAcc;
+
+  const auto brake = [](const brake::DearScenarioConfig& c) { return brake::run_dear_pipeline(c); };
+  const auto acc = [](const acc::AccScenarioConfig& c) { return acc::run_acc_pipeline(c); };
+  for (const auto& [spec, name] : {std::pair{brake_spec, "brake"}, std::pair{ft_spec, "brake+ft"}}) {
+    const auto config = scenario::to_dear_config(spec);
+    const auto with = exported_plans(config, brake, true);
+    const auto without = exported_plans(config, brake, false);
+    EXPECT_GE(with.size(), 5U) << name;
+    expect_same_plans(with, without, name);
+  }
+  const auto config = scenario::to_acc_config(acc_spec);
+  expect_same_plans(exported_plans(config, acc, true), exported_plans(config, acc, false), "acc");
 }
 
 }  // namespace

@@ -24,6 +24,12 @@
 // through common::BufferPool, and a delivery event fits std::function's
 // inline storage.
 //
+// The AppSetup tests pin the set-up cost of a DEAR app: the allocations
+// of one zero-frame brake pipeline (testbed, app build, validate(), start,
+// settle drain, teardown). The reactor graph of each environment is built
+// once into flat tables and read by both the verifier and the scheduler,
+// and the fact table lives in three pools; growth there shows up here.
+//
 // The allocation-count tests are single-threaded: the counter observes
 // only the workload between the snapshots.
 #include <gtest/gtest.h>
@@ -37,6 +43,7 @@
 #include <vector>
 
 #include "ara/com/local_binding.hpp"
+#include "brake/dear_pipeline.hpp"
 #include "common/buffer_pool.hpp"
 #include "common/pool_allocator.hpp"
 #include "common/thread_pool.hpp"
@@ -549,6 +556,44 @@ TEST(AllocCount, TypedMethodCallOverLocalIsAllocationFree) {
   const std::uint64_t allocations = typed_method_allocations(ara::com::BackendKind::kLocal);
   EXPECT_EQ(allocations, 0u) << "typed local method call allocated " << allocations
                              << " times over 500 calls";
+}
+
+// --- DEAR app set-up ---------------------------------------------------------
+
+/// Allocations of one zero-frame DEAR brake pipeline, once the thread's
+/// pools and scratch buffers are warm.
+std::uint64_t app_setup_allocations(scenario::Transport transport) {
+  scenario::ScenarioSpec spec;
+  spec.workload = scenario::Workload::kBrakeDear;
+  spec.transport = transport;
+  spec.frames = 0;
+  const brake::DearScenarioConfig config = scenario::to_dear_config(spec);
+  for (int i = 0; i < 3; ++i) {
+    (void)brake::run_dear_pipeline(config);  // warm
+  }
+  const std::uint64_t before = allocation_count();
+  const brake::PipelineResult result = brake::run_dear_pipeline(config);
+  const std::uint64_t allocations = allocation_count() - before;
+  EXPECT_EQ(result.frames_sent, 0u);
+  return allocations;
+}
+
+// Measured counts (802 over SOME/IP and 810 locally before the shared
+// flat graph and the pooled fact table). A drop should lower the pin.
+constexpr std::uint64_t kAppSetupSomeIpAllocations = 370;
+constexpr std::uint64_t kAppSetupLocalAllocations = 378;
+
+TEST(AllocCount, AppSetupSomeIp) {
+  const std::uint64_t allocations = app_setup_allocations(scenario::Transport::kSomeIp);
+  EXPECT_LE(allocations, kAppSetupSomeIpAllocations)
+      << "a zero-frame DEAR build over SOME/IP allocated " << allocations << " times";
+}
+
+TEST(AllocCount, AppSetupLocal) {
+  const std::uint64_t allocations = app_setup_allocations(scenario::Transport::kLocal);
+  EXPECT_LE(allocations, kAppSetupLocalAllocations)
+      << "a zero-frame DEAR build over the local transport allocated " << allocations
+      << " times";
 }
 
 }  // namespace

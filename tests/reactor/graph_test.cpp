@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -204,7 +206,7 @@ TEST_F(GraphTest, LevelsGroupReactionsByLevel) {
   env.connect(counter.out, d1.in);
   env.connect(d1.out, d2.in);
   env.assemble();
-  const DependencyGraph& graph = *env.graph();
+  const DependencyGraph& graph = env.graph();
   ASSERT_EQ(graph.levels().size(), 3U);
   ASSERT_EQ(graph.levels()[0].size(), 1U);
   EXPECT_EQ(graph.levels()[0][0], counter.reactions()[0].get());
@@ -237,7 +239,7 @@ TEST_F(GraphTest, DependenciesOfListsDirectPredecessors) {
   env.connect(counter.out, d1.in);
   env.connect(d1.out, d2.in);
   env.assemble();
-  const DependencyGraph& graph = *env.graph();
+  const DependencyGraph& graph = env.graph();
   EXPECT_TRUE(graph.dependencies_of(*counter.reactions()[0]).empty());
   const auto d2_deps = graph.dependencies_of(*d2.reactions()[0]);
   ASSERT_EQ(d2_deps.size(), 1U);  // direct only — not the transitive counter
@@ -388,9 +390,111 @@ TEST_F(GraphTest, IndexOfUnknownReactionIsSize) {
   env.assemble();
   Environment other(clock);
   Counter outside(other, 10_ms, 1);
-  const DependencyGraph& graph = *env.graph();
+  const DependencyGraph& graph = env.graph();
   EXPECT_EQ(graph.index_of(*inside.reactions()[0]), 0U);
   EXPECT_EQ(graph.index_of(*outside.reactions()[0]), graph.reactions().size());
+}
+
+// --- flat tables and the environment's shared graph --------------------------
+
+TEST_F(GraphTest, EdgeRowsAreSortedDeduplicatedAndMirrored) {
+  // The reader both triggers on and reads the same port: one edge, not two.
+  class TriggerAndRead final : public Reactor {
+   public:
+    Input<int> in{"in", this};
+    explicit TriggerAndRead(Environment& env) : Reactor("both", env) {
+      add_reaction("first", [] {}).triggered_by(in).reads(in);
+      add_reaction("second", [] {});
+    }
+  };
+  Environment env(clock);
+  Counter counter(env, 10_ms, 1);
+  TriggerAndRead both(env);
+  env.connect(counter.out, both.in);
+  const DependencyGraph& graph = env.graph();
+  ASSERT_EQ(graph.reactions().size(), 3U);
+  // counter/emit -> both/first (dataflow) -> both/second (priority).
+  ASSERT_EQ(graph.successors(0).size(), 1U);
+  EXPECT_EQ(graph.successors(0)[0], 1U);
+  ASSERT_EQ(graph.successors(1).size(), 1U);
+  EXPECT_EQ(graph.successors(1)[0], 2U);
+  EXPECT_TRUE(graph.successors(2).empty());
+  EXPECT_EQ(graph.edge_count(), 2U);
+  // The reverse rows mirror the forward ones.
+  for (std::size_t i = 0; i < graph.reactions().size(); ++i) {
+    for (const std::uint32_t target : graph.successors(i)) {
+      const auto predecessors = graph.predecessors(target);
+      EXPECT_EQ(std::count(predecessors.begin(), predecessors.end(), i), 1);
+    }
+  }
+  EXPECT_TRUE(graph.predecessors(0).empty());
+}
+
+TEST_F(GraphTest, PortClosureFollowsBindingsInStagingOrder) {
+  // A source fanned out to two sinks stages its own triggers, then the
+  // sinks' triggers from the last-bound sink back (depth first).
+  class Fan final : public Reactor {
+   public:
+    Output<int> out{"out", this};
+    Input<int> in{"in", this};
+    explicit Fan(Environment& env) : Reactor("fan", env) {
+      add_reaction("local", [] {}).triggered_by(out);
+    }
+  };
+  Environment env(clock);
+  Fan fan(env);
+  Doubler first(env, "first");
+  Doubler second(env, "second");
+  env.connect(fan.out, first.in);
+  env.connect(fan.out, second.in);
+  (void)env.graph();
+  // assemble() hands the graph's closure rows to the ports the scheduler
+  // stages from.
+  EXPECT_TRUE(fan.out.triggered_closure().empty());
+  env.assemble();
+  const auto closure = fan.out.triggered_closure();
+  ASSERT_EQ(closure.size(), 3U);
+  EXPECT_EQ(closure[0], fan.reactions()[0].get());
+  EXPECT_EQ(closure[1], second.reactions()[0].get());
+  EXPECT_EQ(closure[2], first.reactions()[0].get());
+  EXPECT_TRUE(fan.in.triggered_closure().empty());
+  // A sink's row lists only its own downstream triggers.
+  ASSERT_EQ(first.in.triggered_closure().size(), 1U);
+  EXPECT_EQ(first.in.triggered_closure()[0], first.reactions()[0].get());
+}
+
+TEST_F(GraphTest, EnvironmentBuildsOneGraphAndAssemblesFromIt) {
+  Environment env(clock);
+  Counter counter(env, 10_ms, 1);
+  Doubler doubler(env, "d");
+  env.connect(counter.out, doubler.in);
+  EXPECT_FALSE(env.wiring_frozen());
+  DependencyGraph& before = env.graph();
+  EXPECT_TRUE(env.wiring_frozen());
+  const auto& analysis = before.analyze();
+  env.assemble();
+  EXPECT_EQ(&env.graph(), &before);
+  // The cached analysis is the one assemble() assigned levels from.
+  EXPECT_EQ(&before.analyze(), &analysis);
+  EXPECT_EQ(env.level_count(), 2);
+  EXPECT_EQ(doubler.reactions()[0]->level(), 1);
+}
+
+TEST_F(GraphTest, WiringAfterTheGraphIsBuiltThrows) {
+  Environment env(clock);
+  Counter counter(env, 10_ms, 1);
+  Doubler doubler(env, "d");
+  Doubler late(env, "late");
+  (void)env.graph();
+  EXPECT_THROW(env.connect(counter.out, doubler.in), std::logic_error);
+  EXPECT_THROW(env.connect_delayed(counter.out, late.in, 5_ms), std::logic_error);
+  EXPECT_THROW(Doubler(env, "extra"), std::logic_error);
+  EXPECT_THROW(doubler.add_reaction("extra", [] {}), std::logic_error);
+  EXPECT_THROW(doubler.reactions()[0]->writes(late.in), std::logic_error);
+  EXPECT_TRUE(doubler.in.inward_binding() == nullptr);
+  EXPECT_TRUE(late.in.inward_binding() == nullptr);
+  EXPECT_EQ(env.top_level().size(), 3U);
+  EXPECT_EQ(doubler.reactions().size(), 1U);
 }
 
 }  // namespace
