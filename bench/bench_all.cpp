@@ -3,10 +3,8 @@
 // docs/performance.md for the schema). Exit status reflects the gates:
 //   * event_queue_speedup_2x          — pooled queue >= 2x the std::map queue
 //   * someip_pooled_roundtrip_faster  — pooled round-trip p50 below fresh
-//   * threaded_overhead_3x            — threaded scheduler per-event p50 at 2
-//                                       workers <= 3x single-threaded
 //   * campaign_speedup_2w             — fault sweep >= 1.6x serial at 2
-//                                       workers (both need >= 2 cores)
+//                                       workers (needs >= 2 cores)
 //   * obs/event_queue_overhead_5pct,
 //     obs/dear_pipeline_overhead_5pct — metrics + spans live within 5%
 //   * ft_idle_overhead_5pct           — idle fault-tolerance hooks within 5%

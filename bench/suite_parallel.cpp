@@ -1,19 +1,16 @@
-// Parallel scaling cases: does adding workers actually pay?
+// Parallel scaling case: does adding workers actually pay?
 //
-// Two subjects, swept over 1/2/4 workers:
-//   * the threaded scheduler on an 8-wide fan-out — every event stages one
-//     8-reaction level, so the per-event cost is dominated by the level
-//     claim cursor + completion barrier this suite guards;
-//   * the fault-sweep campaign batch runner — independent DES scenarios
-//     claimed in batches off the runner cursor.
+// The subject is the fault-sweep campaign batch runner, swept over 1/2/4
+// workers: independent DES scenarios claimed in batches off the runner
+// cursor. (A tag's reactions always run on one thread, so the reactor
+// scheduler itself has no worker count to sweep.)
 //
-// Speedup/overhead floors need real parallel hardware, so they enforce
-// only when the host has >= 2 cores (a 1-core container cannot exhibit
-// parallel speedup; the gate is then recorded as skipped — machine-readable
-// in the report's per-gate "skipped" field). That the trace and report
-// digests do not move with the worker count is pinned by ctest
-// (ParallelConformanceTest.FanoutTraceBitIdenticalToSerial,
-// CampaignRunner.FaultSweepDigestIsPinned).
+// The speedup floor needs real parallel hardware, so it enforces only when
+// the host has >= 2 cores (a 1-core container cannot exhibit parallel
+// speedup; the gate is then recorded as skipped — machine-readable in the
+// report's per-gate "skipped" field). That the report digest does not move
+// with the worker count is pinned by ctest
+// (CampaignRunner.FaultSweepDigestIsPinned).
 #include <cstdint>
 #include <cstdio>
 #include <thread>
@@ -21,13 +18,11 @@
 #include "scenario/presets.hpp"
 #include "scenario/runner.hpp"
 #include "suites.hpp"
-#include "topologies.hpp"
 
 namespace dear::bench {
 
 namespace {
 
-constexpr std::size_t kFanoutWidth = 8;
 constexpr unsigned kWorkerCounts[] = {1, 2, 4};
 /// Frames per fault-sweep scenario (the preset is a fixed 96-scenario grid).
 constexpr std::uint64_t kCampaignFrames = 120;
@@ -37,38 +32,6 @@ constexpr std::uint64_t kCampaignFrames = 120;
 void run_parallel_scaling_suite(Harness& h) {
   const std::size_t cores = std::thread::hardware_concurrency();
   char detail[192];
-
-  // --- threaded scheduler: per-event cost over worker counts -----------------
-  const auto events = static_cast<std::int64_t>(h.scale(2'000, 201));
-  double per_event_1w = 0.0;
-  double overhead_2w = 0.0;
-  for (const unsigned workers : kWorkerCounts) {
-    char name[64];
-    std::snprintf(name, sizeof(name), "threaded_workers/%u", workers);
-    CaseResult& result = h.measure(name, static_cast<std::uint64_t>(events), [&] {
-      (void)run_fanout_threaded(workers, kFanoutWidth, events);
-    });
-    if (workers == 1) {
-      per_event_1w = result.p50_ns;
-    } else if (per_event_1w > 0.0) {
-      const double overhead = result.p50_ns / per_event_1w;
-      Harness::counter(result, "per_event_overhead_vs_1w", overhead);
-      if (workers == 2) {
-        overhead_2w = overhead;
-      }
-    }
-  }
-  const double overhead_ceiling = h.quick() ? 8.0 : 3.0;
-  if (cores < 2) {
-    std::snprintf(detail, sizeof(detail),
-                  "host has %zu core(s) (observed %.2fx at 2 workers)", cores, overhead_2w);
-    h.gate_skipped("threaded_overhead_3x", detail);
-  } else {
-    std::snprintf(detail, sizeof(detail),
-                  "per-event p50 at 2 workers %.2fx of single-threaded (ceiling %.1fx)",
-                  overhead_2w, overhead_ceiling);
-    h.gate("threaded_overhead_3x", overhead_2w <= overhead_ceiling, detail);
-  }
 
   // --- campaign batch runner: throughput over worker counts ------------------
   const auto campaign = scenario::presets::fault_sweep(kCampaignFrames, 1);

@@ -18,10 +18,9 @@ void run_reactor_suite(Harness& harness);
 /// heaviest payload round trip.
 void run_someip_suite(Harness& harness);
 
-/// Worker-count scaling over 1/2/4 workers: the threaded scheduler
-/// (per-event overhead ceiling at 2 workers) and the 96-scenario fault
-/// sweep (>= 1.6x serial at 2 workers). Both gates need >= 2 cores and
-/// are recorded as skipped otherwise.
+/// Worker-count scaling over 1/2/4 workers: the 96-scenario fault sweep
+/// (>= 1.6x serial at 2 workers). The gate needs >= 2 cores and is
+/// recorded as skipped otherwise.
 void run_parallel_scaling_suite(Harness& harness);
 
 /// Observability overhead: disabled -> enabled -> disabled triples on the

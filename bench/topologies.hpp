@@ -2,10 +2,8 @@
 //
 // Source -> relays -> sink(s), driven by a logical-action loop — the same
 // topology family as the original microbenchmarks. suite_reactor uses the
-// DES-driven pipeline/fanout runs; suite_parallel drives the fanout under
-// the threaded scheduler at several worker counts (wide same-level batches
-// are what exercise the level claim cursor and completion barrier). The
-// obs and FT suites share the DEAR anchor pipeline run.
+// DES-driven pipeline/fanout runs. The obs and FT suites share the DEAR
+// anchor pipeline run.
 #pragma once
 
 #include <cstdint>
@@ -106,25 +104,6 @@ inline std::int64_t run_fanout(std::size_t sinks, std::int64_t events) {
   reactor::SimDriver driver(env, kernel, common::Rng(1));
   driver.start();
   kernel.run();
-  return sink_list.front()->sum;
-}
-
-/// Threaded-scheduler fan-out with a worker pool: every event stages one
-/// `sinks`-wide level, so the per-level coordination cost dominates.
-/// Returns the first sink's checksum.
-inline std::int64_t run_fanout_threaded(unsigned workers, std::size_t sinks,
-                                        std::int64_t events) {
-  reactor::RealClock clock;
-  reactor::Environment::Config config;
-  config.workers = workers;
-  reactor::Environment env(clock, config);
-  Source source(env, events);
-  std::vector<std::unique_ptr<Sink>> sink_list;
-  for (std::size_t i = 0; i < sinks; ++i) {
-    sink_list.push_back(std::make_unique<Sink>(env, "sink" + std::to_string(i)));
-    env.connect(source.out, sink_list.back()->in);
-  }
-  env.run();
   return sink_list.front()->sum;
 }
 

@@ -85,9 +85,7 @@ class Actuator final : public reactor::Reactor {
 
 int main() {
   reactor::RealClock clock;
-  reactor::Environment::Config config;
-  config.workers = 2;
-  reactor::Environment env(clock, config);
+  reactor::Environment env(clock);
 
   Sensor sensor(env, 20);
   Controller controller(env);

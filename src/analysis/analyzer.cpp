@@ -60,7 +60,7 @@ Report analyze_spec(const scenario::ScenarioSpec& spec, const AnalyzeOptions& op
                             std::make_move_iterator(envelope.end()));
   if (options.timing) {
     report.timing = analyze_timing(report.facts);
-    check_timing(report.facts, report.timing, options.workers, report.diagnostics);
+    check_timing(report.facts, report.timing, report.diagnostics);
     report.plan = build_plan(report.facts);
     report.timing_evaluated = true;
   }

@@ -18,12 +18,10 @@ namespace dear::analysis {
 
 struct AnalyzeOptions {
   /// Run the timing pass (analysis/timing.hpp): chain extraction,
-  /// DEAR-LAT-001..004, and the compiled StaticPlan, all attached to the
+  /// DEAR-LAT-001/002/004, and the compiled StaticPlan, all attached to the
   /// report. Off by default — the structural report stays byte-identical
   /// to PR 6's.
   bool timing{false};
-  /// Worker count the level-width note (DEAR-LAT-003) checks against.
-  unsigned workers{1};
 };
 
 /// Analyzes one scenario: extracts facts for the spec's workload and

@@ -30,8 +30,6 @@ std::string_view rule_id(Rule rule) noexcept {
       return "DEAR-LAT-001";
     case Rule::kChainWcetExceedsDeadline:
       return "DEAR-LAT-002";
-    case Rule::kLevelWidthOverWorkers:
-      return "DEAR-LAT-003";
     case Rule::kUnreachableBudgetSink:
       return "DEAR-LAT-004";
     case Rule::kFtNoFallback:
@@ -70,8 +68,6 @@ std::string_view rule_summary(Rule rule) noexcept {
       return "chain logical latency exceeds the declared end-to-end budget";
     case Rule::kChainWcetExceedsDeadline:
       return "critical-path WCET exceeds the tightest deadline on the chain";
-    case Rule::kLevelWidthOverWorkers:
-      return "precedence-graph level wider than the configured worker count";
     case Rule::kUnreachableBudgetSink:
       return "end-to-end budget whose sink no tagged chain reaches";
     case Rule::kFtNoFallback:
@@ -94,7 +90,6 @@ Severity rule_severity(Rule rule) noexcept {
     case Rule::kFtRetryBudgetOverChain:
       return Severity::kWarning;
     case Rule::kOrderedMultiWriterPort:
-    case Rule::kLevelWidthOverWorkers:
       return Severity::kNote;
     default:
       return Severity::kError;

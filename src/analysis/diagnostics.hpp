@@ -62,9 +62,7 @@ enum class Rule : std::uint8_t {
   /// tightest sending deadline — deadline misses are statically certain
   /// under the scenario's timing scales.
   kChainWcetExceedsDeadline,
-  /// DEAR-LAT-003: a level of the precedence graph wider than the
-  /// configured worker count (legal; sequentialized by the scheduler).
-  kLevelWidthOverWorkers,
+  // DEAR-LAT-003 is retired; its ID stays reserved and is never reused.
   /// DEAR-LAT-004: an end-to-end budget whose sink no tagged source→sink
   /// chain reaches (unreachable sink / dead budget).
   kUnreachableBudgetSink,
@@ -87,9 +85,8 @@ inline constexpr Rule kAllRules[] = {
     Rule::kUntaggedChannel,       Rule::kEnvelopeLatency,
     Rule::kEnvelopeLossyLink,     Rule::kEnvelopeDeadlineScale,
     Rule::kEnvelopeExecScale,     Rule::kChainBudgetExceeded,
-    Rule::kChainWcetExceedsDeadline, Rule::kLevelWidthOverWorkers,
-    Rule::kUnreachableBudgetSink,    Rule::kFtNoFallback,
-    Rule::kFtRetryBudgetOverChain,
+    Rule::kChainWcetExceedsDeadline, Rule::kUnreachableBudgetSink,
+    Rule::kFtNoFallback,             Rule::kFtRetryBudgetOverChain,
 };
 
 [[nodiscard]] std::string_view rule_id(Rule rule) noexcept;

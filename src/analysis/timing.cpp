@@ -280,7 +280,7 @@ std::string TimingAnalysis::to_json(int indent) const {
   return out;
 }
 
-void check_timing(const Facts& facts, const TimingAnalysis& timing, unsigned workers,
+void check_timing(const Facts& facts, const TimingAnalysis& timing,
                   std::vector<Diagnostic>& out) {
   // DEAR-LAT-004: budgets no extracted chain reaches.
   for (const BudgetFact& budget : facts.budgets) {
@@ -336,33 +336,6 @@ void check_timing(const Facts& facts, const TimingAnalysis& timing, unsigned wor
                    static_cast<std::int64_t>(entry->critical_path_wcet), node.c_str(),
                    static_cast<std::int64_t>(entry->tightest_deadline));
       out.push_back(make_diagnostic(Rule::kChainWcetExceedsDeadline, node, message));
-    }
-  }
-
-  // DEAR-LAT-003: levels wider than the worker pool run sequentialized.
-  std::vector<std::string_view> node_order;
-  for (const ReactionFact& reaction : facts.reactions) {
-    const std::string_view node = facts.text(reaction.node);
-    if (std::find(node_order.begin(), node_order.end(), node) == node_order.end()) {
-      node_order.push_back(node);
-    }
-  }
-  for (const std::string_view node : node_order) {
-    for (int level = 0; level < facts.level_count; ++level) {
-      unsigned width = 0;
-      for (const ReactionFact& reaction : facts.reactions) {
-        if (facts.text(reaction.node) == node && reaction.level == level) {
-          ++width;
-        }
-      }
-      if (width > workers) {
-        std::string message;
-        push_message(message,
-                     "level %d holds %u independent reactions but only %u worker(s) are "
-                     "configured: the level runs sequentialized",
-                     level, width, workers);
-        out.push_back(make_diagnostic(Rule::kLevelWidthOverWorkers, std::string(node), message));
-      }
     }
   }
 }

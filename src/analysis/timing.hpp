@@ -10,7 +10,7 @@
 // WCET-weighted path through a node's precedence graph must fit inside
 // the node's tightest sending deadline, or deadline misses are certain.
 //
-// Outputs feed three consumers: DEAR-LAT-001..004 diagnostics
+// Outputs feed three consumers: DEAR-LAT-001/002/004 diagnostics
 // (check_timing), the per-scenario timing verdicts in campaign reports,
 // and the analysis-report-v1 JSON surfaced by `dear_lint --timing`.
 #pragma once
@@ -63,10 +63,9 @@ struct TimingAnalysis {
 /// (budget declaration order, then node first-appearance order).
 [[nodiscard]] TimingAnalysis analyze_timing(const Facts& facts);
 
-/// Evaluates DEAR-LAT-001..004 against a timing analysis. `workers` is the
-/// per-node worker count the level-width note (DEAR-LAT-003) checks
-/// against.
-void check_timing(const Facts& facts, const TimingAnalysis& timing, unsigned workers,
+/// Evaluates DEAR-LAT-001, -002 and -004 against a timing analysis
+/// (DEAR-LAT-003 is retired).
+void check_timing(const Facts& facts, const TimingAnalysis& timing,
                   std::vector<Diagnostic>& out);
 
 }  // namespace dear::analysis

@@ -11,8 +11,7 @@
 // Two tiers:
 //   * a thread-local magazine per size class (tcmalloc-style): allocate
 //     pops and deallocate pushes with no atomics at all, so concurrent
-//     campaign scenarios and scheduler workers share no cache lines in
-//     steady state;
+//     campaign scenarios share no cache lines in steady state;
 //   * the global shelves (spinlocked free lists) behind them: magazines
 //     refill and flush in batches, and a registered per-thread drain
 //     returns a worker's magazines to the shelves when its thread exits —

@@ -11,7 +11,7 @@
 //     and takes the pool's locked fallback path;
 //   * the drain is registered as a separate thread_local RAII object the
 //     first time the cache is created: when the thread exits (campaign
-//     workers, scheduler workers), the owner's drain hook returns every
+//     workers, executor pool threads), the owner's drain hook returns every
 //     cached block to the global shelves instead of stranding them;
 //   * after the drain has run the slot is marked retired — late calls on
 //     that thread never resurrect a cache whose reaper is already gone.

@@ -10,7 +10,7 @@ ThreadPoolExecutor::ThreadPoolExecutor(std::size_t workers) {
   }
   workers_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this] { run_worker(); });
   }
   timer_thread_ = std::thread([this] { timer_loop(); });
 }
@@ -75,7 +75,7 @@ void ThreadPoolExecutor::drain() {
   idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
 }
 
-void ThreadPoolExecutor::worker_loop() {
+void ThreadPoolExecutor::run_worker() {
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
     work_cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });

@@ -55,7 +55,7 @@ class ThreadPoolExecutor final : public Executor {
     }
   };
 
-  void worker_loop();
+  void run_worker();
   void timer_loop();
 
   std::chrono::steady_clock::time_point start_{std::chrono::steady_clock::now()};

@@ -448,10 +448,6 @@ void append_trace_event(std::string& out, const Span& span, std::uint32_t tid, b
   }
   if (span.level >= 0) {
     append_format(out, "%s\"level\": %d", first_arg ? "" : ", ", span.level);
-    first_arg = false;
-  }
-  if (span.extra != 0) {
-    append_format(out, "%s\"extra\": %" PRIu64, first_arg ? "" : ", ", span.extra);
   }
   out += "}}";
   first = false;

@@ -55,11 +55,6 @@ enum class Counter : std::uint16_t {
   kSchedReactionsExecuted,
   kSchedDeadlineViolations,
   kSchedLevelsRun,
-  kSchedLevelsParallel,
-  kSchedChunkClaims,
-  kSchedWorkerParks,
-  kSchedWorkerBusyNs,
-  kSchedWorkerIdleNs,
   kSimEventsScheduled,
   kSimEventsProcessed,
   kNetPacketsSent,
@@ -116,11 +111,6 @@ inline constexpr CounterDef kCounterDefs[kCounterCount] = {
     {"sched.reactions_executed", true},
     {"sched.deadline_violations", true},
     {"sched.levels_run", true},
-    {"sched.levels_parallel", false},
-    {"sched.chunk_claims", false},
-    {"sched.worker_parks", false},
-    {"sched.worker_busy_ns", false},
-    {"sched.worker_idle_ns", false},
     {"sim.events_scheduled", true},
     {"sim.events_processed", true},
     {"net.packets_sent", true},
@@ -225,7 +215,6 @@ inline constexpr std::size_t kHistSlotCount = hist_slot_offset(kHistCount);
 enum class SpanCategory : std::uint16_t {
   kCampaign,
   kScenario,
-  kLevel,
   kTag,
   kReaction,
   kCount_,
@@ -238,8 +227,6 @@ inline constexpr std::size_t kSpanCategoryCount = static_cast<std::size_t>(SpanC
       return "campaign";
     case SpanCategory::kScenario:
       return "scenario";
-    case SpanCategory::kLevel:
-      return "level";
     case SpanCategory::kTag:
       return "tag";
     case SpanCategory::kReaction:
@@ -258,11 +245,10 @@ inline constexpr std::size_t kSpanCategoryCount = static_cast<std::size_t>(SpanC
 /// it costs two clock reads per record and would eat the <=5% bench budget
 /// on the event-loop hot path.
 inline constexpr std::uint32_t kDefaultSpanMask =
-    category_bit(SpanCategory::kCampaign) | category_bit(SpanCategory::kScenario) |
-    category_bit(SpanCategory::kLevel);
+    category_bit(SpanCategory::kCampaign) | category_bit(SpanCategory::kScenario);
 inline constexpr std::uint32_t kAllSpansMask = (std::uint32_t{1} << kSpanCategoryCount) - 1;
 
-/// Parses "scenario,level" / "all" / "default" into a mask; returns false
+/// Parses "scenario,tag" / "all" / "default" into a mask; returns false
 /// on an unknown category name.
 [[nodiscard]] bool parse_span_mask(std::string_view text, std::uint32_t& mask);
 
@@ -276,7 +262,6 @@ struct Span {
   std::int64_t tag_time{kSpanNoTag};
   std::uint32_t tag_microstep{0};
   std::int32_t level{-1};
-  std::uint64_t extra{0};  // category-specific (level width, frame count)
   SpanCategory category{SpanCategory::kScenario};
   std::uint32_t worker{0};
 };
@@ -472,7 +457,7 @@ class SpanScope {
  public:
   SpanScope(SpanCategory category, std::string_view name,
             std::int64_t tag_time = kSpanNoTag, std::uint32_t tag_microstep = 0,
-            std::int32_t level = -1, std::uint64_t extra = 0) noexcept {
+            std::int32_t level = -1) noexcept {
     if ((Registry::span_mask() & category_bit(category)) == 0) {
       return;
     }
@@ -482,7 +467,6 @@ class SpanScope {
     span_.tag_time = tag_time;
     span_.tag_microstep = tag_microstep;
     span_.level = level;
-    span_.extra = extra;
     span_.start_ns = steady_now_ns();
   }
 
@@ -497,7 +481,6 @@ class SpanScope {
   }
 
   [[nodiscard]] bool active() const noexcept { return active_; }
-  void set_extra(std::uint64_t extra) noexcept { span_.extra = extra; }
 
  private:
   Span span_;

@@ -27,7 +27,7 @@ void register_cli_options(common::Cli& cli) {
   cli.add_string("trace-out", "", "write the Chrome trace-event JSON to this file");
   cli.add_string("trace-categories", "default",
                  "span categories: default | all | none | csv of "
-                 "campaign,scenario,level,tag,reaction");
+                 "campaign,scenario,tag,reaction");
 }
 
 bool configure_from_cli(const common::Cli& cli) {

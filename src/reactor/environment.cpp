@@ -7,7 +7,7 @@
 namespace dear::reactor {
 
 Environment::Environment(PhysicalClock& clock, Config config)
-    : clock_(clock), config_(config), scheduler_(*this, clock) {}
+    : clock_(clock), config_(config), scheduler_(clock) {}
 
 Environment::~Environment() = default;
 
@@ -54,7 +54,7 @@ void Environment::assemble() {
   for (Reactor* reactor : top_level_) {
     register_special_actions(reactor);
   }
-  scheduler_.configure(level_count_, config_.workers, config_.keepalive, config_.timeout);
+  scheduler_.configure(level_count_, config_.keepalive, config_.timeout);
   scheduler_.trace().set_enabled(config_.tracing);
   assembled_ = true;
 }

@@ -30,8 +30,6 @@ struct SchedulePlan;
 class Environment {
  public:
   struct Config {
-    /// Worker threads for reaction execution (threaded driver only).
-    unsigned workers{1};
     /// Keep running while the event queue is empty (needed whenever
     /// physical actions may be scheduled from outside).
     bool keepalive{false};

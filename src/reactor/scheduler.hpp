@@ -3,28 +3,24 @@
 // One scheduler core serves two execution drivers:
 //   * the threaded driver (run_threaded): a blocking loop that waits on a
 //     real clock until physical time reaches the next tag, then executes
-//     the staged reactions level by level on a worker pool — "a reactor
-//     runtime scheduler is responsible for transparently exploiting
-//     concurrency in the APG by mapping independent reactions to separate
-//     worker threads" (paper §III.A);
+//     the staged reactions;
 //   * the DES driver (SimDriver in sim_driver.hpp): calls process_next_tag
 //     from kernel callbacks, with physical time = simulation time.
 //
-// Reactions at one tag execute in level waves with a barrier per level
-// (design decision documented in DESIGN.md §5). Events are never handled
-// before physical time exceeds their tag, which is what makes externally
-// tagged events (PTIDES safe-to-process) safe.
+// Either way, a tag's reactions run on the one thread that drives the
+// scheduler: level by level, and within a level in staging order. The
+// paper (§III.A) lets a runtime map the independent reactions of a level
+// to separate worker threads. This runtime does not, because no graph it
+// runs has a level worth spreading: the schedule plans printed by
+// `dear_lint --workload dear --workload acc --timing` hold at most 2
+// reactions per level on a brake node and 4 on an ACC node. Beside at most
+// one app-logic reaction, every reaction of such a level is transactor
+// glue of about 100 ns, less than one hand-off to another thread costs.
+// Serial levels also make the execution trace a plain recording order,
+// identical under both drivers (tests/reactor/driver_conformance_test.cpp).
 //
-// Level execution is contention-free: the orchestrator publishes each
-// level batch through a generation-stamped atomic cursor, workers CAS-claim
-// chunks of it, and a completion counter replaces the old mutex+cv barrier
-// — the orchestrator never waits for a worker that claimed nothing, so a
-// worker pool on an oversubscribed host costs (almost) nothing. Reactions
-// executing in parallel stage their downstream triggers into private
-// per-worker buffers that are merged back in deterministic (level,
-// batch-index) order, so staging, port cleanup and the execution trace are
-// bit-identical to a serial run at every worker count (asserted by
-// tests/reactor/parallel_conformance_test.cpp).
+// Events are never handled before physical time exceeds their tag, which
+// is what makes externally tagged events (PTIDES safe-to-process) safe.
 //
 // Thread safety depends on the driver. Under the threaded driver, event
 // insertion (actions, request_stop) is safe from any thread: the tag loop
@@ -42,11 +38,9 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "common/owner_mutex.hpp"
@@ -61,11 +55,10 @@ namespace dear::reactor {
 class BasePort;
 class BaseAction;
 class Timer;
-class Environment;
 
 class Scheduler {
  public:
-  Scheduler(Environment& environment, PhysicalClock& clock);
+  explicit Scheduler(PhysicalClock& clock);
   ~Scheduler();
 
   Scheduler(const Scheduler&) = delete;
@@ -73,7 +66,7 @@ class Scheduler {
 
   // --- configuration (before start) -------------------------------------------
 
-  void configure(int level_count, unsigned workers, bool keepalive, Duration timeout);
+  void configure(int level_count, bool keepalive, Duration timeout);
 
   /// Declares that one thread will drive this scheduler for its whole life
   /// (SimDriver does, before start_at): drops the locks and atomics of the
@@ -138,12 +131,12 @@ class Scheduler {
   /// Registers a port for end-of-tag cleanup.
   void register_set_port(BasePort& port);
 
-  /// Installs a modeled execution-cost hook (DES driver, single worker
-  /// only): after each reaction executes, the hook returns the platform
-  /// time it consumed; the accumulated offset is added to the physical
-  /// time used in subsequent deadline checks at the same tag, so a slow
-  /// reaction makes a later reaction at the same tag miss its deadline —
-  /// exactly as it would on the real platform.
+  /// Installs a modeled execution-cost hook (DES driver): after each
+  /// reaction executes, the hook returns the platform time it consumed;
+  /// the accumulated offset is added to the physical time used in
+  /// subsequent deadline checks at the same tag, so a slow reaction makes
+  /// a later reaction at the same tag miss its deadline — exactly as it
+  /// would on the real platform.
   void set_exec_cost_hook(std::function<Duration(const Reaction&)> hook) {
     exec_cost_hook_ = std::move(hook);
   }
@@ -197,13 +190,7 @@ class Scheduler {
 
   [[nodiscard]] const Tag& start_tag() const noexcept { return start_tag_; }
   [[nodiscard]] std::uint64_t tags_processed() const noexcept { return tags_processed_; }
-  [[nodiscard]] std::uint64_t reactions_executed() const noexcept {
-    std::uint64_t total = 0;
-    for (std::size_t i = 0; i < worker_slot_count_; ++i) {
-      total += worker_slots_[i].reactions_executed.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
+  [[nodiscard]] std::uint64_t reactions_executed() const noexcept { return reactions_executed_; }
   [[nodiscard]] std::uint64_t deadline_violations() const noexcept {
     return deadline_violations_.load(std::memory_order_relaxed);
   }
@@ -216,49 +203,6 @@ class Scheduler {
 
  private:
   enum class State : std::uint8_t { kIdle, kRunning, kFinished };
-
-  // --- contention-free level pool types ----------------------------------------
-
-  /// One effect recorded by a reaction executing on a worker: either a set
-  /// port whose trigger closure must be staged, or a port registered for
-  /// end-of-tag cleanup. batch_index (the producing reaction's position in
-  /// the level batch) keys the deterministic merge.
-  struct StagedRecord {
-    std::uint32_t batch_index;
-    bool set_port;
-    BasePort* port;
-  };
-  struct LocalTraceRecord {
-    std::uint32_t batch_index;
-    bool violated;
-  };
-  /// Per-worker state, cache-line aligned: the execution counter and the
-  /// private staging/trace buffers are written by exactly one worker, and
-  /// padding keeps neighbouring workers' writes off each other's lines.
-  struct alignas(64) WorkerSlot {
-    /// One writer per slot, so a plain increment suffices; the atomic only
-    /// keeps reactions_executed()'s relaxed reads from other threads sound.
-    void count_reaction() noexcept {
-      reactions_executed.store(reactions_executed.load(std::memory_order_relaxed) + 1,
-                               std::memory_order_relaxed);
-    }
-
-    std::atomic<std::uint64_t> reactions_executed{0};
-    std::vector<StagedRecord> records;
-    std::vector<LocalTraceRecord> trace;
-    std::size_t merge_cursor{0};
-  };
-
-  /// level_cursor_ layout: generation << kGenShift | next unclaimed index.
-  /// The generation stamp makes stale CAS attempts fail instead of
-  /// claiming into a republished batch. Both sides truncate to 40 bits, so
-  /// wrap is harmless for the protocol itself; an ABA claim would need a
-  /// worker to stall across exactly a multiple of 2^40 published levels
-  /// (days of continuous level turnover) between two loads.
-  static constexpr std::uint64_t kGenShift = 24;
-  static constexpr std::uint64_t kIndexMask = (std::uint64_t{1} << kGenShift) - 1;
-  static constexpr std::uint64_t kGenMask = (std::uint64_t{1} << 40) - 1;
-  static constexpr std::uint32_t kMaxLevelWidth = static_cast<std::uint32_t>(kIndexMask);
 
   /// Pops all actions at `tag`, runs setup, stages triggered reactions.
   /// Requires the lock; `is_stop` additionally triggers shutdown actions.
@@ -278,19 +222,8 @@ class Scheduler {
   /// End-of-tag cleanup of present ports/actions. Requires the lock.
   void finalize_tag_locked();
 
-  void run_level_parallel(const std::vector<Reaction*>& level_reactions);
-  /// CAS-claims chunks of the published level until none remain (workers
-  /// and the orchestrator both run this).
-  void work_on_level(std::uint64_t generation, WorkerSlot& slot);
-  void worker_loop(std::size_t worker_index);
-  /// Replays the workers' private effect/trace buffers in batch-index
-  /// order — the exact order a serial execution would have produced.
-  void merge_level_effects(const std::vector<Reaction*>& level_reactions);
   void execute_reaction(Reaction& reaction);
-  void execute_reaction_parallel(Reaction& reaction, WorkerSlot& slot,
-                                 std::uint32_t batch_index);
 
-  Environment& environment_;
   PhysicalClock& clock_;
 
   /// Both scheduler mutexes are claimed together (claim_single_owner);
@@ -325,30 +258,8 @@ class Scheduler {
   std::vector<Reaction*> executed_buffer_;
 
   // Configuration.
-  unsigned workers_{1};
   bool keepalive_{false};
   Duration timeout_{-1};
-
-  // Worker pool (threaded driver only). The orchestrator owns slot 0.
-  std::vector<std::thread> worker_threads_;
-  std::unique_ptr<WorkerSlot[]> worker_slots_;
-  std::size_t worker_slot_count_{1};
-  std::atomic<std::uint64_t> level_cursor_{0};
-  std::atomic<std::uint32_t> level_size_{0};
-  std::atomic<std::uint32_t> level_chunk_{1};
-  std::atomic<std::uint32_t> level_completed_{0};
-  std::atomic<Reaction* const*> level_batch_{nullptr};
-  std::uint64_t level_generation_{0};  // orchestrator-only
-  std::atomic<bool> pool_shutdown_{false};
-  std::atomic<int> parked_workers_{0};
-  std::mutex park_mutex_;
-  std::condition_variable park_cv_;
-
-  /// The executing worker's slot while a parallel level is in flight on
-  /// this thread (null otherwise → reaction effects take the locked path).
-  static thread_local WorkerSlot* active_slot_;
-  /// Batch index of the reaction currently executing on this thread.
-  static thread_local std::uint32_t active_batch_index_;
 
   std::function<Duration(const Reaction&)> exec_cost_hook_;
   Duration busy_offset_{0};
@@ -358,6 +269,7 @@ class Scheduler {
   std::vector<Timer*> timers_;
 
   std::uint64_t tags_processed_{0};
+  std::uint64_t reactions_executed_{0};
   std::atomic<std::uint64_t> deadline_violations_{0};
   Trace trace_;
 };

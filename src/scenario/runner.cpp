@@ -10,6 +10,11 @@
 #include <thread>
 #include <vector>
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include "analysis/analyzer.hpp"
 #include "obs/obs.hpp"
 
@@ -50,6 +55,37 @@ using Clock = std::chrono::steady_clock;
   obs_row.shelf_locks = counter_delta(before, after, obs::Counter::kPoolSmallShelfLocks) +
                         counter_delta(before, after, obs::Counter::kPoolBufferShelfLocks);
   return obs_row;
+}
+
+/// Moves the calling worker onto the `ordinal`-th CPU it may run on, then
+/// gives it back its full CPU mask. A load-balancing scheduler spreads a
+/// pool by itself; where balancing is off (a cpuset with
+/// sched_load_balance=0, as on some VMs) new threads tend to start on
+/// their creator's CPU and stay there, and a 4-worker batch ran no faster
+/// than a serial one. The thread stays free to migrate afterwards. Best
+/// effort: a failed call leaves the thread where it is.
+void start_on_cpu(std::size_t ordinal) {
+#if defined(__linux__)
+  cpu_set_t allowed;
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0 || CPU_COUNT(&allowed) <= 1) {
+    return;
+  }
+  std::size_t skip = ordinal % static_cast<std::size_t>(CPU_COUNT(&allowed));
+  for (std::size_t cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (!CPU_ISSET(cpu, &allowed) || skip-- != 0) {
+      continue;
+    }
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    if (pthread_setaffinity_np(pthread_self(), sizeof(one), &one) == 0) {
+      pthread_setaffinity_np(pthread_self(), sizeof(allowed), &allowed);
+    }
+    return;
+  }
+#else
+  (void)ordinal;
+#endif
 }
 
 /// Evaluates the digest-invariance groups in place. Scenario order within
@@ -228,7 +264,10 @@ CampaignReport CampaignRunner::run(std::string name, std::vector<ScenarioSpec> s
     std::vector<std::thread> pool;
     pool.reserve(pool_size);
     for (std::size_t w = 0; w < pool_size; ++w) {
-      pool.emplace_back(work);
+      pool.emplace_back([&work, w] {
+        start_on_cpu(w);
+        work();
+      });
     }
     for (std::thread& worker : pool) {
       worker.join();

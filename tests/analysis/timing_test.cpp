@@ -83,7 +83,7 @@ TEST(Timing, BudgetExceededFiresLat001) {
   const Facts facts = two_hop_facts(/*budget=*/20_ms);  // chain needs 24 ms
   const TimingAnalysis timing = analyze_timing(facts);
   std::vector<Diagnostic> diagnostics;
-  check_timing(facts, timing, /*workers=*/4, diagnostics);
+  check_timing(facts, timing, diagnostics);
   ASSERT_EQ(count_rule(diagnostics, Rule::kChainBudgetExceeded), 1U);
   for (const Diagnostic& d : diagnostics) {
     if (d.rule == Rule::kChainBudgetExceeded) {
@@ -98,7 +98,7 @@ TEST(Timing, BudgetWithHeadroomIsClean) {
   const Facts facts = two_hop_facts(/*budget=*/24_ms);  // exactly met: <= passes
   const TimingAnalysis timing = analyze_timing(facts);
   std::vector<Diagnostic> diagnostics;
-  check_timing(facts, timing, /*workers=*/4, diagnostics);
+  check_timing(facts, timing, diagnostics);
   EXPECT_EQ(count_rule(diagnostics, Rule::kChainBudgetExceeded), 0U);
   EXPECT_EQ(count_rule(diagnostics, Rule::kUnreachableBudgetSink), 0U);
 }
@@ -110,7 +110,7 @@ TEST(Timing, UnreachableBudgetFiresLat004) {
   facts.budgets.push_back(BudgetFact{"Island.out", "island", 10_ms});
   const TimingAnalysis timing = analyze_timing(facts);
   std::vector<Diagnostic> diagnostics;
-  check_timing(facts, timing, /*workers=*/4, diagnostics);
+  check_timing(facts, timing, diagnostics);
   ASSERT_EQ(count_rule(diagnostics, Rule::kUnreachableBudgetSink), 1U);
   for (const Diagnostic& d : diagnostics) {
     if (d.rule == Rule::kUnreachableBudgetSink) {
@@ -133,7 +133,7 @@ TEST(Timing, CriticalPathOverDeadlineFiresLat002) {
   EXPECT_EQ(mid->critical_path_wcet, 11_ms);
   EXPECT_EQ(mid->tightest_deadline, 10_ms);
   std::vector<Diagnostic> diagnostics;
-  check_timing(facts, timing, /*workers=*/4, diagnostics);
+  check_timing(facts, timing, diagnostics);
   ASSERT_EQ(count_rule(diagnostics, Rule::kChainWcetExceedsDeadline), 1U);
   for (const Diagnostic& d : diagnostics) {
     if (d.rule == Rule::kChainWcetExceedsDeadline) {
@@ -154,23 +154,6 @@ TEST(Timing, CrossNodeDependenciesStayOffTheCriticalPath) {
   EXPECT_EQ(sink->critical_path_wcet, 1_ms);
 }
 
-TEST(Timing, WideLevelFiresLat003OnlyBelowTheWorkerCount) {
-  Facts facts;
-  facts.workload = "synthetic";
-  facts.level_count = 1;
-  facts.reactions.push_back(reaction(facts, "node", "node/a", 0, true));
-  facts.reactions.push_back(reaction(facts, "node", "node/b", 0, false));
-  facts.reactions.push_back(reaction(facts, "node", "node/c", 0, false));
-  const TimingAnalysis timing = analyze_timing(facts);
-  std::vector<Diagnostic> sequentialized;
-  check_timing(facts, timing, /*workers=*/2, sequentialized);
-  ASSERT_EQ(count_rule(sequentialized, Rule::kLevelWidthOverWorkers), 1U);
-  EXPECT_EQ(rule_severity(Rule::kLevelWidthOverWorkers), Severity::kNote);
-  std::vector<Diagnostic> wide_enough;
-  check_timing(facts, timing, /*workers=*/3, wide_enough);
-  EXPECT_EQ(count_rule(wide_enough, Rule::kLevelWidthOverWorkers), 0U);
-}
-
 TEST(Timing, UntaggedChannelsFormNoChain) {
   Facts facts = two_hop_facts(/*budget=*/30_ms);
   for (ChannelFact& fact : facts.channels) {
@@ -179,7 +162,7 @@ TEST(Timing, UntaggedChannelsFormNoChain) {
   const TimingAnalysis timing = analyze_timing(facts);
   EXPECT_TRUE(timing.chains.empty());
   std::vector<Diagnostic> diagnostics;
-  check_timing(facts, timing, /*workers=*/4, diagnostics);
+  check_timing(facts, timing, diagnostics);
   EXPECT_EQ(count_rule(diagnostics, Rule::kUnreachableBudgetSink), 1U);
 }
 
@@ -197,7 +180,6 @@ ScenarioSpec spec_for(Workload workload) {
 Report timed_report(Workload workload) {
   AnalyzeOptions options;
   options.timing = true;
-  options.workers = 2;
   return analyze_spec(spec_for(workload), options);
 }
 

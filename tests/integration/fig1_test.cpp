@@ -46,13 +46,44 @@ TEST(Fig1Dear, SimAlwaysPrintsThree) {
   }
 }
 
+/// The DEAR guarantee for one real-time trial. The paper promises
+/// determinism only while deadlines hold, and a real-time trial can miss
+/// the server's 10 ms deadline under OS preemption, after which the 2 s
+/// watchdog may end it. So a trial holds if it prints 3 on completion, or
+/// if it reports the protocol error (deadline miss, tardy message) that
+/// voids the guarantee. A wrong value or an unfinished trial with zero
+/// protocol errors is a silent failure and never holds.
+bool dear_trial_holds(const Fig1Outcome& outcome) {
+  if (outcome.protocol_errors > 0) {
+    return true;
+  }
+  return outcome.completed && outcome.printed == 3;
+}
+
+TEST(Fig1Dear, TrialPredicateRejectsSilentFailures) {
+  EXPECT_TRUE(dear_trial_holds({.printed = 3, .completed = true, .protocol_errors = 0}));
+  // A reported deadline miss excuses a wrong value or an unfinished trial.
+  EXPECT_TRUE(dear_trial_holds({.printed = 2, .completed = true, .protocol_errors = 1}));
+  EXPECT_TRUE(dear_trial_holds({.printed = -1, .completed = false, .protocol_errors = 1}));
+  // Without one, it does not.
+  EXPECT_FALSE(dear_trial_holds({.printed = 2, .completed = true, .protocol_errors = 0}));
+  EXPECT_FALSE(dear_trial_holds({.printed = 0, .completed = true, .protocol_errors = 0}));
+  EXPECT_FALSE(dear_trial_holds({.printed = -1, .completed = false, .protocol_errors = 0}));
+  EXPECT_FALSE(dear_trial_holds({.printed = 3, .completed = false, .protocol_errors = 0}));
+}
+
 TEST(Fig1Dear, ThreadedAlwaysPrintsThree) {
+  int excused = 0;
   for (int i = 0; i < 5; ++i) {
     const Fig1Outcome outcome = run_fig1_dear_threaded(4);
-    ASSERT_TRUE(outcome.completed);
-    EXPECT_EQ(outcome.printed, 3);
-    EXPECT_EQ(outcome.protocol_errors, 0u);
+    EXPECT_TRUE(dear_trial_holds(outcome))
+        << "trial " << i << " printed " << outcome.printed << " (completed "
+        << outcome.completed << ") with no protocol error reported";
+    if (outcome.protocol_errors > 0) {
+      ++excused;
+    }
   }
+  RecordProperty("trials_with_reported_protocol_errors", excused);
 }
 
 }  // namespace

@@ -287,8 +287,8 @@ TEST_F(ObsTest, MaskedCategoryRecordsNothing) {
 TEST_F(ObsTest, ChromeTraceJsonIsWellFormed) {
   Registry::instance().set_span_mask(kAllSpansMask);
   { SpanScope span(SpanCategory::kCampaign, "campaign \"quoted\""); }
-  { SpanScope span(SpanCategory::kScenario, "scenario-a", 1'000, 2, 3, 17); }
-  { SpanScope span(SpanCategory::kLevel, "level", 1'000, 0, 1, 4); }
+  { SpanScope span(SpanCategory::kScenario, "scenario-a", 1'000, 2, 3); }
+  { SpanScope span(SpanCategory::kTag, "tag", 1'000, 0, 1); }
   const std::string trace = Registry::instance().chrome_trace_json();
   JsonChecker checker(trace);
   EXPECT_TRUE(checker.valid()) << trace;
@@ -322,8 +322,8 @@ TEST_F(ObsTest, ParseSpanMaskCoversTheVocabulary) {
   EXPECT_EQ(mask, kAllSpansMask);
   EXPECT_TRUE(parse_span_mask("none", mask));
   EXPECT_EQ(mask, 0u);
-  EXPECT_TRUE(parse_span_mask("scenario,level", mask));
-  EXPECT_EQ(mask, category_bit(SpanCategory::kScenario) | category_bit(SpanCategory::kLevel));
+  EXPECT_TRUE(parse_span_mask("scenario,tag", mask));
+  EXPECT_EQ(mask, category_bit(SpanCategory::kScenario) | category_bit(SpanCategory::kTag));
   EXPECT_FALSE(parse_span_mask("scenario,bogus", mask));
 }
 

@@ -236,17 +236,14 @@ TEST(ShelfLocks, TwoWorkerCampaignShelfLocksStayFlat) {
 }
 
 TEST(ShelfLocks, ThreadedSchedulerSteadyStateTakesNoShelfLocks) {
-  // Threaded fan-out with a 2-worker pool: all pooled traffic (action
-  // values, port values) allocates and frees on the orchestrating thread,
-  // whose magazines reach steady state during the warm run; the pool
-  // workers execute sink reactions that allocate nothing. Quadrupling the
+  // Threaded fan-out: all pooled traffic (action values, port values)
+  // allocates and frees on the thread that runs the tag loop, whose
+  // magazines reach steady state during the warm run. Quadrupling the
   // event count must add zero shelf locks.
   using namespace dear::reactor;
   const auto run_fanout = [](std::int64_t events) {
     RealClock clock;
-    Environment::Config config;
-    config.workers = 2;
-    Environment env(clock, config);
+    Environment env(clock);
     // delay 1: distinct tag times per event (the conformance tests cover
     // the microstep-packed delay-0 loop).
     reactor::testing::LoopSource source(env, events, 1);
@@ -258,7 +255,7 @@ TEST(ShelfLocks, ThreadedSchedulerSteadyStateTakesNoShelfLocks) {
     }
     env.run();
   };
-  run_fanout(400);  // warm the orchestrator's magazines
+  run_fanout(400);  // warm the tag-loop thread's magazines
   const std::uint64_t before_small = shelf_locks();
   run_fanout(400);
   const std::uint64_t small_delta = shelf_locks() - before_small;
@@ -314,7 +311,7 @@ TEST(AllocCount, SpanRecordingIsAllocationFreeOnceWarm) {
   { obs::SpanScope warm(obs::SpanCategory::kScenario, "alloc-test-span"); }
   const std::uint64_t before = allocation_count();
   for (int i = 0; i < 2'000; ++i) {
-    obs::SpanScope span(obs::SpanCategory::kScenario, "alloc-test-span", i, 0, 1, 7);
+    obs::SpanScope span(obs::SpanCategory::kScenario, "alloc-test-span", i, 0, 1);
   }
   const std::uint64_t after = allocation_count();
   EXPECT_EQ(after - before, 0u)

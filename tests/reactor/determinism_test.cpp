@@ -1,9 +1,13 @@
 // The determinism property: a reactor program without physical actions
 // produces exactly the same execution trace — (tag, reaction) sequence —
-// on every run, for every worker count, and on both schedulers.
+// on every run, under both drivers, and while other environments run the
+// same program on other threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "reactor_fixture.hpp"
 
@@ -38,8 +42,9 @@ struct Program {
 
 /// Normalizes a trace for comparison: tags become relative to the start
 /// tag, and records within one tag are sorted by name — reactions on the
-/// same level are semantically unordered (they may run in parallel), so
-/// their recording order is not part of the observable behavior.
+/// same level are semantically unordered, so their recording order is not
+/// part of the observable behavior (driver_conformance_test.cpp pins the
+/// raw order).
 [[nodiscard]] std::string normalize_trace(const Environment& env, const Trace& trace,
                                           TimePoint start) {
   (void)env;
@@ -55,10 +60,9 @@ struct Program {
   return normalized;
 }
 
-[[nodiscard]] std::string threaded_trace(unsigned workers) {
+[[nodiscard]] std::string threaded_trace() {
   RealClock clock;
   Environment::Config config;
-  config.workers = workers;
   config.tracing = true;
   Environment env(clock, config);
   Program program(env);
@@ -66,20 +70,32 @@ struct Program {
   return normalize_trace(env, env.trace(), env.start_time());
 }
 
+/// Parameter: how many environments run the program at the same time, one
+/// per thread.
 class WorkerCountTest : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(WorkerCountTest, TraceIndependentOfWorkerCount) {
-  const std::string reference = threaded_trace(1);
-  const std::string trace = threaded_trace(GetParam());
-  EXPECT_EQ(trace, reference) << "worker count changed observable behavior";
+  const std::string reference = threaded_trace();
+  std::vector<std::string> traces(GetParam());
+  std::vector<std::thread> workers;
+  workers.reserve(traces.size());
+  for (std::string& trace : traces) {
+    workers.emplace_back([&trace] { trace = threaded_trace(); });
+  }
+  for (std::thread& worker : workers) {
+    worker.join();
+  }
+  for (const std::string& trace : traces) {
+    EXPECT_EQ(trace, reference) << "concurrent environments changed observable behavior";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Workers, WorkerCountTest, ::testing::Values(1u, 2u, 4u, 8u));
 
 TEST(Determinism, RepeatedThreadedRunsIdentical) {
-  const std::string first = threaded_trace(2);
+  const std::string first = threaded_trace();
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(threaded_trace(2), first);
+    EXPECT_EQ(threaded_trace(), first);
   }
 }
 
@@ -99,15 +115,13 @@ TEST(Determinism, RepeatedThreadedRunsIdentical) {
 TEST(Determinism, SimAndThreadedTracesAgree) {
   // The same logical program must behave identically under the DES driver
   // and the threaded scheduler.
-  EXPECT_EQ(sim_trace(), threaded_trace(2));
+  EXPECT_EQ(sim_trace(), threaded_trace());
 }
 
 TEST(Determinism, RecorderValuesIdenticalAcrossRuns) {
   auto run_values = [] {
     RealClock clock;
-    Environment::Config config;
-    config.workers = 4;
-    Environment env(clock, config);
+    Environment env(clock);
     Program program(env);
     env.run();
     std::vector<int> values;

@@ -1,23 +1,25 @@
-// Parallel conformance: the threaded scheduler at 1/2/4 workers produces
+// Driver conformance: the threaded driver and SimDriver produce
 // bit-identical raw execution traces — not just sorted-within-tag equal —
 // and identical tag sequences on the pipeline, fan-out and microstep
 // topologies (the same families the event-queue conformance suite pins
 // down on the queue itself).
 //
-// This is the end-to-end guarantee behind the contention-free level pool:
-// reactions executing concurrently stage their effects into per-worker
-// buffers that are merged in (level, batch-index) order, so staging order,
-// port cleanup order and the trace are exactly what a serial execution
-// produces. Any scheduling leak into observable order shows up here as a
-// digest mismatch.
+// Both drivers run a tag's reactions serially on their own thread, level
+// by level in staging order, so staging order, port cleanup order and the
+// trace may not depend on which driver runs the program, on the clock it
+// reads, on repetition, or on other environments running at the same time
+// on other threads (the campaign runner's pattern). Any such leak into
+// observable order shows up here as a digest mismatch.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/digest.hpp"
+#include "common/rng.hpp"
 #include "reactor/graph.hpp"
 #include "reactor_fixture.hpp"
 
@@ -38,7 +40,7 @@ struct RunDigests {
 };
 
 /// Digests the raw trace in recording order — tags relative to the start
-/// tag so real-clock runs compare across processes.
+/// tag so real-clock and simulated runs compare.
 RunDigests digest_run(Environment& env, std::int64_t checksum) {
   RunDigests digests;
   digests.checksum = checksum;
@@ -61,21 +63,57 @@ RunDigests digest_run(Environment& env, std::int64_t checksum) {
   return digests;
 }
 
-Environment::Config traced_config(unsigned workers) {
-  Environment::Config config;
-  config.workers = workers;
-  config.tracing = true;
-  return config;
-}
+enum class Driver { kThreaded, kSim };
 
-/// source -> relay x4 -> sink: deep levels, one reaction each (the serial
-/// fast path must interleave identically with the parallel one). With
+/// One traced environment on either driver: the threaded driver on a real
+/// clock, or SimDriver on its own DES kernel.
+class Run {
+ public:
+  explicit Run(Driver driver)
+      : driver_(driver), sim_clock_(kernel_), env_(clock(), traced_config()) {}
+
+  [[nodiscard]] Environment& env() noexcept { return env_; }
+
+  /// Runs the program until it shuts itself down.
+  void execute() {
+    if (driver_ == Driver::kThreaded) {
+      env_.run();
+      return;
+    }
+    SimDriver driver(env_, kernel_, common::Rng(1));
+    driver.start();
+    kernel_.run();
+    ASSERT_TRUE(driver.finished());
+  }
+
+ private:
+  static Environment::Config traced_config() {
+    Environment::Config config;
+    config.tracing = true;
+    return config;
+  }
+
+  PhysicalClock& clock() noexcept {
+    if (driver_ == Driver::kThreaded) {
+      return real_clock_;
+    }
+    return sim_clock_;
+  }
+
+  Driver driver_;
+  sim::Kernel kernel_;
+  RealClock real_clock_;
+  SimClock sim_clock_;
+  Environment env_;
+};
+
+/// source -> relay x4 -> sink: deep levels, one reaction each. With
 /// `consume_plan`, the environment installs a precompiled schedule plan
 /// (DependencyGraph::export_plan of an identical probe graph) instead of
 /// deriving levels at assembly — observably identical by contract.
-RunDigests run_pipeline(unsigned workers, std::int64_t events, bool consume_plan = false) {
-  RealClock clock;
-  Environment env(clock, traced_config(workers));
+RunDigests run_pipeline(Driver driver, std::int64_t events, bool consume_plan = false) {
+  Run run(driver);
+  Environment& env = run.env();
   LoopSource source(env, events);
   std::vector<std::unique_ptr<LoopRelay>> relays;
   for (int i = 0; i < 4; ++i) {
@@ -92,14 +130,14 @@ RunDigests run_pipeline(unsigned workers, std::int64_t events, bool consume_plan
     DependencyGraph probe(env.top_level());
     env.set_schedule_plan(probe.export_plan());
   }
-  env.run();
+  run.execute();
   return digest_run(env, sink.sum);
 }
 
-/// source -> 8 sinks: one 8-wide level per event, the parallel claim path.
-RunDigests run_fanout(unsigned workers, std::int64_t events) {
-  RealClock clock;
-  Environment env(clock, traced_config(workers));
+/// source -> 8 sinks: one 8-wide level per event.
+RunDigests run_fanout(Driver driver, std::int64_t events) {
+  Run run(driver);
+  Environment& env = run.env();
   LoopSource source(env, events);
   std::vector<std::unique_ptr<LoopSink>> sinks;
   std::int64_t checksum = 0;
@@ -107,7 +145,7 @@ RunDigests run_fanout(unsigned workers, std::int64_t events) {
     sinks.push_back(std::make_unique<LoopSink>(env, "sink" + std::to_string(i)));
     env.connect(source.out, sinks.back()->in);
   }
-  env.run();
+  run.execute();
   for (std::size_t i = 0; i < sinks.size(); ++i) {
     checksum += sinks[i]->sum * static_cast<std::int64_t>(i + 1);
   }
@@ -152,9 +190,9 @@ class MicrostepSource final : public Reactor {
   std::int64_t count_{0};
 };
 
-RunDigests run_microstep(unsigned workers, std::int64_t events) {
-  RealClock clock;
-  Environment env(clock, traced_config(workers));
+RunDigests run_microstep(Driver driver, std::int64_t events) {
+  Run run(driver);
+  Environment& env = run.env();
   MicrostepSource source(env, events);
   std::vector<std::unique_ptr<LoopSink>> sinks;
   std::int64_t checksum = 0;
@@ -164,49 +202,101 @@ RunDigests run_microstep(unsigned workers, std::int64_t events) {
     sinks.push_back(std::make_unique<LoopSink>(env, "sink_b" + std::to_string(i)));
     env.connect(source.out_b, sinks.back()->in);
   }
-  env.run();
+  run.execute();
   for (std::size_t i = 0; i < sinks.size(); ++i) {
     checksum += sinks[i]->sum * static_cast<std::int64_t>(i + 1);
   }
   return digest_run(env, checksum);
 }
 
+/// Runs `workers` copies of one program at once, each in its own
+/// environment on its own thread, alternating the threaded driver and
+/// SimDriver. Returns each copy's digests.
+template <typename RunFn>
+std::vector<RunDigests> run_concurrently(unsigned workers, RunFn run) {
+  std::vector<RunDigests> results(workers);
+  std::vector<std::thread> threads;
+  threads.reserve(workers);
+  for (unsigned i = 0; i < workers; ++i) {
+    const Driver driver = i % 2 == 0 ? Driver::kThreaded : Driver::kSim;
+    threads.emplace_back([&results, &run, i, driver] { results[i] = run(driver); });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  return results;
+}
+
 constexpr std::int64_t kEvents = 300;
 
+TEST(DriverConformance, PipelineTraceIdenticalAcrossDrivers) {
+  const RunDigests threaded = run_pipeline(Driver::kThreaded, kEvents);
+  EXPECT_EQ(threaded.reactions, 6u * kEvents + 1);  // kick + 6 stages per event
+  EXPECT_EQ(run_pipeline(Driver::kSim, kEvents), threaded);
+}
+
+TEST(DriverConformance, FanoutTraceIdenticalAcrossDrivers) {
+  const RunDigests threaded = run_fanout(Driver::kThreaded, kEvents);
+  EXPECT_EQ(threaded.reactions, 9u * kEvents + 1);  // kick + emit + 8 sinks
+  EXPECT_EQ(run_fanout(Driver::kSim, kEvents), threaded);
+}
+
+TEST(DriverConformance, MicrostepTraceIdenticalAcrossDrivers) {
+  const RunDigests threaded = run_microstep(Driver::kThreaded, kEvents);
+  EXPECT_EQ(threaded.reactions, 8u * kEvents + 1);  // kick + on_a + on_b + 6 sinks
+  EXPECT_EQ(run_microstep(Driver::kSim, kEvents), threaded);
+}
+
+TEST(DriverConformance, PlanConsumingRunBitIdenticalToDerivedRun) {
+  const RunDigests reference = run_pipeline(Driver::kThreaded, kEvents);
+  EXPECT_EQ(run_pipeline(Driver::kThreaded, kEvents, /*consume_plan=*/true), reference);
+  EXPECT_EQ(run_pipeline(Driver::kSim, kEvents, /*consume_plan=*/true), reference);
+}
+
+TEST(DriverConformance, RepeatedThreadedRunsIdentical) {
+  const RunDigests first = run_fanout(Driver::kThreaded, kEvents);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(run_fanout(Driver::kThreaded, kEvents), first);
+  }
+}
+
+/// Parameter: how many environments run at the same time, one per thread.
 class ParallelConformanceTest : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(ParallelConformanceTest, PipelineTraceBitIdenticalToSerial) {
-  const RunDigests reference = run_pipeline(1, kEvents);
-  const RunDigests parallel = run_pipeline(GetParam(), kEvents);
-  EXPECT_EQ(parallel, reference);
+  const RunDigests serial = run_pipeline(Driver::kThreaded, kEvents);
+  for (const RunDigests& copy :
+       run_concurrently(GetParam(), [](Driver driver) { return run_pipeline(driver, kEvents); })) {
+    EXPECT_EQ(copy, serial);
+  }
 }
 
 TEST_P(ParallelConformanceTest, FanoutTraceBitIdenticalToSerial) {
-  const RunDigests reference = run_fanout(1, kEvents);
-  const RunDigests parallel = run_fanout(GetParam(), kEvents);
-  EXPECT_EQ(parallel, reference);
+  const RunDigests serial = run_fanout(Driver::kThreaded, kEvents);
+  for (const RunDigests& copy :
+       run_concurrently(GetParam(), [](Driver driver) { return run_fanout(driver, kEvents); })) {
+    EXPECT_EQ(copy, serial);
+  }
 }
 
 TEST_P(ParallelConformanceTest, MicrostepTraceBitIdenticalToSerial) {
-  const RunDigests reference = run_microstep(1, kEvents);
-  const RunDigests parallel = run_microstep(GetParam(), kEvents);
-  EXPECT_EQ(parallel, reference);
+  const RunDigests serial = run_microstep(Driver::kThreaded, kEvents);
+  for (const RunDigests& copy :
+       run_concurrently(GetParam(), [](Driver driver) { return run_microstep(driver, kEvents); })) {
+    EXPECT_EQ(copy, serial);
+  }
 }
 
 TEST_P(ParallelConformanceTest, PlanConsumingRunBitIdenticalToDerivedRun) {
-  const RunDigests reference = run_pipeline(1, kEvents);
-  EXPECT_EQ(run_pipeline(1, kEvents, /*consume_plan=*/true), reference);
-  EXPECT_EQ(run_pipeline(GetParam(), kEvents, /*consume_plan=*/true), reference);
+  const RunDigests derived = run_pipeline(Driver::kThreaded, kEvents);
+  for (const RunDigests& copy : run_concurrently(GetParam(), [](Driver driver) {
+         return run_pipeline(driver, kEvents, /*consume_plan=*/true);
+       })) {
+    EXPECT_EQ(copy, derived);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Workers, ParallelConformanceTest, ::testing::Values(2u, 4u));
-
-TEST(ParallelConformance, RepeatedParallelRunsIdentical) {
-  const RunDigests first = run_fanout(4, kEvents);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(run_fanout(4, kEvents), first);
-  }
-}
 
 }  // namespace
 }  // namespace dear::reactor

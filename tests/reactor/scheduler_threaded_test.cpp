@@ -1,5 +1,5 @@
-// Threaded scheduler tests: real clock, worker pools, physical actions
-// from foreign threads, deadlines under real time.
+// Threaded scheduler tests: real clock, physical actions from foreign
+// threads, deadlines under real time.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -187,49 +187,6 @@ TEST(ThreadedScheduler, DeadlineMetRunsBody) {
   env.run();
   EXPECT_EQ(on_time.body_runs, 3);
   EXPECT_EQ(on_time.handler_runs, 0);
-}
-
-TEST(ThreadedScheduler, ParallelWorkersExecuteIndependentReactions) {
-  RealClock clock;
-  Environment::Config config;
-  config.workers = 4;
-  Environment env(clock, config);
-  // Several reactors triggered by their own timers at the same period:
-  // their reactions are independent (same level) and may run concurrently.
-  class Busy final : public Reactor {
-   public:
-    std::atomic<int>& concurrent;
-    std::atomic<int>& peak;
-    explicit Busy(Environment& env, std::string name, std::atomic<int>& concurrent_count,
-                  std::atomic<int>& peak_count)
-        : Reactor(std::move(name), env), concurrent(concurrent_count), peak(peak_count),
-          timer_("t", this, 5_ms) {
-      add_reaction("work",
-                   [this] {
-                     const int now = concurrent.fetch_add(1) + 1;
-                     int expected = peak.load();
-                     while (now > expected && !peak.compare_exchange_weak(expected, now)) {
-                     }
-                     std::this_thread::sleep_for(std::chrono::milliseconds(2));
-                     concurrent.fetch_sub(1);
-                     if (++count_ >= 3) {
-                       request_shutdown();
-                     }
-                   })
-          .triggered_by(timer_);
-    }
-
-   private:
-    Timer timer_;
-    int count_{0};
-  };
-  std::atomic<int> concurrent{0};
-  std::atomic<int> peak{0};
-  Busy a(env, "a", concurrent, peak);
-  Busy b(env, "b", concurrent, peak);
-  Busy c(env, "c", concurrent, peak);
-  env.run();
-  EXPECT_GE(peak.load(), 2) << "same-level reactions should run in parallel";
 }
 
 TEST(ThreadedScheduler, StatsAreConsistent) {

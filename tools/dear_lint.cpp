@@ -14,7 +14,6 @@
 //   2  usage / input error (unreadable file, malformed scenario JSON)
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <optional>
@@ -47,8 +46,6 @@ void print_usage(std::FILE* stream) {
       "  --timing                     run the end-to-end timing pass: chain latency\n"
       "                               bounds, DEAR-LAT rules and the compiled\n"
       "                               schedule plan (attached to the report)\n"
-      "  --workers N                  worker count the level-width note\n"
-      "                               (DEAR-LAT-003) checks against (default 1)\n"
       "  --list-rules                 print the rule catalog (id, severity, summary)\n"
       "                               and exit; with --json as a JSON array\n"
       "  --json                       JSON output for --list-rules\n"
@@ -177,18 +174,6 @@ int main(int argc, char** argv) {
       json_output = true;
     } else if (arg == "--timing") {
       analyze_options.timing = true;
-    } else if (arg == "--workers") {
-      const char* value = next_value(i, "--workers");
-      if (value == nullptr) {
-        return 2;
-      }
-      const long parsed = std::strtol(value, nullptr, 10);
-      if (parsed < 1) {
-        std::fprintf(stderr, "dear_lint: --workers requires a positive integer, got '%s'\n",
-                     value);
-        return 2;
-      }
-      analyze_options.workers = static_cast<unsigned>(parsed);
     } else if (arg == "--expect-errors") {
       expect_errors = true;
     } else if (arg == "--quiet") {
