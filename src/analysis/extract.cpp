@@ -15,6 +15,13 @@ namespace {
 
 constexpr std::uint32_t kNoPort = UINT32_MAX;
 
+using Kind = reactor::Wiring::Kind;
+
+/// A trigger or read: the reaction depends on the port's value.
+[[nodiscard]] bool is_dependency(const reactor::Wiring& wiring) noexcept {
+  return wiring.kind == Kind::kTrigger || wiring.kind == Kind::kRead;
+}
+
 [[nodiscard]] const reactor::BasePort& source_of(const reactor::BasePort& port) {
   const reactor::BasePort* source = &port;
   while (source->inward_binding() != nullptr) {
@@ -111,21 +118,29 @@ void reserve(Facts& facts, const std::vector<NodeContext>& nodes) {
     for (const reactor::BasePort* port : graph.ports()) {
       text += port->fqn().size();
     }
-    for (const reactor::Reaction* reaction : graph.reactions()) {
-      // Triggers + reads and port readers take one entry per dependency
-      // at most; effects and port writers one per effect.
-      indices += 2 * (reaction->dependency_ports().size() + reaction->effect_ports().size());
-      text += reaction->fqn().size();
-      names += reaction->trigger_actions().size() + reaction->state_reads().size() +
-               reaction->state_writes().size();
-      for (const reactor::BaseAction* action : reaction->trigger_actions()) {
-        text += action->name().size();
-      }
-      for (const std::string& name : reaction->state_reads()) {
-        text += name.size();
-      }
-      for (const std::string& name : reaction->state_writes()) {
-        text += name.size();
+    for (std::size_t i = 0; i < graph.reactions().size(); ++i) {
+      text += graph.reactions()[i]->fqn().size();
+      for (const reactor::Wiring* wiring : graph.wiring(i)) {
+        switch (wiring->kind) {
+          case Kind::kTrigger:
+          case Kind::kRead:
+          case Kind::kWrite:
+            // Triggers + reads and port readers take one entry per
+            // dependency at most; effects and port writers one per effect.
+            indices += 2;
+            break;
+          case Kind::kActionTrigger:
+            ++names;
+            text += wiring->action->name().size();
+            break;
+          case Kind::kStateRead:
+          case Kind::kStateWrite:
+            ++names;
+            text += wiring->state.size();
+            break;
+          case Kind::kConnect:
+            break;
+        }
       }
     }
   }
@@ -160,8 +175,8 @@ void extract_node(Facts& facts, const NodeContext& node, Scratch& scratch) {
     const reactor::BasePort& source = source_of(port);
     const std::size_t row = graph.index_of(source);
     if (row == graph.ports().size()) {
-      throw std::logic_error("port '" + source.fqn() + "' is not part of node '" + node.name +
-                             "'");
+      throw std::logic_error("port '" + std::string(source.fqn()) + "' is not part of node '" +
+                             node.name + "'");
     }
     return scratch.port_index[row];
   };
@@ -176,20 +191,21 @@ void extract_node(Facts& facts, const NodeContext& node, Scratch& scratch) {
     fact.fqn = facts.add_text(source.fqn());
     fact.node = node_name;
     fact.writers.offset = static_cast<std::uint32_t>(pool.size());
-    for (const reactor::Reaction* writer : reactor::DependencyGraph::writers_of(source)) {
+    for (const reactor::Reaction* writer : graph.writers_of(source)) {
       pool.push_back(base + static_cast<std::uint32_t>(graph.index_of(*writer)));
     }
     fact.writers.size = static_cast<std::uint32_t>(pool.size()) - fact.writers.offset;
     facts.ports.push_back(fact);
   };
-  // Appends the (deduplicated) table indices of the ports `keep` accepts.
-  const auto port_list = [&](const std::vector<reactor::BasePort*>& ports, auto keep) {
+  // Appends the (deduplicated) table indices of the ports of the
+  // declarations `keep` accepts.
+  const auto port_list = [&](std::span<const reactor::Wiring* const> wiring, auto keep) {
     IndexList list{static_cast<std::uint32_t>(pool.size()), 0};
-    for (const reactor::BasePort* port : ports) {
-      if (!keep(*port)) {
+    for (const reactor::Wiring* declared : wiring) {
+      if (!keep(*declared)) {
         continue;
       }
-      const std::uint32_t index = port_slot(*port);
+      const std::uint32_t index = port_slot(*declared->port);
       const auto begin = pool.begin() + list.offset;
       if (std::find(begin, pool.end(), index) == pool.end()) {
         pool.push_back(index);
@@ -198,46 +214,66 @@ void extract_node(Facts& facts, const NodeContext& node, Scratch& scratch) {
     }
     return list;
   };
+  // Appends the names of the declarations of `kind`.
+  const auto name_list = [&facts](std::span<const reactor::Wiring* const> wiring, Kind kind) {
+    NameList list{static_cast<std::uint32_t>(facts.name_pool.size()), 0};
+    for (const reactor::Wiring* declared : wiring) {
+      if (declared->kind == kind) {
+        facts.name_pool.push_back(facts.add_text(kind == Kind::kActionTrigger
+                                                     ? declared->action->name()
+                                                     : declared->state));
+        ++list.size;
+      }
+    }
+    return list;
+  };
 
   for (std::size_t i = 0; i < reactions.size(); ++i) {
     const reactor::Reaction* reaction = reactions[i];
-    for (const reactor::BasePort* port : reaction->dependency_ports()) {
-      ensure_port(*port);
+    const std::span<const reactor::Wiring* const> wiring = graph.wiring(i);
+    for (const reactor::Wiring* declared : wiring) {
+      if (is_dependency(*declared)) {
+        ensure_port(*declared->port);
+      }
     }
-    for (const reactor::BasePort* port : reaction->effect_ports()) {
-      ensure_port(*port);
+    for (const reactor::Wiring* declared : wiring) {
+      if (declared->kind == Kind::kWrite) {
+        ensure_port(*declared->port);
+      }
     }
-    // triggered_by registers on the exact port object the reaction was
-    // declared with; reads() does not.
-    const auto is_trigger = [reaction](const reactor::BasePort& port) {
-      const auto& triggered = port.triggered_reactions();
-      return std::find(triggered.begin(), triggered.end(), reaction) != triggered.end();
+    // A port counts as a trigger when the reaction was declared
+    // triggered_by that exact port object; reads() does not trigger.
+    const auto is_trigger = [wiring](const reactor::BasePort& port) {
+      return std::any_of(wiring.begin(), wiring.end(), [&port](const reactor::Wiring* declared) {
+        return declared->kind == Kind::kTrigger && declared->port == &port;
+      });
     };
 
     ReactionFact fact;
     fact.node = node_name;
     fact.fqn = facts.add_text(reaction->fqn());
     fact.level = graph.level_of(i);
-    fact.entry = !reaction->trigger_actions().empty();
+    fact.entry = std::any_of(wiring.begin(), wiring.end(), [](const reactor::Wiring* declared) {
+      return declared->kind == Kind::kActionTrigger;
+    });
     fact.deadline = reaction->deadline();
     fact.wcet = reaction->has_modeled_cost() ? reaction->modeled_cost().upper_bound() : 0;
-    fact.triggers = port_list(reaction->dependency_ports(), is_trigger);
-    fact.reads = port_list(reaction->dependency_ports(),
-                           [&is_trigger](const reactor::BasePort& port) { return !is_trigger(port); });
-    fact.effects = port_list(reaction->effect_ports(), [](const reactor::BasePort&) { return true; });
-    fact.trigger_actions.offset = static_cast<std::uint32_t>(facts.name_pool.size());
-    for (const reactor::BaseAction* action : reaction->trigger_actions()) {
-      facts.name_pool.push_back(facts.add_text(action->name()));
-    }
-    fact.trigger_actions.size =
-        static_cast<std::uint32_t>(facts.name_pool.size()) - fact.trigger_actions.offset;
+    fact.triggers = port_list(wiring, [&is_trigger](const reactor::Wiring& declared) {
+      return is_dependency(declared) && is_trigger(*declared.port);
+    });
+    fact.reads = port_list(wiring, [&is_trigger](const reactor::Wiring& declared) {
+      return is_dependency(declared) && !is_trigger(*declared.port);
+    });
+    fact.effects = port_list(
+        wiring, [](const reactor::Wiring& declared) { return declared.kind == Kind::kWrite; });
+    fact.trigger_actions = name_list(wiring, Kind::kActionTrigger);
     fact.depends_on.offset = static_cast<std::uint32_t>(pool.size());
     for (const std::uint32_t predecessor : graph.predecessors(i)) {
       pool.push_back(base + predecessor);
     }
     fact.depends_on.size = static_cast<std::uint32_t>(pool.size()) - fact.depends_on.offset;
-    fact.state_reads = facts.add_names(reaction->state_reads());
-    fact.state_writes = facts.add_names(reaction->state_writes());
+    fact.state_reads = name_list(wiring, Kind::kStateRead);
+    fact.state_writes = name_list(wiring, Kind::kStateWrite);
     facts.reactions.push_back(fact);
   }
 
@@ -245,9 +281,11 @@ void extract_node(Facts& facts, const NodeContext& node, Scratch& scratch) {
   // laid out as one contiguous block of rows.
   const std::size_t port_count = facts.ports.size() - port_base;
   scratch.cursor.assign(port_count, 0);
-  for (const reactor::Reaction* reaction : reactions) {
-    for (const reactor::BasePort* port : reaction->dependency_ports()) {
-      ++scratch.cursor[port_slot(*port) - port_base];
+  for (std::size_t i = 0; i < reactions.size(); ++i) {
+    for (const reactor::Wiring* declared : graph.wiring(i)) {
+      if (is_dependency(*declared)) {
+        ++scratch.cursor[port_slot(*declared->port) - port_base];
+      }
     }
   }
   auto offset = static_cast<std::uint32_t>(pool.size());
@@ -258,8 +296,11 @@ void extract_node(Facts& facts, const NodeContext& node, Scratch& scratch) {
   }
   pool.resize(offset);
   for (std::size_t i = 0; i < reactions.size(); ++i) {
-    for (const reactor::BasePort* port : reactions[i]->dependency_ports()) {
-      pool[scratch.cursor[port_slot(*port) - port_base]++] = base + static_cast<std::uint32_t>(i);
+    for (const reactor::Wiring* declared : graph.wiring(i)) {
+      if (is_dependency(*declared)) {
+        pool[scratch.cursor[port_slot(*declared->port) - port_base]++] =
+            base + static_cast<std::uint32_t>(i);
+      }
     }
   }
 

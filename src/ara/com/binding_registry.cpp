@@ -1,5 +1,6 @@
 #include "ara/com/binding_registry.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -8,7 +9,7 @@ namespace dear::ara::com {
 
 TransportBinding& BindingRegistry::attach(BackendKind kind,
                                           std::unique_ptr<TransportBinding> binding) {
-  auto& slot = backends_[kind];
+  auto& slot = backends_[static_cast<std::size_t>(kind)];
   if (slot != nullptr) {
     // Proxies, skeletons and transactors resolve their binding once and
     // keep a raw pointer; destroying an attached backend would leave them
@@ -21,8 +22,14 @@ TransportBinding& BindingRegistry::attach(BackendKind kind,
 }
 
 TransportBinding* BindingRegistry::find(BackendKind kind) const noexcept {
-  const auto it = backends_.find(kind);
-  return it == backends_.end() ? nullptr : it->second.get();
+  const auto index = static_cast<std::size_t>(kind);
+  return index < backends_.size() ? backends_[index].get() : nullptr;
+}
+
+std::size_t BindingRegistry::size() const noexcept {
+  return static_cast<std::size_t>(
+      std::count_if(backends_.begin(), backends_.end(),
+                    [](const auto& backend) { return backend != nullptr; }));
 }
 
 }  // namespace dear::ara::com

@@ -11,6 +11,8 @@
 // ComErrc::kNetworkBindingFailure.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -65,19 +67,22 @@ class BindingRegistry {
   [[nodiscard]] TransportBinding* find(BackendKind kind) const noexcept;
 
   [[nodiscard]] bool has(BackendKind kind) const noexcept { return find(kind) != nullptr; }
-  [[nodiscard]] std::size_t size() const noexcept { return backends_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept;
 
-  /// Applies `fn` to every attached backend (process-wide configuration,
-  /// e.g. installing a fault-injection plan).
+  /// Applies `fn` to every attached backend, in BackendKind order
+  /// (process-wide configuration, e.g. installing a fault-injection plan).
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (const auto& entry : backends_) {
-      fn(*entry.second);
+    for (const auto& backend : backends_) {
+      if (backend != nullptr) {
+        fn(*backend);
+      }
     }
   }
 
  private:
-  std::map<BackendKind, std::unique_ptr<TransportBinding>> backends_;
+  /// One slot per BackendKind, indexed by its value.
+  std::array<std::unique_ptr<TransportBinding>, 2> backends_;
 };
 
 }  // namespace dear::ara::com

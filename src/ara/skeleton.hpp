@@ -16,8 +16,8 @@
 //   kPoll              — queued until ProcessNextMethodCall().
 #pragma once
 
-#include <deque>
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -80,7 +80,9 @@ class ServiceSkeleton {
   std::mutex handler_mutex_;  // mutual exclusion between user handlers
 
   mutable std::mutex poll_mutex_;
-  std::deque<std::function<void()>> poll_queue_;
+  // A list, not a deque: libstdc++'s deque allocates on construction, and
+  // only kPoll skeletons ever queue.
+  std::list<std::function<void()>> poll_queue_;
 
   std::vector<someip::MethodId> registered_methods_;
 };

@@ -26,8 +26,11 @@
 // determinism makes the two deployments observably identical.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <memory_resource>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -36,6 +39,7 @@
 #include "ara/com/local_binding.hpp"
 #include "ara/generated.hpp"
 #include "ara/runtime.hpp"
+#include "common/object_arena.hpp"
 #include "common/rng.hpp"
 #include "dear/bundles.hpp"
 #include "net/network.hpp"
@@ -105,9 +109,9 @@ class AppBuilder : public transact::TransactorStats<AppBuilder> {
   AppBuilder& operator=(const AppBuilder&) = delete;
 
   /// One SWC process: an ara runtime, a reactor environment and a DES
-  /// driver, plus ownership of the logic reactors and bundles declared on
-  /// it. The driver's execution-cost stream is "cost.<name>" off the
-  /// app's platform rng.
+  /// driver. The logic reactors, bundles and proxies declared on it live
+  /// in the app's arena. The driver's execution-cost stream is
+  /// "cost.<name>" off the app's platform rng.
   class Node {
    public:
     Node(AppBuilder& app, std::string name, net::Endpoint endpoint, someip::ClientId client_id)
@@ -195,22 +199,11 @@ class AppBuilder : public transact::TransactorStats<AppBuilder> {
    private:
     friend class AppBuilder;
 
-    struct Holder {
-      virtual ~Holder() = default;
-    };
-    template <typename T>
-    struct HolderOf final : Holder {
-      T value;
-      template <typename... Args>
-      explicit HolderOf(Args&&... args) : value(std::forward<Args>(args)...) {}
-    };
-
+    /// Objects owned by the node live in the app's arena, which destroys
+    /// them before the node (last created first).
     template <typename T, typename... Args>
     T& own(Args&&... args) {
-      auto holder = std::make_unique<HolderOf<T>>(std::forward<Args>(args)...);
-      T& ref = holder->value;
-      owned_.push_back(std::move(holder));
-      return ref;
+      return app_.arena_.create<T>(std::forward<Args>(args)...);
     }
 
     template <typename I>
@@ -221,8 +214,8 @@ class AppBuilder : public transact::TransactorStats<AppBuilder> {
     }
 
     template <typename I>
-    [[nodiscard]] std::string bundle_name() const {
-      return name_ + "." + I::kInterface.name;
+    [[nodiscard]] reactor::Name bundle_name() const {
+      return {name_, I::kInterface.name};
     }
 
     template <typename Bundle>
@@ -250,20 +243,20 @@ class AppBuilder : public transact::TransactorStats<AppBuilder> {
     ara::Runtime runtime_;
     reactor::Environment environment_;
     reactor::SimDriver driver_;
-    std::vector<std::unique_ptr<Holder>> owned_;
   };
 
   /// Declares an SWC process. Node references stay valid for the app's
   /// lifetime.
   Node& node(std::string name, net::Endpoint endpoint, someip::ClientId client_id) {
-    nodes_.push_back(std::make_unique<Node>(*this, std::move(name), endpoint, client_id));
-    return *nodes_.back();
+    Node& node = arena_.create<Node>(*this, std::move(name), endpoint, client_id);
+    nodes_.push_back(&node);
+    return node;
   }
 
   /// Assembles every node's reactor topology and starts the DES drivers.
   /// Call after all wiring; the kernel still needs to be run by the caller.
   void start() {
-    for (const auto& node : nodes_) {
+    for (Node* node : nodes_) {
       node->driver_.start();
     }
   }
@@ -300,13 +293,12 @@ class AppBuilder : public transact::TransactorStats<AppBuilder> {
   /// this app's topology (stale plan).
   void apply_schedule_plans(const analysis::StaticPlan& plan);
 
-  [[nodiscard]] const std::vector<std::unique_ptr<Node>>& nodes() const noexcept {
-    return nodes_;
-  }
-  [[nodiscard]] const std::vector<TransactorRecord>& transactor_records() const noexcept {
+  /// In declaration order.
+  [[nodiscard]] std::span<Node* const> nodes() const noexcept { return nodes_; }
+  [[nodiscard]] std::span<const TransactorRecord> transactor_records() const noexcept {
     return transactors_;
   }
-  [[nodiscard]] const std::vector<BudgetRecord>& budget_records() const noexcept {
+  [[nodiscard]] std::span<const BudgetRecord> budget_records() const noexcept {
     return budgets_;
   }
 
@@ -314,6 +306,10 @@ class AppBuilder : public transact::TransactorStats<AppBuilder> {
   [[nodiscard]] sim::Kernel& kernel() noexcept { return kernel_; }
 
  private:
+  /// A node takes about 5.5 KiB, its bundles as much again: the brake
+  /// app fills this first block and part of a second.
+  static constexpr std::size_t kArenaFirstBlockBytes = 64 * 1024;
+
   sim::Kernel& kernel_;
   net::Network& network_;
   someip::ServiceDiscovery& discovery_;
@@ -321,9 +317,12 @@ class AppBuilder : public transact::TransactorStats<AppBuilder> {
   common::Rng& platform_rng_;
   Config config_;
   reactor::SimClock sim_clock_;
-  std::vector<std::unique_ptr<Node>> nodes_;
-  std::vector<TransactorRecord> transactors_;
-  std::vector<BudgetRecord> budgets_;
+  /// The nodes and everything declared on them; destroyed before the
+  /// clock their environments read.
+  common::ObjectArena arena_{kArenaFirstBlockBytes};
+  std::pmr::vector<Node*> nodes_{&arena_.memory()};
+  std::pmr::vector<TransactorRecord> transactors_{&arena_.memory()};
+  std::pmr::vector<BudgetRecord> budgets_{&arena_.memory()};
 };
 
 }  // namespace dear

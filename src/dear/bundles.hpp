@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "ara/generated.hpp"
@@ -74,9 +75,10 @@ struct TransactorStats {
 
 namespace detail {
 
-/// Shared construction context handed to every member part.
+/// Shared construction context handed to every member part. Each
+/// member's transactor is named "<prefix>.<member>".
 struct BundleContext {
-  const std::string& prefix;
+  std::string_view prefix;
   reactor::Environment& environment;
   ara::com::TransportBinding& binding;
   const TransactorConfig& config;
@@ -95,7 +97,7 @@ struct ClientPart<ara::meta::Event<T, Id>> {
   ClientPart(const ara::meta::Event<T, Id>& member, BundleContext& context,
              ara::ServiceProxy& proxy)
       : event(proxy, Id),
-        rx(context.prefix + "." + member.name, context.environment, event, context.binding,
+        rx({context.prefix, member.name}, context.environment, event, context.binding,
            context.config) {}
 
   [[nodiscard]] auto& transactor() noexcept { return rx; }
@@ -113,7 +115,7 @@ struct ClientPart<ara::meta::Method<Req, Res, Id>> {
   ClientPart(const ara::meta::Method<Req, Res, Id>& member, BundleContext& context,
              ara::ServiceProxy& proxy)
       : method(proxy, Id),
-        call(context.prefix + "." + member.name, context.environment, method, context.binding,
+        call({context.prefix, member.name}, context.environment, method, context.binding,
              context.config) {}
 
   [[nodiscard]] auto& transactor() noexcept { return call; }
@@ -131,8 +133,8 @@ struct ClientPart<ara::meta::Field<T, G, S, N>> {
   ClientPart(const ara::meta::Field<T, G, S, N>& member, BundleContext& context,
              ara::ServiceProxy& proxy)
       : parts(proxy, ara::FieldIds{G, S, N}),
-        field(context.prefix + "." + member.name, context.environment, parts, context.binding,
-              context.config) {}
+        field(context.environment.store_name({context.prefix, member.name}), context.environment,
+              parts, context.binding, context.config) {}
 
   [[nodiscard]] auto& transactor() noexcept { return field; }
   template <typename F>
@@ -156,7 +158,7 @@ struct ServerPart<ara::meta::Event<T, Id>> {
   ServerPart(const ara::meta::Event<T, Id>& member, BundleContext& context,
              ara::ServiceSkeleton& skeleton)
       : event(skeleton, Id),
-        tx(context.prefix + "." + member.name, context.environment, event, context.binding,
+        tx({context.prefix, member.name}, context.environment, event, context.binding,
            context.config) {}
 
   [[nodiscard]] auto& transactor() noexcept { return tx; }
@@ -174,7 +176,7 @@ struct ServerPart<ara::meta::Method<Req, Res, Id>> {
   ServerPart(const ara::meta::Method<Req, Res, Id>& member, BundleContext& context,
              ara::ServiceSkeleton& skeleton)
       : method(skeleton, Id),
-        call(context.prefix + "." + member.name, context.environment, method, context.binding,
+        call({context.prefix, member.name}, context.environment, method, context.binding,
              context.config) {}
 
   [[nodiscard]] auto& transactor() noexcept { return call; }
@@ -192,8 +194,8 @@ struct ServerPart<ara::meta::Field<T, G, S, N>> {
   ServerPart(const ara::meta::Field<T, G, S, N>& member, BundleContext& context,
              ara::ServiceSkeleton& skeleton)
       : parts(skeleton, ara::FieldIds{G, S, N}),
-        field(context.prefix + "." + member.name, context.environment, parts, context.binding,
-              context.config) {}
+        field(context.environment.store_name({context.prefix, member.name}), context.environment,
+              parts, context.binding, context.config) {}
 
   [[nodiscard]] auto& transactor() noexcept { return field; }
   template <typename F>
@@ -225,9 +227,9 @@ class ClientSide : public TransactorStats<ClientSide<I>> {
  public:
   using Interface = I;
 
-  ClientSide(std::string name, reactor::Environment& environment, ara::Runtime& runtime,
+  ClientSide(reactor::Name name, reactor::Environment& environment, ara::Runtime& runtime,
              someip::InstanceId instance, net::Endpoint server, TransactorConfig config)
-      : name_(std::move(name)),
+      : name_(environment.store_name(name)),
         config_(config),
         binding_(detail::require_binding(runtime, {I::kInterface.service, instance},
                                          I::kInterface.name)),
@@ -237,9 +239,9 @@ class ClientSide : public TransactorStats<ClientSide<I>> {
 
   /// Resolves the server endpoint through service discovery (the service
   /// must already be offered).
-  ClientSide(std::string name, reactor::Environment& environment, ara::Runtime& runtime,
+  ClientSide(reactor::Name name, reactor::Environment& environment, ara::Runtime& runtime,
              someip::InstanceId instance, TransactorConfig config)
-      : ClientSide(std::move(name), environment, runtime, instance,
+      : ClientSide(name, environment, runtime, instance,
                    resolve(runtime, {I::kInterface.service, instance}), config) {}
 
   /// The DEAR transactor for a member: ClientEventTransactor (port .out),
@@ -251,7 +253,8 @@ class ClientSide : public TransactorStats<ClientSide<I>> {
   }
 
   [[nodiscard]] ara::ServiceProxy& proxy() noexcept { return proxy_; }
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
+  /// A view of the environment's arena: valid while the environment lives.
+  [[nodiscard]] std::string_view name() const noexcept { return name_; }
   [[nodiscard]] const TransactorConfig& config() const noexcept { return config_; }
 
   template <typename F>
@@ -270,7 +273,7 @@ class ClientSide : public TransactorStats<ClientSide<I>> {
     return *endpoint;
   }
 
-  std::string name_;
+  std::string_view name_;
   TransactorConfig config_;
   ara::com::TransportBinding& binding_;
   detail::BundleContext context_;
@@ -287,10 +290,10 @@ class ServerSide : public TransactorStats<ServerSide<I>> {
  public:
   using Interface = I;
 
-  ServerSide(std::string name, reactor::Environment& environment, ara::Runtime& runtime,
+  ServerSide(reactor::Name name, reactor::Environment& environment, ara::Runtime& runtime,
              someip::InstanceId instance, TransactorConfig config,
              ara::MethodCallProcessingMode mode = ara::MethodCallProcessingMode::kEvent)
-      : name_(std::move(name)),
+      : name_(environment.store_name(name)),
         config_(config),
         binding_(detail::require_binding(runtime, {I::kInterface.service, instance},
                                          I::kInterface.name)),
@@ -309,7 +312,8 @@ class ServerSide : public TransactorStats<ServerSide<I>> {
   }
 
   [[nodiscard]] ara::ServiceSkeleton& skeleton() noexcept { return skeleton_; }
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
+  /// A view of the environment's arena: valid while the environment lives.
+  [[nodiscard]] std::string_view name() const noexcept { return name_; }
   [[nodiscard]] const TransactorConfig& config() const noexcept { return config_; }
 
   template <typename F>
@@ -318,7 +322,7 @@ class ServerSide : public TransactorStats<ServerSide<I>> {
   }
 
  private:
-  std::string name_;
+  std::string_view name_;
   TransactorConfig config_;
   ara::com::TransportBinding& binding_;
   detail::BundleContext context_;

@@ -19,10 +19,10 @@ class ServerEventTransactor final : public Transactor {
   /// Event samples from the server logic; sending deadline Ds applies.
   reactor::Input<T> in{"in", this};
 
-  ServerEventTransactor(std::string name, reactor::Environment& environment,
+  ServerEventTransactor(reactor::Name name, reactor::Environment& environment,
                         ara::SkeletonEvent<T>& event, ara::com::TransportBinding& binding,
                         TransactorConfig config)
-      : Transactor(std::move(name), environment, binding, config), event_(event) {
+      : Transactor(name, environment, binding, config), event_(event) {
     add_reaction("on_event",
                  [this] {
                    const reactor::Tag out_tag = current_tag().delay(this->config().deadline);
@@ -50,10 +50,10 @@ class ClientEventTransactor final : public Transactor {
   /// Emits received samples at their safe-to-process tag.
   reactor::Output<T> out{"out", this};
 
-  ClientEventTransactor(std::string name, reactor::Environment& environment,
+  ClientEventTransactor(reactor::Name name, reactor::Environment& environment,
                         ara::ProxyEvent<T>& event, ara::com::TransportBinding& binding,
                         TransactorConfig config)
-      : Transactor(std::move(name), environment, binding, config), event_(event) {
+      : Transactor(name, environment, binding, config), event_(event) {
     event_.SetImmediateReceiveHandler(
         [this](const T& sample) { release_received(arrival_, sample); });
     event_.Subscribe();

@@ -8,6 +8,8 @@
 // declare a DEAR-managed field in one line.
 #pragma once
 
+#include <string_view>
+
 #include "ara/field.hpp"
 #include "dear/event_transactors.hpp"
 #include "dear/method_transactors.hpp"
@@ -44,12 +46,14 @@ struct FieldClientParts {
 template <typename T>
 class ServerFieldTransactor {
  public:
-  ServerFieldTransactor(const std::string& name, reactor::Environment& environment,
+  /// The member transactors are named "<name>.get", "<name>.set" and
+  /// "<name>.notify".
+  ServerFieldTransactor(std::string_view name, reactor::Environment& environment,
                         FieldServerParts<T>& parts, ara::com::TransportBinding& binding,
                         TransactorConfig config)
-      : get(name + ".get", environment, parts.get, binding, config),
-        set(name + ".set", environment, parts.set, binding, config),
-        notify(name + ".notify", environment, parts.notifier, binding, config) {}
+      : get({name, "get"}, environment, parts.get, binding, config),
+        set({name, "set"}, environment, parts.set, binding, config),
+        notify({name, "notify"}, environment, parts.notifier, binding, config) {}
 
   ServerMethodTransactor<reactor::Empty, T> get;
   ServerMethodTransactor<T, T> set;
@@ -64,12 +68,14 @@ class ServerFieldTransactor {
 template <typename T>
 class ClientFieldTransactor {
  public:
-  ClientFieldTransactor(const std::string& name, reactor::Environment& environment,
+  /// The member transactors are named "<name>.get", "<name>.set" and
+  /// "<name>.notify".
+  ClientFieldTransactor(std::string_view name, reactor::Environment& environment,
                         FieldClientParts<T>& parts, ara::com::TransportBinding& binding,
                         TransactorConfig config)
-      : get(name + ".get", environment, parts.get, binding, config),
-        set(name + ".set", environment, parts.set, binding, config),
-        notify(name + ".notify", environment, parts.notifier, binding, config) {}
+      : get({name, "get"}, environment, parts.get, binding, config),
+        set({name, "set"}, environment, parts.set, binding, config),
+        notify({name, "notify"}, environment, parts.notifier, binding, config) {}
 
   ClientMethodTransactor<reactor::Empty, T> get;
   ClientMethodTransactor<T, T> set;

@@ -37,10 +37,10 @@ class ClientMethodTransactor final : public Transactor {
   /// Emits the method result at tag ts + Ds + L + E.
   reactor::Output<Res> response{"response", this};
 
-  ClientMethodTransactor(std::string name, reactor::Environment& environment,
+  ClientMethodTransactor(reactor::Name name, reactor::Environment& environment,
                          ara::ProxyMethod<Res, Req>& method, ara::com::TransportBinding& binding,
                          TransactorConfig config)
-      : Transactor(std::move(name), environment, binding, config), method_(method) {
+      : Transactor(name, environment, binding, config), method_(method) {
     add_reaction("on_request",
                  [this] {
                    // (1)-(3): tag the outgoing call with tc + Dc.
@@ -80,10 +80,10 @@ class ServerMethodTransactor final : public Transactor {
   /// event exactly once).
   reactor::Input<Res> response{"response", this};
 
-  ServerMethodTransactor(std::string name, reactor::Environment& environment,
+  ServerMethodTransactor(reactor::Name name, reactor::Environment& environment,
                          ara::SkeletonMethod<Res, Req>& method, ara::com::TransportBinding& binding,
                          TransactorConfig config)
-      : Transactor(std::move(name), environment, binding, config) {
+      : Transactor(name, environment, binding, config) {
     method.set_immediate_handler([this](const Req& arguments) -> ara::Future<Res> {
       // (9)-(10): runs on the skeleton dispatch path.
       ara::Promise<Res> promise;

@@ -21,9 +21,9 @@ namespace dear::transact {
 
 class Transactor : public reactor::Reactor {
  public:
-  Transactor(std::string name, reactor::Environment& environment,
+  Transactor(reactor::Name name, reactor::Environment& environment,
              ara::com::TransportBinding& binding, TransactorConfig config)
-      : Reactor(std::move(name), environment), binding_(binding), config_(config) {}
+      : Reactor(name, environment), binding_(binding), config_(config) {}
 
   [[nodiscard]] const TransactorConfig& config() const noexcept { return config_; }
   [[nodiscard]] ara::com::TransportBinding& binding() noexcept { return binding_; }

@@ -5,19 +5,15 @@
 
 namespace dear::reactor {
 
-BaseAction::BaseAction(std::string name, Reactor* container, Environment& environment,
-                       Duration min_delay)
-    : Element(std::move(name), container, environment), min_delay_(min_delay) {
-  if (container != nullptr) {
-    container->register_action(this);
-  }
+BaseAction::BaseAction(Name name, Reactor& container, Duration min_delay)
+    : Element(name, &container, container.environment()), min_delay_(min_delay) {
+  container.register_action(this);
 }
 
-Timer::Timer(std::string name, Reactor* container, Duration period, Duration offset)
-    : BaseAction(std::move(name), container, container->environment()), period_(period),
-      offset_(offset) {
+Timer::Timer(Name name, Reactor* container, Duration period, Duration offset)
+    : BaseAction(name, *container), period_(period), offset_(offset) {
   if (period <= 0) {
-    throw std::logic_error("timer period must be positive: " + fqn());
+    throw std::logic_error("timer period must be positive: " + std::string(fqn()));
   }
 }
 
@@ -32,10 +28,8 @@ void Timer::setup(const Tag& tag) {
   environment().scheduler().enqueue_locked(this, Tag{tag.time + period_, 0});
 }
 
-StartupTrigger::StartupTrigger(std::string name, Reactor* container)
-    : BaseAction(std::move(name), container, container->environment()) {}
+StartupTrigger::StartupTrigger(Name name, Reactor* container) : BaseAction(name, *container) {}
 
-ShutdownTrigger::ShutdownTrigger(std::string name, Reactor* container)
-    : BaseAction(std::move(name), container, container->environment()) {}
+ShutdownTrigger::ShutdownTrigger(Name name, Reactor* container) : BaseAction(name, *container) {}
 
 }  // namespace dear::reactor

@@ -17,8 +17,10 @@
 // drives it, i.e. from DES handlers and reaction bodies.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <stdexcept>
-#include <vector>
+#include <string>
 
 #include "common/flat_map.hpp"
 #include "reactor/element.hpp"
@@ -29,16 +31,16 @@ namespace dear::reactor {
 
 class BaseAction : public Element {
  public:
-  BaseAction(std::string name, Reactor* container, Environment& environment,
-             Duration min_delay = 0);
+  BaseAction(Name name, Reactor& container, Duration min_delay = 0);
 
   [[nodiscard]] bool is_present() const noexcept { return present_; }
   [[nodiscard]] Duration min_delay() const noexcept { return min_delay_; }
 
-  [[nodiscard]] const std::vector<Reaction*>& triggered_reactions() const noexcept {
+  /// Reactions triggered by this action: a row of the environment's
+  /// DependencyGraph, bound at assembly.
+  [[nodiscard]] std::span<Reaction* const> triggered_reactions() const noexcept {
     return triggers_;
   }
-  void add_trigger(Reaction* reaction) { triggers_.push_back(reaction); }
 
  protected:
   friend class Scheduler;
@@ -53,8 +55,12 @@ class BaseAction : public Element {
   bool present_{false};
 
  private:
+  friend class DependencyGraph;
+
   Duration min_delay_;
-  std::vector<Reaction*> triggers_;
+  std::span<Reaction* const> triggers_;
+  /// Row in the environment's DependencyGraph action table.
+  std::uint32_t graph_row_{UINT32_MAX};
 };
 
 template <typename T>
@@ -65,7 +71,7 @@ class ValuedAction : public BaseAction {
   /// Value carried by the event at the current tag.
   [[nodiscard]] const T& get() const {
     if (value_ == nullptr) {
-      throw std::logic_error("get() on absent action: " + fqn());
+      throw std::logic_error("get() on absent action: " + std::string(this->fqn()));
     }
     return *value_;
   }
@@ -99,7 +105,7 @@ class ValuedAction : public BaseAction {
 template <typename T = Empty>
 class LogicalAction final : public ValuedAction<T> {
  public:
-  LogicalAction(std::string name, Reactor* container, Duration min_delay = 0);
+  LogicalAction(Name name, Reactor* container, Duration min_delay = 0);
 
   /// Schedules an event `delay + min_delay` after the current tag (one
   /// microstep later when the total delay is zero).
@@ -117,7 +123,7 @@ class LogicalAction final : public ValuedAction<T> {
 template <typename T = Empty>
 class PhysicalAction final : public ValuedAction<T> {
  public:
-  PhysicalAction(std::string name, Reactor* container, Duration min_delay = 0);
+  PhysicalAction(Name name, Reactor* container, Duration min_delay = 0);
 
   /// Tags the event with (physical now + min_delay + delay). Thread-safe
   /// unless the scheduler is single-owner.
@@ -140,7 +146,7 @@ class PhysicalAction final : public ValuedAction<T> {
 /// Periodic timer: first fires at start + offset, then every period.
 class Timer final : public BaseAction {
  public:
-  Timer(std::string name, Reactor* container, Duration period, Duration offset = 0);
+  Timer(Name name, Reactor* container, Duration period, Duration offset = 0);
 
   [[nodiscard]] Duration period() const noexcept { return period_; }
   [[nodiscard]] Duration offset() const noexcept { return offset_; }
@@ -161,13 +167,13 @@ class Timer final : public BaseAction {
 /// Present exactly at the start tag.
 class StartupTrigger final : public BaseAction {
  public:
-  StartupTrigger(std::string name, Reactor* container);
+  StartupTrigger(Name name, Reactor* container);
 };
 
 /// Present exactly at the shutdown tag.
 class ShutdownTrigger final : public BaseAction {
  public:
-  ShutdownTrigger(std::string name, Reactor* container);
+  ShutdownTrigger(Name name, Reactor* container);
 };
 
 }  // namespace dear::reactor

@@ -19,8 +19,8 @@ class DelayRelay final : public Reactor {
   Input<T> in{"in", this};
   Output<T> out{"out", this};
 
-  DelayRelay(std::string name, Environment& environment, Duration delay)
-      : Reactor(std::move(name), environment), action_("delay", this, delay) {
+  DelayRelay(Name name, Environment& environment, Duration delay)
+      : Reactor(name, environment), action_("delay", this, delay) {
     // The release reaction is declared *before* the capture reaction so the
     // intra-reactor priority edge points release -> capture; otherwise the
     // relay itself would close a dependency cycle in feedback topologies.

@@ -5,16 +5,17 @@
 
 namespace dear::reactor {
 
-Element::Element(std::string name, Reactor* container, Environment& environment)
-    : name_(std::move(name)), container_(container), environment_(environment) {
+Element::Element(Name name, Reactor* container, Environment& environment)
+    : container_(container), environment_(environment) {
   // The container's Element base is fully constructed before any of its
-  // members, so its cached fqn is ready here.
+  // members, so its fqn is ready here.
   if (container_ == nullptr) {
-    fqn_ = name_;
+    fqn_ = environment_.store_name(name);
+    name_size_ = fqn_.size();
   } else {
-    const std::string& prefix = container_->fqn();
-    fqn_.reserve(prefix.size() + 1 + name_.size());
-    fqn_.append(prefix).append(1, '.').append(name_);
+    const std::string_view scope = container_->fqn();
+    fqn_ = environment_.store_name(scope, name);
+    name_size_ = fqn_.size() - scope.size() - 1;
   }
   if (environment_.wiring_frozen()) {
     Environment::throw_wiring_frozen("new element", fqn_);

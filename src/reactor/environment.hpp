@@ -8,24 +8,34 @@
 // asks for it — the static verifier (AppBuilder::validate()) or
 // assemble() — and shared by every later user. Building it freezes the
 // wiring: connect, connect_delayed and new reactors, ports, actions,
-// reactions or reaction triggers/reads/writes throw std::logic_error from
-// then on, so what was validated is what runs.
+// reactions or reaction declarations throw std::logic_error from then on,
+// so what was validated is what runs.
+//
+// Set-up storage. The environment's elements keep their fqns, reactions
+// and wiring declarations in one arena owned by the environment: a block
+// inside the environment, then heap blocks that grow geometrically.
+// Nothing in it is freed before the environment is destroyed; element
+// names and fqns are views into it.
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <initializer_list>
 #include <memory>
+#include <memory_resource>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "reactor/graph.hpp"
 #include "reactor/physical_clock.hpp"
 #include "reactor/port.hpp"
 #include "reactor/scheduler.hpp"
 #include "reactor/tag.hpp"
 
 namespace dear::reactor {
-
-struct SchedulePlan;
 
 class Environment {
  public:
@@ -52,7 +62,7 @@ class Environment {
   template <typename T>
   void connect(Port<T>& from, Port<T>& to) {
     if (wiring_frozen()) {
-      throw_wiring_frozen("connect", from.fqn() + " -> " + to.fqn());
+      throw_wiring_frozen("connect", std::string(from.fqn()).append(" -> ").append(to.fqn()));
     }
     from.bind_to(&to);
   }
@@ -101,23 +111,49 @@ class Environment {
   /// level assignment and the scheduler's port closures.
   [[nodiscard]] DependencyGraph& graph();
   /// True once graph() has built the graph: no more wiring is accepted.
-  [[nodiscard]] bool wiring_frozen() const noexcept { return graph_ != nullptr; }
+  [[nodiscard]] bool wiring_frozen() const noexcept { return graph_.has_value(); }
   /// Throws the std::logic_error for wiring (`what` on `subject`) that
   /// came after the graph was built.
-  [[noreturn]] static void throw_wiring_frozen(std::string_view what, const std::string& subject);
+  [[noreturn]] static void throw_wiring_frozen(std::string_view what, std::string_view subject);
 
-  [[nodiscard]] const std::vector<Reactor*>& top_level() const noexcept { return top_level_; }
-  void register_top_level(Reactor* reactor) { top_level_.push_back(reactor); }
+  [[nodiscard]] const ElementList<Reactor>& top_level() const noexcept { return top_level_; }
+  void register_top_level(Reactor* reactor) noexcept;
+
+  // --- set-up storage (see the file comment) -------------------------------------
+
+  /// The arena of this environment's set-up objects.
+  [[nodiscard]] std::pmr::memory_resource& arena() noexcept { return arena_; }
+  /// Copies `name` (its parts joined with '.') into the arena.
+  [[nodiscard]] std::string_view store_name(Name name);
+  /// Copies "<scope>.<name>" into the arena: the fqn of an element named
+  /// `name` inside the element whose fqn is `scope`.
+  [[nodiscard]] std::string_view store_name(std::string_view scope, Name name);
+  /// Appends a declaration to the wiring record (called by Reaction and
+  /// BasePort, which check that the wiring is still open).
+  void record_wiring(const Wiring& wiring);
+  /// The first wiring declaration; follow Wiring::next for the rest, in
+  /// declaration order.
+  [[nodiscard]] const Wiring* wiring() const noexcept { return wiring_head_; }
 
  private:
-  void register_special_actions(Reactor* reactor);
+  /// Bytes of arena held inside the environment. Every node of the brake
+  /// app fits (at most about 2.2 KiB); the busiest ACC nodes and the
+  /// brake app's fault-tolerant EBA node take one heap block more.
+  static constexpr std::size_t kArenaInlineBytes = 4096;
+
+  [[nodiscard]] std::string_view store_joined(std::initializer_list<std::string_view> parts);
 
   PhysicalClock& clock_;
   Config config_;
+  // Declared before everything that lives in it, so it is destroyed last.
+  alignas(std::max_align_t) std::array<std::byte, kArenaInlineBytes> arena_block_;
+  std::pmr::monotonic_buffer_resource arena_{arena_block_.data(), arena_block_.size()};
+  Wiring* wiring_head_{nullptr};
+  Wiring* wiring_tail_{nullptr};
   Scheduler scheduler_;
-  std::unique_ptr<DependencyGraph> graph_;
-  std::unique_ptr<SchedulePlan> plan_;
-  std::vector<Reactor*> top_level_;
+  std::optional<DependencyGraph> graph_;
+  std::optional<SchedulePlan> plan_;
+  ElementList<Reactor> top_level_;
   std::vector<std::unique_ptr<Reactor>> owned_relays_;
   int relay_counter_{0};
   bool assembled_{false};

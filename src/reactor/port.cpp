@@ -7,23 +7,24 @@
 
 namespace dear::reactor {
 
-BasePort::BasePort(std::string name, PortDirection direction, Reactor* container,
-                   Environment& environment)
-    : Element(std::move(name), container, environment), direction_(direction) {
-  if (container != nullptr) {
-    container->register_port(this);
-  }
+BasePort::BasePort(Name name, PortDirection direction, Reactor& container)
+    : Element(name, &container, container.environment()), direction_(direction) {
+  container.register_port(this);
 }
 
 void BasePort::bind_to(BasePort* sink) {
   if (sink->inward_ != nullptr) {
-    throw std::logic_error("port already has an inward binding: " + sink->fqn());
+    throw std::logic_error("port already has an inward binding: " + std::string(sink->fqn()));
   }
   if (sink == this) {
-    throw std::logic_error("cannot connect a port to itself: " + fqn());
+    throw std::logic_error("cannot connect a port to itself: " + std::string(fqn()));
   }
   sink->inward_ = this;
-  outward_.push_back(sink);
+  Wiring wiring;
+  wiring.kind = Wiring::Kind::kConnect;
+  wiring.port = this;
+  wiring.sink = sink;
+  environment().record_wiring(wiring);
 }
 
 void BasePort::signal_presence() {

@@ -11,7 +11,7 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
-#include <vector>
+#include <string>
 
 #include "reactor/element.hpp"
 #include "reactor/fwd.hpp"
@@ -22,8 +22,7 @@ enum class PortDirection : std::uint8_t { kInput, kOutput };
 
 class BasePort : public Element {
  public:
-  BasePort(std::string name, PortDirection direction, Reactor* container,
-           Environment& environment);
+  BasePort(Name name, PortDirection direction, Reactor& container);
 
   [[nodiscard]] PortDirection direction() const noexcept { return direction_; }
   [[nodiscard]] bool is_input() const noexcept { return direction_ == PortDirection::kInput; }
@@ -34,16 +33,6 @@ class BasePort : public Element {
   [[nodiscard]] bool is_present() const noexcept { return source().present_; }
 
   [[nodiscard]] BasePort* inward_binding() const noexcept { return inward_; }
-  [[nodiscard]] const std::vector<BasePort*>& outward_bindings() const noexcept {
-    return outward_;
-  }
-
-  /// Reactions triggered by this port becoming present.
-  [[nodiscard]] const std::vector<Reaction*>& triggered_reactions() const noexcept {
-    return triggers_;
-  }
-  /// Reactions that may write this port.
-  [[nodiscard]] const std::vector<Reaction*>& writers() const noexcept { return writers_; }
 
   /// Reactions to stage when this port's *source* becomes present,
   /// including reactions triggered by transitively bound sinks: a row of
@@ -52,11 +41,11 @@ class BasePort : public Element {
     return closure_;
   }
 
-  // --- assembly-time wiring (used by Environment/Reaction) -------------------
+  // --- assembly-time wiring (used by Environment) -----------------------------
 
+  /// Binds `sink` downstream of this port and records the connection in
+  /// the environment's wiring record.
   void bind_to(BasePort* sink);
-  void add_trigger(Reaction* reaction) { triggers_.push_back(reaction); }
-  void add_writer(Reaction* reaction) { writers_.push_back(reaction); }
 
  protected:
   [[nodiscard]] const BasePort& source() const noexcept {
@@ -84,9 +73,6 @@ class BasePort : public Element {
 
   PortDirection direction_;
   BasePort* inward_{nullptr};
-  std::vector<BasePort*> outward_;
-  std::vector<Reaction*> triggers_;
-  std::vector<Reaction*> writers_;
   std::span<Reaction* const> closure_;
   /// Row in the environment's DependencyGraph port table.
   std::uint32_t graph_row_{UINT32_MAX};
@@ -101,7 +87,7 @@ class Port : public BasePort {
   /// execution, on ports without an inward binding.
   void set(ImmutableValuePtr<T> value) {
     if (inward_binding() != nullptr) {
-      throw std::logic_error("cannot set a port with an inward binding: " + fqn());
+      throw std::logic_error("cannot set a port with an inward binding: " + std::string(fqn()));
     }
     assert(value != nullptr);
     value_ = std::move(value);
@@ -139,13 +125,13 @@ class Port : public BasePort {
 template <typename T>
 class Input final : public Port<T> {
  public:
-  Input(std::string name, Reactor* container);
+  Input(Name name, Reactor* container);
 };
 
 template <typename T>
 class Output final : public Port<T> {
  public:
-  Output(std::string name, Reactor* container);
+  Output(Name name, Reactor* container);
 };
 
 }  // namespace dear::reactor

@@ -7,41 +7,33 @@
 
 namespace dear::reactor {
 
-Reaction::Reaction(std::string name, int priority, Reactor* container, Body body)
-    : Element(std::move(name), container, container->environment()), body_(std::move(body)),
+Reaction::Reaction(Name name, int priority, Reactor* container, Body body)
+    : Element(name, container, container->environment()), body_(std::move(body)),
       priority_(priority) {}
 
-void Reaction::check_wiring_open(std::string_view what) const {
+Reaction& Reaction::declare(std::string_view what, Wiring wiring) {
   if (environment().wiring_frozen()) {
     Environment::throw_wiring_frozen(what, fqn());
   }
+  wiring.reaction = this;
+  environment().record_wiring(wiring);
+  return *this;
 }
 
 Reaction& Reaction::triggered_by(BasePort& port) {
-  check_wiring_open("triggered_by");
-  port.add_trigger(this);
-  dependencies_.push_back(&port);
-  return *this;
+  return declare("triggered_by", Wiring{.kind = Wiring::Kind::kTrigger, .port = &port});
 }
 
 Reaction& Reaction::triggered_by(BaseAction& action) {
-  check_wiring_open("triggered_by");
-  action.add_trigger(this);
-  action_triggers_.push_back(&action);
-  return *this;
+  return declare("triggered_by", Wiring{.kind = Wiring::Kind::kActionTrigger, .action = &action});
 }
 
 Reaction& Reaction::reads(BasePort& port) {
-  check_wiring_open("reads");
-  dependencies_.push_back(&port);
-  return *this;
+  return declare("reads", Wiring{.kind = Wiring::Kind::kRead, .port = &port});
 }
 
 Reaction& Reaction::writes(BasePort& port) {
-  check_wiring_open("writes");
-  port.add_writer(this);
-  effects_.push_back(&port);
-  return *this;
+  return declare("writes", Wiring{.kind = Wiring::Kind::kWrite, .port = &port});
 }
 
 Reaction& Reaction::with_deadline(Duration deadline, Body handler) {
@@ -50,14 +42,14 @@ Reaction& Reaction::with_deadline(Duration deadline, Body handler) {
   return *this;
 }
 
-Reaction& Reaction::reads_state(std::string name) {
-  state_reads_.push_back(std::move(name));
-  return *this;
+Reaction& Reaction::reads_state(std::string_view name) {
+  return declare("reads_state", Wiring{.kind = Wiring::Kind::kStateRead,
+                                       .state = environment().store_name(name)});
 }
 
-Reaction& Reaction::writes_state(std::string name) {
-  state_writes_.push_back(std::move(name));
-  return *this;
+Reaction& Reaction::writes_state(std::string_view name) {
+  return declare("writes_state", Wiring{.kind = Wiring::Kind::kStateWrite,
+                                        .state = environment().store_name(name)});
 }
 
 void Reaction::execute(const Tag& tag, TimePoint physical_now) {

@@ -16,10 +16,10 @@
 #include <functional>
 #include <limits>
 #include <string_view>
-#include <vector>
 
 #include "common/time.hpp"
 #include "reactor/element.hpp"
+#include "reactor/graph.hpp"
 #include "reactor/tag.hpp"
 #include "sim/exec_time_model.hpp"
 
@@ -29,7 +29,7 @@ class Reaction final : public Element {
  public:
   using Body = std::function<void()>;
 
-  Reaction(std::string name, int priority, Reactor* container, Body body);
+  Reaction(Name name, int priority, Reactor* container, Body body);
 
   // --- declaration-time API ---------------------------------------------------
 
@@ -47,8 +47,13 @@ class Reaction final : public Element {
   /// share that state, whether or not they live in the same reactor. The
   /// static verifier (src/analysis/) requires an APG ordering edge between
   /// any two reactions where at least one mutates a shared cell.
-  Reaction& reads_state(std::string name);
-  Reaction& writes_state(std::string name);
+  ///
+  /// Each trigger, read, write and state declaration lands in the
+  /// environment's wiring record (DependencyGraph::wiring() lists a
+  /// reaction's declarations once the graph is built) and throws
+  /// std::logic_error once the wiring is frozen.
+  Reaction& reads_state(std::string_view name);
+  Reaction& writes_state(std::string_view name);
 
   // --- introspection -----------------------------------------------------------
 
@@ -56,20 +61,6 @@ class Reaction final : public Element {
   [[nodiscard]] int level() const noexcept { return level_; }
   [[nodiscard]] Duration deadline() const noexcept { return deadline_; }
   [[nodiscard]] bool has_deadline() const noexcept { return deadline_ > 0; }
-
-  [[nodiscard]] const std::vector<BasePort*>& dependency_ports() const noexcept {
-    return dependencies_;
-  }
-  [[nodiscard]] const std::vector<BasePort*>& effect_ports() const noexcept { return effects_; }
-  [[nodiscard]] const std::vector<BaseAction*>& trigger_actions() const noexcept {
-    return action_triggers_;
-  }
-  [[nodiscard]] const std::vector<std::string>& state_reads() const noexcept {
-    return state_reads_;
-  }
-  [[nodiscard]] const std::vector<std::string>& state_writes() const noexcept {
-    return state_writes_;
-  }
 
   [[nodiscard]] std::uint64_t executions() const noexcept { return executions_; }
   [[nodiscard]] std::uint64_t deadline_violations() const noexcept {
@@ -89,8 +80,9 @@ class Reaction final : public Element {
   /// Runs the body (or the deadline handler on violation).
   void execute(const Tag& tag, TimePoint physical_now);
 
-  /// Rejects a trigger/read/write declaration once the wiring is frozen.
-  void check_wiring_open(std::string_view what) const;
+  /// Records a declaration of this reaction in the environment's wiring
+  /// record; rejects it once the wiring is frozen.
+  Reaction& declare(std::string_view what, Wiring wiring);
 
   void set_level(int level) noexcept { level_ = level; }
 
@@ -99,12 +91,6 @@ class Reaction final : public Element {
   int level_{-1};
   Duration deadline_{0};
   Body deadline_handler_;
-
-  std::vector<BasePort*> dependencies_;  // triggers + reads
-  std::vector<BasePort*> effects_;
-  std::vector<BaseAction*> action_triggers_;
-  std::vector<std::string> state_reads_;
-  std::vector<std::string> state_writes_;
 
   // Scheduler staging state: the tag this reaction is already staged for
   // (guarded by the scheduler's staging mutex).

@@ -1,24 +1,32 @@
 #include "reactor/reactor.hpp"
 
+#include <new>
+
 #include "reactor/environment.hpp"
 
 namespace dear::reactor {
 
-Reactor::Reactor(std::string name, Environment& environment)
-    : Element(std::move(name), nullptr, environment) {
+Reactor::Reactor(Name name, Environment& environment) : Element(name, nullptr, environment) {
   environment.register_top_level(this);
 }
 
-Reactor::Reactor(std::string name, Reactor* parent)
-    : Element(std::move(name), parent, parent->environment()) {
+Reactor::Reactor(Name name, Reactor* parent) : Element(name, parent, parent->environment()) {
   parent->register_child(this);
 }
 
-Reaction& Reactor::add_reaction(std::string name, Reaction::Body body) {
+Reactor::~Reactor() {
+  for (auto it = reactions_.begin(); it != reactions_.end();) {
+    Reaction* reaction = *it++;  // step past it before it is destroyed
+    reaction->~Reaction();
+  }
+}
+
+Reaction& Reactor::add_reaction(Name name, Reaction::Body body) {
   const int priority = static_cast<int>(reactions_.size());
-  reactions_.push_back(
-      std::make_unique<Reaction>(std::move(name), priority, this, std::move(body)));
-  return *reactions_.back();
+  void* storage = environment().arena().allocate(sizeof(Reaction), alignof(Reaction));
+  auto* reaction = new (storage) Reaction(name, priority, this, std::move(body));
+  reactions_.push_back(reaction);
+  return *reaction;
 }
 
 const Tag& Reactor::current_tag() const {

@@ -22,7 +22,8 @@ namespace dear::reactor {
 template <typename T>
 void Environment::connect_delayed(Port<T>& from, Port<T>& to, Duration delay) {
   if (wiring_frozen()) {
-    throw_wiring_frozen("connect_delayed", from.fqn() + " -> " + to.fqn());
+    throw_wiring_frozen("connect_delayed",
+                        std::string(from.fqn()).append(" -> ").append(to.fqn()));
   }
   auto relay = std::make_unique<DelayRelay<T>>("_delay" + std::to_string(relay_counter_++),
                                                *this, delay);

@@ -31,6 +31,17 @@ Testbed::Testbed(const PlatformKnobs& knobs, Duration period, Duration link_late
   network.set_loopback_link(svc_link);
 }
 
+Testbed::~Testbed() {
+  if (teardown_start_ns_ >= 0) {
+    obs::Span teardown;
+    teardown.name = "app.teardown";
+    teardown.category = obs::SpanCategory::kScenario;
+    teardown.start_ns = teardown_start_ns_;
+    teardown.duration_ns = obs::steady_now_ns() - teardown_start_ns_;
+    obs::Registry::record_span(teardown);
+  }
+}
+
 AppBuilder::Config Testbed::app_config() noexcept {
   AppBuilder::Config config;
   config.local_hub = knobs_.transport == Transport::kLocal ? &hub_ : nullptr;
@@ -42,7 +53,8 @@ bool Testbed::execute(AppBuilder& app, const RunHooks& hooks,
                       const std::function<void()>& toggle_churn) {
   // Scenario spans cover the phases of a run: "app.build" from the
   // testbed's construction to here (the app's wiring), then validate,
-  // start, settle and run.
+  // start, settle and run, then "app.teardown" from the end of the run to
+  // the testbed's destruction.
   if (build_start_ns_ >= 0) {
     obs::Span build;
     build.name = "app.build";
@@ -79,24 +91,27 @@ bool Testbed::execute(AppBuilder& app, const RunHooks& hooks,
     const obs::SpanScope span(obs::SpanCategory::kScenario, "app.settle");
     kernel.run_until(settle());
   }
-  const obs::SpanScope run_span(obs::SpanCategory::kScenario, "app.run");
-  start_sensor();
-
   // Subscription churn at a fixed physical cadence. The toggle windows are
   // physical time, so churn scenarios are excluded from the
   // digest-invariance groups; the claim under test is error accounting,
   // not bit-identical output.
   const Duration churn_period = knobs_.service_faults.churn_period;
   std::function<void()> churn;
-  if (churn_period > 0) {
-    churn = [&] {
-      toggle_churn();
+  {
+    const obs::SpanScope run_span(obs::SpanCategory::kScenario, "app.run");
+    start_sensor();
+    if (churn_period > 0) {
+      churn = [&] {
+        toggle_churn();
+        kernel.schedule_after(churn_period, [&] { churn(); });
+      };
       kernel.schedule_after(churn_period, [&] { churn(); });
-    };
-    kernel.schedule_after(churn_period, [&] { churn(); });
+    }
+    kernel.run_until(horizon(settle()));
   }
-
-  kernel.run_until(horizon(settle()));
+  if (build_start_ns_ >= 0) {
+    teardown_start_ns_ = obs::steady_now_ns();
+  }
   return true;
 }
 

@@ -9,8 +9,8 @@
 //     inter-platform default link plus the knob-driven service loopback
 //     link), service discovery, the dispatcher, the settle drain, the
 //     horizon, and the run lifecycle (preflight → schedule plan →
-//     structural validation → start → settle → sensor → churn → horizon),
-//     each phase an obs span of the scenario category;
+//     structural validation → start → settle → sensor → churn → horizon →
+//     teardown), each phase an obs span of the scenario category;
 //   - FaultTolerance: the service-fault plan anchored to the sensor
 //     capture grid, the Health service with its heartbeat emitter and
 //     supervisor, and the run's ft::Counters;
@@ -59,6 +59,10 @@ class Testbed {
   /// outlive the testbed.
   Testbed(const PlatformKnobs& knobs, Duration period, Duration link_latency_min,
           Duration link_latency_max, Duration dispatch_jitter = 200 * kMicrosecond);
+
+  /// Records the "app.teardown" span: result collection and the app's
+  /// destruction, which (declared after the testbed) precedes this.
+  ~Testbed();
 
   Testbed(const Testbed&) = delete;
   Testbed& operator=(const Testbed&) = delete;
@@ -126,6 +130,9 @@ class Testbed {
   Duration period_;
   /// Start of the "app.build" span; -1 when scenario spans are off.
   std::int64_t build_start_ns_{-1};
+  /// Start of the "app.teardown" span (the end of "app.run"); -1 when
+  /// scenario spans are off or the run stopped before its events.
+  std::int64_t teardown_start_ns_{-1};
   // The app, declared after the testbed, is destroyed before it: the
   // LocalBindings its nodes own detach from the hub on destruction.
   ara::com::LocalHub hub_;

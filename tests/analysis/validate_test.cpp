@@ -114,7 +114,7 @@ TEST_F(ValidateTest, ValidateAndStartShareTheEnvironmentGraph) {
   app.start();
   EXPECT_EQ(&node.environment().graph(), &graph);
   EXPECT_TRUE(node.environment().assembled());
-  EXPECT_EQ(target.reactions()[0]->level(), 1);
+  EXPECT_EQ(target.reactions().front()->level(), 1);
 }
 
 TEST_F(ValidateTest, WiringAfterValidateThrows) {

@@ -10,10 +10,12 @@
 #include <thread>
 #include <vector>
 
+#include "brake/dear_pipeline.hpp"
 #include "obs/obs.hpp"
 #include "obs/histogram.hpp"
 #include "scenario/presets.hpp"
 #include "scenario/runner.hpp"
+#include "scenario/workloads.hpp"
 
 namespace dear::obs {
 namespace {
@@ -297,6 +299,26 @@ TEST_F(ObsTest, ChromeTraceJsonIsWellFormed) {
   EXPECT_NE(trace.find("\"ph\": \"M\""), std::string::npos);  // thread_name metadata
   EXPECT_NE(trace.find("scenario-a"), std::string::npos);
   EXPECT_NE(trace.find("\\\"quoted\\\""), std::string::npos);  // escaped name
+}
+
+TEST_F(ObsTest, ZeroFrameRunRecordsEachPhaseSpanOnce) {
+  // The scenario spans tile a run: build, validate, start, settle, run,
+  // then teardown (result collection and the app's destruction).
+  Registry::instance().set_span_mask(category_bit(SpanCategory::kScenario));
+  scenario::ScenarioSpec spec;
+  spec.frames = 0;
+  (void)brake::run_dear_pipeline(scenario::to_dear_config(spec));
+  const std::string trace = Registry::instance().chrome_trace_json();
+  for (const std::string_view phase :
+       {"app.build", "app.validate", "app.start", "app.settle", "app.run", "app.teardown"}) {
+    const std::string key = "\"name\": \"" + std::string(phase) + "\"";
+    std::size_t seen = 0;
+    for (std::size_t at = trace.find(key); at != std::string::npos; at = trace.find(key, at + 1)) {
+      ++seen;
+    }
+    EXPECT_EQ(seen, 1u) << phase;
+  }
+  EXPECT_EQ(Registry::instance().snapshot().spans_recorded, 6u);
 }
 
 TEST_F(ObsTest, MetricsReportJsonIsWellFormed) {

@@ -1,7 +1,8 @@
 // Allocation-count regression tests for the hot paths.
 //
-// This binary replaces global operator new/delete with counting wrappers.
-// Each test warms a workload until its pools and retained capacities reach
+// This binary replaces global operator new/delete with counting wrappers,
+// the std::align_val_t overloads included, so allocations of over-aligned
+// (alignas) types count like any other. Each test warms a workload until its pools and retained capacities reach
 // steady state, then asserts that continuing the workload performs ZERO
 // system allocations: per scheduler event (pooled event queue + value pool
 // + reused staging buffers) and per SOME/IP message round trip (recycled
@@ -24,16 +25,20 @@
 // through common::BufferPool, and a delivery event fits std::function's
 // inline storage.
 //
-// The AppSetup tests pin the set-up cost of a DEAR app: the allocations
-// of one zero-frame brake pipeline (testbed, app build, validate(), start,
-// settle drain, teardown). The reactor graph of each environment is built
-// once into flat tables and read by both the verifier and the scheduler,
-// and the fact table lives in three pools; growth there shows up here.
+// The AppSetup tests pin the set-up cost of every app the campaign builds:
+// the allocations of one zero-frame run (testbed, app build, validate(),
+// start, settle drain, teardown) of the DEAR brake pipeline over SOME/IP,
+// over the local transport and with the fault-tolerance layer, of the
+// DEAR ACC pipeline, and of the stock AP brake baseline. Element names,
+// reactions and wiring live in per-environment arenas, each graph's
+// tables in one buffer, an app's nodes and bundles in one arena, and the
+// fact table in three pools; growth there shows up here.
 //
 // The allocation-count tests are single-threaded: the counter observes
 // only the workload between the snapshots.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -43,7 +48,9 @@
 #include <vector>
 
 #include "ara/com/local_binding.hpp"
+#include "acc/pipeline.hpp"
 #include "brake/dear_pipeline.hpp"
+#include "brake/nondet_pipeline.hpp"
 #include "common/buffer_pool.hpp"
 #include "common/pool_allocator.hpp"
 #include "common/thread_pool.hpp"
@@ -74,14 +81,40 @@ void* counted_alloc(std::size_t size) {
   return pointer;
 }
 
+/// Over-aligned types (alignas beyond the default new alignment) come
+/// through the std::align_val_t overloads; they count the same.
+void* counted_alloc(std::size_t size, std::align_val_t alignment) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const auto align = static_cast<std::size_t>(alignment);
+  // aligned_alloc wants the size rounded up to a multiple of the alignment.
+  const std::size_t rounded = (std::max<std::size_t>(size, 1) + align - 1) / align * align;
+  void* pointer = std::aligned_alloc(align, rounded);
+  if (pointer == nullptr) {
+    throw std::bad_alloc();
+  }
+  return pointer;
+}
+
 }  // namespace
 
 void* operator new(std::size_t size) { return counted_alloc(size); }
 void* operator new[](std::size_t size) { return counted_alloc(size); }
+void* operator new(std::size_t size, std::align_val_t alignment) {
+  return counted_alloc(size, alignment);
+}
+void* operator new[](std::size_t size, std::align_val_t alignment) {
+  return counted_alloc(size, alignment);
+}
 void operator delete(void* pointer) noexcept { std::free(pointer); }
 void operator delete[](void* pointer) noexcept { std::free(pointer); }
 void operator delete(void* pointer, std::size_t) noexcept { std::free(pointer); }
 void operator delete[](void* pointer, std::size_t) noexcept { std::free(pointer); }
+void operator delete(void* pointer, std::align_val_t) noexcept { std::free(pointer); }
+void operator delete[](void* pointer, std::align_val_t) noexcept { std::free(pointer); }
+void operator delete(void* pointer, std::size_t, std::align_val_t) noexcept { std::free(pointer); }
+void operator delete[](void* pointer, std::size_t, std::align_val_t) noexcept {
+  std::free(pointer);
+}
 
 namespace dear {
 namespace {
@@ -555,41 +588,95 @@ TEST(AllocCount, TypedMethodCallOverLocalIsAllocationFree) {
                              << " times over 500 calls";
 }
 
-// --- DEAR app set-up ---------------------------------------------------------
+// --- app set-up ----------------------------------------------------------------
 
-/// Allocations of one zero-frame DEAR brake pipeline, once the thread's
-/// pools and scratch buffers are warm.
-std::uint64_t app_setup_allocations(scenario::Transport transport) {
-  scenario::ScenarioSpec spec;
-  spec.workload = scenario::Workload::kBrakeDear;
-  spec.transport = transport;
-  spec.frames = 0;
-  const brake::DearScenarioConfig config = scenario::to_dear_config(spec);
+/// Allocations of one more run of `run`, once three runs have warmed the
+/// thread's pools and scratch buffers.
+template <typename Run>
+std::uint64_t warm_run_allocations(Run&& run) {
   for (int i = 0; i < 3; ++i) {
-    (void)brake::run_dear_pipeline(config);  // warm
+    run();  // warm
   }
   const std::uint64_t before = allocation_count();
-  const brake::PipelineResult result = brake::run_dear_pipeline(config);
-  const std::uint64_t allocations = allocation_count() - before;
-  EXPECT_EQ(result.frames_sent, 0u);
-  return allocations;
+  run();
+  return allocation_count() - before;
 }
 
-// Measured counts (802 over SOME/IP and 810 locally before the shared
-// flat graph and the pooled fact table). A drop should lower the pin.
-constexpr std::uint64_t kAppSetupSomeIpAllocations = 370;
-constexpr std::uint64_t kAppSetupLocalAllocations = 378;
+/// Allocations of one zero-frame brake pipeline: DEAR over `transport`,
+/// with a service fault (the fault-tolerance layer built) when
+/// `service_faults`, or the stock AP baseline when `nondet`.
+std::uint64_t brake_setup_allocations(scenario::Transport transport, bool service_faults = false,
+                                      bool nondet = false) {
+  scenario::ScenarioSpec spec;
+  spec.workload = nondet ? scenario::Workload::kBrakeNondet : scenario::Workload::kBrakeDear;
+  spec.transport = transport;
+  spec.frames = 0;
+  if (service_faults) {
+    spec.service_faults.crash_at = 2 * kSecond;
+  }
+  if (nondet) {
+    const brake::ScenarioConfig config = scenario::to_nondet_config(spec);
+    return warm_run_allocations([&config] {
+      EXPECT_EQ(brake::run_nondet_pipeline(config).frames_sent, 0u);
+    });
+  }
+  const brake::DearScenarioConfig config = scenario::to_dear_config(spec);
+  return warm_run_allocations([&config] {
+    EXPECT_EQ(brake::run_dear_pipeline(config).frames_sent, 0u);
+  });
+}
+
+/// Allocations of one zero-frame ACC pipeline over SOME/IP.
+std::uint64_t acc_setup_allocations() {
+  scenario::ScenarioSpec spec;
+  spec.workload = scenario::Workload::kAcc;
+  spec.frames = 0;
+  const acc::AccScenarioConfig config = scenario::to_acc_config(spec);
+  return warm_run_allocations([&config] { (void)acc::run_acc_pipeline(config); });
+}
+
+// Measured counts, aligned new included. Before element names, reactions
+// and wiring moved into per-environment arenas and the graph tables into
+// one buffer, they were 370, 378, 72, 688 and 527 (802 and 810 over
+// SOME/IP and locally before the shared flat graph). A drop should lower
+// the pin.
+constexpr std::uint64_t kAppSetupSomeIpAllocations = 88;
+constexpr std::uint64_t kAppSetupLocalAllocations = 91;
+constexpr std::uint64_t kAppSetupNondetAllocations = 59;
+constexpr std::uint64_t kAppSetupAccAllocations = 185;
+constexpr std::uint64_t kAppSetupDearFtAllocations = 155;
 
 TEST(AllocCount, AppSetupSomeIp) {
-  const std::uint64_t allocations = app_setup_allocations(scenario::Transport::kSomeIp);
+  const std::uint64_t allocations = brake_setup_allocations(scenario::Transport::kSomeIp);
   EXPECT_LE(allocations, kAppSetupSomeIpAllocations)
       << "a zero-frame DEAR build over SOME/IP allocated " << allocations << " times";
 }
 
 TEST(AllocCount, AppSetupLocal) {
-  const std::uint64_t allocations = app_setup_allocations(scenario::Transport::kLocal);
+  const std::uint64_t allocations = brake_setup_allocations(scenario::Transport::kLocal);
   EXPECT_LE(allocations, kAppSetupLocalAllocations)
       << "a zero-frame DEAR build over the local transport allocated " << allocations
+      << " times";
+}
+
+TEST(AllocCount, AppSetupNondet) {
+  const std::uint64_t allocations =
+      brake_setup_allocations(scenario::Transport::kSomeIp, false, /*nondet=*/true);
+  EXPECT_LE(allocations, kAppSetupNondetAllocations)
+      << "a zero-frame stock AP brake build allocated " << allocations << " times";
+}
+
+TEST(AllocCount, AppSetupAcc) {
+  const std::uint64_t allocations = acc_setup_allocations();
+  EXPECT_LE(allocations, kAppSetupAccAllocations)
+      << "a zero-frame DEAR ACC build allocated " << allocations << " times";
+}
+
+TEST(AllocCount, AppSetupDearFt) {
+  const std::uint64_t allocations =
+      brake_setup_allocations(scenario::Transport::kSomeIp, /*service_faults=*/true);
+  EXPECT_LE(allocations, kAppSetupDearFtAllocations)
+      << "a zero-frame DEAR build with the fault-tolerance layer allocated " << allocations
       << " times";
 }
 

@@ -127,7 +127,7 @@ RunDigests run_pipeline(Driver driver, std::int64_t events, bool consume_plan = 
   }
   env.connect(*previous, sink.in);
   if (consume_plan) {
-    DependencyGraph probe(env.top_level());
+    DependencyGraph probe(env);
     env.set_schedule_plan(probe.export_plan());
   }
   run.execute();

@@ -35,10 +35,10 @@ TEST_F(GraphTest, ChainLevelsIncrease) {
   env.connect(d2.out, recorder.in);
   env.assemble();
   EXPECT_EQ(env.level_count(), 4);
-  EXPECT_EQ(counter.reactions()[0]->level(), 0);
-  EXPECT_EQ(d1.reactions()[0]->level(), 1);
-  EXPECT_EQ(d2.reactions()[0]->level(), 2);
-  EXPECT_EQ(recorder.reactions()[0]->level(), 3);
+  EXPECT_EQ(counter.reactions().front()->level(), 0);
+  EXPECT_EQ(d1.reactions().front()->level(), 1);
+  EXPECT_EQ(d2.reactions().front()->level(), 2);
+  EXPECT_EQ(recorder.reactions().front()->level(), 3);
 }
 
 TEST_F(GraphTest, IndependentReactorsShareLevelZero) {
@@ -47,8 +47,8 @@ TEST_F(GraphTest, IndependentReactorsShareLevelZero) {
   Counter b(env, 10_ms, 1, "b");
   env.assemble();
   EXPECT_EQ(env.level_count(), 1);
-  EXPECT_EQ(a.reactions()[0]->level(), 0);
-  EXPECT_EQ(b.reactions()[0]->level(), 0);
+  EXPECT_EQ(a.reactions().front()->level(), 0);
+  EXPECT_EQ(b.reactions().front()->level(), 0);
 }
 
 TEST_F(GraphTest, DiamondConverges) {
@@ -71,10 +71,10 @@ TEST_F(GraphTest, DiamondConverges) {
   env.connect(left.out, join.a);
   env.connect(right.out, join.b);
   env.assemble();
-  EXPECT_EQ(source.reactions()[0]->level(), 0);
-  EXPECT_EQ(left.reactions()[0]->level(), 1);
-  EXPECT_EQ(right.reactions()[0]->level(), 1);
-  EXPECT_EQ(join.reactions()[0]->level(), 2);
+  EXPECT_EQ(source.reactions().front()->level(), 0);
+  EXPECT_EQ(left.reactions().front()->level(), 1);
+  EXPECT_EQ(right.reactions().front()->level(), 1);
+  EXPECT_EQ(join.reactions().front()->level(), 2);
 }
 
 TEST_F(GraphTest, IntraReactorPriorityOrders) {
@@ -89,11 +89,12 @@ TEST_F(GraphTest, IntraReactorPriorityOrders) {
   Environment env(clock);
   MultiReaction reactor(env);
   env.assemble();
-  EXPECT_EQ(reactor.reactions()[0]->level(), 0);
-  EXPECT_EQ(reactor.reactions()[1]->level(), 1);
-  EXPECT_EQ(reactor.reactions()[2]->level(), 2);
-  EXPECT_EQ(reactor.reactions()[0]->priority(), 0);
-  EXPECT_EQ(reactor.reactions()[2]->priority(), 2);
+  const std::vector<Reaction*> reactions(reactor.reactions().begin(), reactor.reactions().end());
+  EXPECT_EQ(reactions[0]->level(), 0);
+  EXPECT_EQ(reactions[1]->level(), 1);
+  EXPECT_EQ(reactions[2]->level(), 2);
+  EXPECT_EQ(reactions[0]->priority(), 0);
+  EXPECT_EQ(reactions[2]->priority(), 2);
 }
 
 TEST_F(GraphTest, CycleDetectedWithNames) {
@@ -138,7 +139,7 @@ TEST_F(GraphTest, ReadDependencyOrdersWithoutTriggering) {
   Reader reader(env);
   env.connect(writer.out, reader.in);
   env.assemble();
-  EXPECT_GT(reader.reactions()[0]->level(), writer.reactions()[0]->level());
+  EXPECT_GT(reader.reactions().front()->level(), writer.reactions().front()->level());
 }
 
 TEST_F(GraphTest, NestedReactorsCollected) {
@@ -166,8 +167,8 @@ TEST_F(GraphTest, NestedReactorsCollected) {
   Outer outer(env);
   env.assemble();
   // Both the outer and the nested reaction got levels.
-  EXPECT_GE(outer.reactions()[0]->level(), 0);
-  EXPECT_GE(outer.inner.reactions()[0]->level(), 0);
+  EXPECT_GE(outer.reactions().front()->level(), 0);
+  EXPECT_GE(outer.inner.reactions().front()->level(), 0);
   EXPECT_EQ(outer.inner.fqn(), "outer.inner");
 }
 
@@ -188,12 +189,12 @@ TEST_F(GraphTest, AnalyzeReportsCycleWithoutThrowing) {
   Counter independent(env, 10_ms, 1);
   env.connect(a.out, b.in);
   env.connect(b.out, a.in);
-  DependencyGraph graph(env.top_level());
+  DependencyGraph graph(env);
   const auto& analysis = graph.analyze();
   EXPECT_FALSE(analysis.acyclic);
   EXPECT_EQ(analysis.cyclic.size(), 2U);
   // Levels of reactions off the cycle stay valid.
-  EXPECT_EQ(graph.level_of(graph.index_of(*independent.reactions()[0])), 0);
+  EXPECT_EQ(graph.level_of(graph.index_of(*independent.reactions().front())), 0);
   // analyze() is cached and idempotent.
   EXPECT_EQ(&graph.analyze(), &analysis);
 }
@@ -209,9 +210,9 @@ TEST_F(GraphTest, LevelsGroupReactionsByLevel) {
   const DependencyGraph& graph = env.graph();
   ASSERT_EQ(graph.levels().size(), 3U);
   ASSERT_EQ(graph.levels()[0].size(), 1U);
-  EXPECT_EQ(graph.levels()[0][0], counter.reactions()[0].get());
-  EXPECT_EQ(graph.levels()[1][0], d1.reactions()[0].get());
-  EXPECT_EQ(graph.levels()[2][0], d2.reactions()[0].get());
+  EXPECT_EQ(graph.levels()[0][0], counter.reactions().front());
+  EXPECT_EQ(graph.levels()[1][0], d1.reactions().front());
+  EXPECT_EQ(graph.levels()[2][0], d2.reactions().front());
 }
 
 TEST_F(GraphTest, WritersOfResolvesThroughBindings) {
@@ -223,12 +224,12 @@ TEST_F(GraphTest, WritersOfResolvesThroughBindings) {
   env.connect(doubler.out, recorder.in);
   env.assemble();
   // The writer of a *bound input* is the writer of its source port.
-  const auto& writers = DependencyGraph::writers_of(doubler.in);
+  const auto& writers = env.graph().writers_of(doubler.in);
   ASSERT_EQ(writers.size(), 1U);
-  EXPECT_EQ(writers[0], counter.reactions()[0].get());
-  const auto& sink_writers = DependencyGraph::writers_of(recorder.in);
+  EXPECT_EQ(writers[0], counter.reactions().front());
+  const auto& sink_writers = env.graph().writers_of(recorder.in);
   ASSERT_EQ(sink_writers.size(), 1U);
-  EXPECT_EQ(sink_writers[0], doubler.reactions()[0].get());
+  EXPECT_EQ(sink_writers[0], doubler.reactions().front());
 }
 
 TEST_F(GraphTest, DependenciesOfListsDirectPredecessors) {
@@ -240,10 +241,10 @@ TEST_F(GraphTest, DependenciesOfListsDirectPredecessors) {
   env.connect(d1.out, d2.in);
   env.assemble();
   const DependencyGraph& graph = env.graph();
-  EXPECT_TRUE(graph.dependencies_of(*counter.reactions()[0]).empty());
-  const auto d2_deps = graph.dependencies_of(*d2.reactions()[0]);
+  EXPECT_TRUE(graph.dependencies_of(*counter.reactions().front()).empty());
+  const auto d2_deps = graph.dependencies_of(*d2.reactions().front());
   ASSERT_EQ(d2_deps.size(), 1U);  // direct only — not the transitive counter
-  EXPECT_EQ(d2_deps[0], d1.reactions()[0].get());
+  EXPECT_EQ(d2_deps[0], d1.reactions().front());
 }
 
 TEST_F(GraphTest, EmptyGraphAnalyzesAcyclicWithNoLevels) {
@@ -254,7 +255,7 @@ TEST_F(GraphTest, EmptyGraphAnalyzesAcyclicWithNoLevels) {
   };
   Environment env(clock);
   Empty empty(env);
-  DependencyGraph graph(env.top_level());
+  DependencyGraph graph(env);
   const auto& analysis = graph.analyze();
   EXPECT_TRUE(analysis.acyclic);
   EXPECT_EQ(analysis.level_count, 0);
@@ -276,11 +277,11 @@ TEST_F(GraphTest, SingleReactionSelfLoopIsItsOwnCycle) {
   Environment env(clock);
   SelfLoop self(env);
   env.connect(self.out, self.in);
-  DependencyGraph graph(env.top_level());
+  DependencyGraph graph(env);
   const auto& analysis = graph.analyze();
   EXPECT_FALSE(analysis.acyclic);
   ASSERT_EQ(analysis.cyclic.size(), 1U);
-  EXPECT_EQ(graph.reactions()[analysis.cyclic[0]], self.reactions()[0].get());
+  EXPECT_EQ(graph.reactions()[analysis.cyclic[0]], self.reactions().front());
   EXPECT_THROW((void)graph.export_plan(), std::logic_error);
 }
 
@@ -291,7 +292,7 @@ TEST_F(GraphTest, RepeatedAnalyzeKeepsLevelsStable) {
   Doubler d2(env, "d2");
   env.connect(counter.out, d1.in);
   env.connect(d1.out, d2.in);
-  DependencyGraph graph(env.top_level());
+  DependencyGraph graph(env);
   const auto& first = graph.analyze();
   std::vector<int> levels;
   for (std::size_t i = 0; i < graph.reactions().size(); ++i) {
@@ -322,7 +323,7 @@ TEST_F(GraphTest, ExportedPlanAppliesToAnIdenticalTopology) {
   Environment reference(clock);
   std::vector<std::unique_ptr<Reactor>> reference_reactors;
   build(reference, reference_reactors);
-  DependencyGraph probe(reference.top_level());
+  DependencyGraph probe(reference);
   const SchedulePlan plan = probe.export_plan();
   ASSERT_EQ(plan.entries.size(), 3U);
   EXPECT_EQ(plan.level_count, 3);
@@ -334,7 +335,7 @@ TEST_F(GraphTest, ExportedPlanAppliesToAnIdenticalTopology) {
   consumer.assemble();
   EXPECT_EQ(consumer.level_count(), 3);
   for (std::size_t i = 0; i < consumer_reactors.size(); ++i) {
-    EXPECT_EQ(consumer_reactors[i]->reactions()[0]->level(), static_cast<int>(i));
+    EXPECT_EQ(consumer_reactors[i]->reactions().front()->level(), static_cast<int>(i));
   }
 }
 
@@ -343,36 +344,36 @@ TEST_F(GraphTest, StaleOrTamperedPlansAreRejected) {
   Counter counter(env, 10_ms, 1);
   Doubler doubler(env, "d");
   env.connect(counter.out, doubler.in);
-  DependencyGraph probe(env.top_level());
+  DependencyGraph probe(env);
   const SchedulePlan good = probe.export_plan();
 
   {
     SchedulePlan missing = good;
     missing.entries.pop_back();
-    DependencyGraph graph(env.top_level());
+    DependencyGraph graph(env);
     EXPECT_THROW((void)graph.apply_plan(missing), std::logic_error);
   }
   {
     SchedulePlan renamed = good;
     renamed.entries[0].fqn = "ghost/reaction";
-    DependencyGraph graph(env.top_level());
+    DependencyGraph graph(env);
     EXPECT_THROW((void)graph.apply_plan(renamed), std::logic_error);
   }
   {
     // Swapped levels break edge monotonicity: counter must precede doubler.
     SchedulePlan swapped = good;
     std::swap(swapped.entries[0].level, swapped.entries[1].level);
-    DependencyGraph graph(env.top_level());
+    DependencyGraph graph(env);
     EXPECT_THROW((void)graph.apply_plan(swapped), std::logic_error);
   }
   {
     SchedulePlan out_of_range = good;
     out_of_range.entries[0].level = good.level_count;
-    DependencyGraph graph(env.top_level());
+    DependencyGraph graph(env);
     EXPECT_THROW((void)graph.apply_plan(out_of_range), std::logic_error);
   }
   // A valid plan still applies after all the rejected attempts.
-  DependencyGraph graph(env.top_level());
+  DependencyGraph graph(env);
   EXPECT_EQ(graph.apply_plan(good), good.level_count);
 }
 
@@ -380,7 +381,7 @@ TEST_F(GraphTest, SetSchedulePlanAfterAssembleThrows) {
   Environment env(clock);
   Counter counter(env, 10_ms, 1);
   env.assemble();
-  DependencyGraph probe(env.top_level());
+  DependencyGraph probe(env);
   EXPECT_THROW(env.set_schedule_plan(probe.export_plan()), std::logic_error);
 }
 
@@ -391,8 +392,8 @@ TEST_F(GraphTest, IndexOfUnknownReactionIsSize) {
   Environment other(clock);
   Counter outside(other, 10_ms, 1);
   const DependencyGraph& graph = env.graph();
-  EXPECT_EQ(graph.index_of(*inside.reactions()[0]), 0U);
-  EXPECT_EQ(graph.index_of(*outside.reactions()[0]), graph.reactions().size());
+  EXPECT_EQ(graph.index_of(*inside.reactions().front()), 0U);
+  EXPECT_EQ(graph.index_of(*outside.reactions().front()), graph.reactions().size());
 }
 
 // --- flat tables and the environment's shared graph --------------------------
@@ -454,13 +455,13 @@ TEST_F(GraphTest, PortClosureFollowsBindingsInStagingOrder) {
   env.assemble();
   const auto closure = fan.out.triggered_closure();
   ASSERT_EQ(closure.size(), 3U);
-  EXPECT_EQ(closure[0], fan.reactions()[0].get());
-  EXPECT_EQ(closure[1], second.reactions()[0].get());
-  EXPECT_EQ(closure[2], first.reactions()[0].get());
+  EXPECT_EQ(closure[0], fan.reactions().front());
+  EXPECT_EQ(closure[1], second.reactions().front());
+  EXPECT_EQ(closure[2], first.reactions().front());
   EXPECT_TRUE(fan.in.triggered_closure().empty());
   // A sink's row lists only its own downstream triggers.
   ASSERT_EQ(first.in.triggered_closure().size(), 1U);
-  EXPECT_EQ(first.in.triggered_closure()[0], first.reactions()[0].get());
+  EXPECT_EQ(first.in.triggered_closure()[0], first.reactions().front());
 }
 
 TEST_F(GraphTest, EnvironmentBuildsOneGraphAndAssemblesFromIt) {
@@ -477,7 +478,7 @@ TEST_F(GraphTest, EnvironmentBuildsOneGraphAndAssemblesFromIt) {
   // The cached analysis is the one assemble() assigned levels from.
   EXPECT_EQ(&before.analyze(), &analysis);
   EXPECT_EQ(env.level_count(), 2);
-  EXPECT_EQ(doubler.reactions()[0]->level(), 1);
+  EXPECT_EQ(doubler.reactions().front()->level(), 1);
 }
 
 TEST_F(GraphTest, WiringAfterTheGraphIsBuiltThrows) {
@@ -490,7 +491,7 @@ TEST_F(GraphTest, WiringAfterTheGraphIsBuiltThrows) {
   EXPECT_THROW(env.connect_delayed(counter.out, late.in, 5_ms), std::logic_error);
   EXPECT_THROW(Doubler(env, "extra"), std::logic_error);
   EXPECT_THROW(doubler.add_reaction("extra", [] {}), std::logic_error);
-  EXPECT_THROW(doubler.reactions()[0]->writes(late.in), std::logic_error);
+  EXPECT_THROW(doubler.reactions().front()->writes(late.in), std::logic_error);
   EXPECT_TRUE(doubler.in.inward_binding() == nullptr);
   EXPECT_TRUE(late.in.inward_binding() == nullptr);
   EXPECT_EQ(env.top_level().size(), 3U);
