@@ -93,6 +93,8 @@ class Environment {
   /// microstep.
   void request_shutdown();
 
+  /// Current logical tag; read it on the driving thread (see
+  /// Scheduler::current_tag).
   [[nodiscard]] Tag current_tag() const { return scheduler_.current_tag(); }
   [[nodiscard]] TimePoint physical_time() const { return clock_.now(); }
   [[nodiscard]] TimePoint start_time() const noexcept { return scheduler_.start_tag().time; }

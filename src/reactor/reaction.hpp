@@ -93,7 +93,7 @@ class Reaction final : public Element {
   Body deadline_handler_;
 
   // Scheduler staging state: the tag this reaction is already staged for
-  // (guarded by the scheduler's staging mutex).
+  // (driving thread only).
   Tag staged_for_{Tag::maximum()};
   /// Row in the environment's DependencyGraph reaction table.
   std::uint32_t graph_row_{UINT32_MAX};

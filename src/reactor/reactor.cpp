@@ -30,7 +30,7 @@ Reaction& Reactor::add_reaction(Name name, Reaction::Body body) {
 }
 
 const Tag& Reactor::current_tag() const {
-  return environment().scheduler().current_tag_locked();
+  return environment().scheduler().current_tag();
 }
 
 TimePoint Reactor::logical_time() const { return current_tag().time; }

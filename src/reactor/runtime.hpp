@@ -36,7 +36,7 @@ template <typename T>
 void LogicalAction<T>::schedule(ImmutableValuePtr<T> value, Duration delay) {
   Scheduler& scheduler = this->environment().scheduler();
   scheduler.with_lock([&] {
-    const Tag tag = scheduler.current_tag_locked().delay(this->min_delay() + delay);
+    const Tag tag = scheduler.current_tag().delay(this->min_delay() + delay);
     this->pending_[tag] = std::move(value);
     scheduler.enqueue_locked(this, tag);
   });
@@ -50,8 +50,8 @@ void PhysicalAction<T>::schedule(ImmutableValuePtr<T> value, Duration delay) {
   scheduler.with_lock([&] {
     Tag tag{physical_now + this->min_delay() + delay, 0};
     // Physical actions may never be tagged at or before the current tag.
-    if (tag <= scheduler.current_tag_locked()) {
-      tag = scheduler.current_tag_locked().delay(0);
+    if (tag <= scheduler.current_tag()) {
+      tag = scheduler.current_tag().delay(0);
     }
     this->pending_[tag] = std::move(value);
     scheduler.enqueue_locked(this, tag);
@@ -63,7 +63,7 @@ template <typename T>
 bool PhysicalAction<T>::schedule_at(const Tag& tag, ImmutableValuePtr<T> value) {
   Scheduler& scheduler = this->environment().scheduler();
   const bool accepted = scheduler.with_lock([&] {
-    if (tag <= scheduler.current_tag_locked()) {
+    if (tag <= scheduler.current_tag()) {
       return false;  // tardy: the logical position has already been passed
     }
     this->pending_[tag] = std::move(value);

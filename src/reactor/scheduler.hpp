@@ -2,10 +2,11 @@
 //
 // One scheduler core serves two execution drivers:
 //   * the threaded driver (run_threaded): a blocking loop that waits on a
-//     real clock until physical time reaches the next tag, then executes
-//     the staged reactions;
+//     real clock until physical time reaches the next tag, then runs it;
 //   * the DES driver (SimDriver in sim_driver.hpp): calls process_next_tag
 //     from kernel callbacks, with physical time = simulation time.
+// Both run a tag the same way (run_tag): pop its events, run the staged
+// reactions, clean up, honour a pending stop.
 //
 // Either way, a tag's reactions run on the one thread that drives the
 // scheduler: level by level, and within a level in staging order. The
@@ -22,25 +23,24 @@
 // Events are never handled before physical time exceeds their tag, which
 // is what makes externally tagged events (PTIDES safe-to-process) safe.
 //
-// Thread safety depends on the driver. Under the threaded driver, event
-// insertion (actions, request_stop) is safe from any thread: the tag loop
-// and inserters share mutex_, reactions stage through staging_mutex_, and
-// current_tag() reads a seqlock-published copy. Under the DES driver one
-// kernel thread does everything, so SimDriver claims the scheduler as
-// single-owner before it starts: both mutexes become no-ops, the seqlock
-// is skipped, and notify() neither signals the condition variable nor pays
-// an atomic read-modify-write. A claimed scheduler must never be touched
-// from a second thread; debug builds assert on overlapping acquisitions,
-// and run_threaded() refuses a claimed scheduler.
+// Thread safety. The driving thread owns the tag loop's state: staging,
+// set ports, the trace and the counters are touched by no other thread,
+// so they take no lock. Other threads reach the scheduler only through
+// mutex_: action inserts (with_lock + notify) and request_stop. The
+// driving thread holds mutex_ while it pops a tag's events and advances
+// current_tag_, and drops it while reactions run. Under the DES driver one
+// kernel thread does everything, so SimDriver attaches itself as the
+// single owner before it starts: mutex_ becomes a no-op and notify()
+// re-arms the driver instead of signalling the condition variable. A
+// claimed scheduler must never be touched from a second thread; debug
+// builds assert on overlapping acquisitions, and run_threaded() refuses a
+// claimed scheduler.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "common/owner_mutex.hpp"
@@ -54,6 +54,7 @@ namespace dear::reactor {
 
 class BasePort;
 class BaseAction;
+class SimDriver;
 class Timer;
 
 class Scheduler {
@@ -68,16 +69,20 @@ class Scheduler {
 
   void configure(int level_count, bool keepalive, Duration timeout);
 
-  /// Declares that one thread will drive this scheduler for its whole life
-  /// (SimDriver does, before start_at): drops the locks and atomics of the
-  /// tag loop. Throws std::logic_error once started.
+  /// Declares that one thread will drive this scheduler for its whole life:
+  /// drops the locking of mutex_. Throws std::logic_error once started.
   void claim_single_owner();
   [[nodiscard]] bool single_owner() const noexcept { return mutex_.single_owner(); }
 
-  /// Invoked (outside the lock) whenever the earliest pending tag becomes
-  /// earlier than it was — the SimDriver uses this to re-arm its kernel
-  /// wake-up.
-  void set_wake_callback(std::function<void()> callback) { wake_callback_ = std::move(callback); }
+  /// Hands the scheduler to a DES driver (SimDriver::start, before
+  /// start_at): claims it single-owner, re-arms the driver's kernel wake-up
+  /// whenever the earliest pending tag becomes earlier, and charges each
+  /// reaction's modeled cost, sampled with the driver's RNG, to the tag.
+  /// Throws std::logic_error once started.
+  void attach(SimDriver& driver);
+
+  /// Called by ~SimDriver: nothing calls into the driver afterwards.
+  void detach() noexcept { driver_ = nullptr; }
 
   // --- event insertion ----------------------------------------------------------
 
@@ -97,30 +102,11 @@ class Scheduler {
   /// (startup, coalesced port batches). Requires the scheduler mutex.
   void enqueue_batch_locked(BaseAction* const* actions, std::size_t count, const Tag& tag);
 
-  /// Current logical tag (requires lock for exactness; used by actions
-  /// inside with_lock).
-  [[nodiscard]] const Tag& current_tag_locked() const noexcept { return current_tag_; }
+  /// Current logical tag. Valid on the driving thread (reactions read it
+  /// freely) or, from any thread, under with_lock.
+  [[nodiscard]] const Tag& current_tag() const noexcept { return current_tag_; }
 
-  /// Lock-free snapshot of the current logical tag (seqlock over the
-  /// published copy). Callers hit this once per reaction, so it must not
-  /// contend with event insertion on the scheduler mutex. A single-owner
-  /// scheduler has no other reader and skips the publication.
-  [[nodiscard]] Tag current_tag() const noexcept {
-    if (single_owner()) {
-      return current_tag_;
-    }
-    for (;;) {
-      const std::uint32_t before = tag_seq_.load(std::memory_order_acquire);
-      const Tag tag{published_tag_time_.load(std::memory_order_relaxed),
-                    published_tag_microstep_.load(std::memory_order_relaxed)};
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if ((before & 1u) == 0 && tag_seq_.load(std::memory_order_relaxed) == before) {
-        return tag;
-      }
-    }
-  }
-
-  /// Called after with_lock insertion to wake a waiting driver.
+  /// Called after with_lock insertion to wake the driver.
   void notify();
 
   // --- execution-time API (called from reaction bodies) ---------------------------
@@ -131,17 +117,10 @@ class Scheduler {
   /// Registers a port for end-of-tag cleanup.
   void register_set_port(BasePort& port);
 
-  /// Installs a modeled execution-cost hook (DES driver): after each
-  /// reaction executes, the hook returns the platform time it consumed;
-  /// the accumulated offset is added to the physical time used in
-  /// subsequent deadline checks at the same tag, so a slow reaction makes
-  /// a later reaction at the same tag miss its deadline — exactly as it
-  /// would on the real platform.
-  void set_exec_cost_hook(std::function<Duration(const Reaction&)> hook) {
-    exec_cost_hook_ = std::move(hook);
-  }
-
-  /// Modeled time consumed by the most recently processed tag.
+  /// Modeled time consumed by the most recently processed tag (DES driver;
+  /// zero in threaded mode). Within a tag it is added to the physical time
+  /// of later deadline checks, so a slow reaction makes a later reaction at
+  /// the same tag miss its deadline — exactly as it would on the platform.
   [[nodiscard]] Duration last_tag_cost() const noexcept { return busy_offset_; }
 
   // --- threaded driver ------------------------------------------------------------
@@ -164,16 +143,9 @@ class Scheduler {
   [[nodiscard]] Tag next_tag() const;
 
   /// Processes the earliest pending tag if it is <= horizon; reactions run
-  /// on the calling thread. Returns the executed reactions (for modeled
-  /// cost accounting), or nullopt when nothing was processed. Processing
-  /// the stop tag finishes execution.
-  struct TagResult {
-    Tag tag;
-    /// Executed reactions in execution order; views a scheduler-owned
-    /// buffer that is valid until the next process_next_tag call.
-    std::span<Reaction* const> executed;
-  };
-  [[nodiscard]] std::optional<TagResult> process_next_tag(TimePoint horizon);
+  /// on the calling thread. Returns the processed tag, or nullopt when
+  /// nothing was processed. Processing the stop tag finishes execution.
+  [[nodiscard]] std::optional<Tag> process_next_tag(TimePoint horizon);
 
   [[nodiscard]] bool finished() const {
     const std::lock_guard<common::OwnerMutex> lock(mutex_);
@@ -191,9 +163,7 @@ class Scheduler {
   [[nodiscard]] const Tag& start_tag() const noexcept { return start_tag_; }
   [[nodiscard]] std::uint64_t tags_processed() const noexcept { return tags_processed_; }
   [[nodiscard]] std::uint64_t reactions_executed() const noexcept { return reactions_executed_; }
-  [[nodiscard]] std::uint64_t deadline_violations() const noexcept {
-    return deadline_violations_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t deadline_violations() const noexcept { return deadline_violations_; }
   [[nodiscard]] Trace& trace() noexcept { return trace_; }
 
   /// Startup/shutdown trigger registration (Environment assembly).
@@ -204,35 +174,45 @@ class Scheduler {
  private:
   enum class State : std::uint8_t { kIdle, kRunning, kFinished };
 
-  /// Pops all actions at `tag`, runs setup, stages triggered reactions.
-  /// Requires the lock; `is_stop` additionally triggers shutdown actions.
-  void prepare_tag_locked(const Tag& tag, bool is_stop);
+  /// Earliest pending tag, capped at the stop tag. Requires the lock.
+  [[nodiscard]] Tag next_tag_locked() const;
 
-  /// Updates current_tag_ and, unless single-owner, publishes the seqlock
-  /// snapshot. Requires the lock.
-  void set_current_tag_locked(const Tag& tag) noexcept;
+  /// Moves the stop tag earlier to `tag` if it is later. Requires the lock.
+  void lower_stop_tag_locked(const Tag& tag) noexcept;
 
-  /// Executes staged levels; the lock must NOT be held. Appends executed
-  /// reactions to executed_buffer_.
+  /// Runs one tag: pops its events and stages their reactions (locked),
+  /// executes the staged levels and cleans up (unlocked), then finishes
+  /// or honours a stop request (locked). Requires the lock.
+  void run_tag(const Tag& tag);
+
+  /// Runs an action's setup at `tag` and stages its reactions. Requires
+  /// the lock.
+  void activate_locked(BaseAction& action, const Tag& tag);
+
+  /// Stages one reaction at the current tag.
+  void stage(Reaction& reaction);
+
+  /// Executes staged levels in order, emptying each.
   void execute_staged();
-
-  /// Stages one reaction at the current tag (staging mutex must be held).
-  void stage_locked(Reaction& reaction);
-
-  /// End-of-tag cleanup of present ports/actions. Requires the lock.
-  void finalize_tag_locked();
 
   void execute_reaction(Reaction& reaction);
 
+  /// End-of-tag cleanup of present ports/actions.
+  void finalize_tag();
+
   PhysicalClock& clock_;
 
-  /// Both scheduler mutexes are claimed together (claim_single_owner);
-  /// mutex_'s claim is the single-owner flag the tag loop tests. The
-  /// threaded driver waits on cv_ with mutex_.native().
+  /// Guards event_queue_, the actions' pending values, current_tag_
+  /// writes, stop_tag_, stop_requested_, state_ and wake_pending_ against
+  /// foreign threads. The threaded driver waits on cv_ with
+  /// mutex_.native().
   mutable common::OwnerMutex mutex_;
   std::condition_variable cv_;
-  std::function<void()> wake_callback_;
-  std::atomic<bool> wake_pending_{false};
+  /// The attached DES driver, if any (see attach()).
+  SimDriver* driver_{nullptr};
+  /// Set when an insert makes the earliest pending tag earlier; notify()
+  /// clears it and re-arms the attached driver.
+  bool wake_pending_{false};
 
   EventQueue event_queue_;
   Tag current_tag_{};
@@ -241,27 +221,20 @@ class Scheduler {
   bool stop_requested_{false};
   State state_{State::kIdle};
 
-  // Seqlock publication of current_tag_ for the lock-free current_tag().
-  mutable std::atomic<std::uint32_t> tag_seq_{0};
-  std::atomic<TimePoint> published_tag_time_{0};
-  std::atomic<std::uint32_t> published_tag_microstep_{0};
-
-  // Staging of reactions for the tag being processed.
-  common::OwnerMutex staging_mutex_;
+  // Staging of reactions for the tag being processed (driving thread).
   std::vector<std::vector<Reaction*>> staged_;
+  /// Level being executed, or -1; read only by the level-monotonicity
+  /// assert in stage_port_triggers.
   int current_level_{-1};
   std::vector<BasePort*> set_ports_;
   std::vector<BaseAction*> active_actions_;
   // Reused per-tag scratch (zero steady-state allocations in the loop).
   std::vector<BaseAction*> popped_actions_;
-  std::vector<Reaction*> level_batch_buffer_;
-  std::vector<Reaction*> executed_buffer_;
 
   // Configuration.
   bool keepalive_{false};
   Duration timeout_{-1};
 
-  std::function<Duration(const Reaction&)> exec_cost_hook_;
   Duration busy_offset_{0};
 
   std::vector<BaseAction*> startup_actions_;
@@ -270,7 +243,7 @@ class Scheduler {
 
   std::uint64_t tags_processed_{0};
   std::uint64_t reactions_executed_{0};
-  std::atomic<std::uint64_t> deadline_violations_{0};
+  std::uint64_t deadline_violations_{0};
   Trace trace_;
 };
 

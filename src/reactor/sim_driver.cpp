@@ -6,7 +6,7 @@ SimDriver::SimDriver(Environment& environment, sim::Kernel& kernel, common::Rng 
     : environment_(environment), kernel_(kernel), cost_rng_(cost_rng) {}
 
 SimDriver::~SimDriver() {
-  environment_.scheduler().set_wake_callback(nullptr);
+  environment_.scheduler().detach();
   if (armed_) {
     kernel_.cancel(armed_event_);
   }
@@ -19,14 +19,7 @@ void SimDriver::start() {
   started_ = true;
   environment_.assemble();
   // The kernel thread is the only one that ever touches this scheduler.
-  environment_.scheduler().claim_single_owner();
-  environment_.scheduler().set_wake_callback([this] { arm(); });
-  environment_.scheduler().set_exec_cost_hook([this](const Reaction& reaction) -> Duration {
-    if (!reaction.has_modeled_cost()) {
-      return 0;
-    }
-    return reaction.modeled_cost().sample(cost_rng_);
-  });
+  environment_.scheduler().attach(*this);
   environment_.scheduler().start_at(Tag{kernel_.now(), 0});
   arm();
 }
@@ -37,7 +30,7 @@ void SimDriver::arm() {
   }
   const Tag next = environment_.scheduler().next_tag();
   if (next == Tag::maximum()) {
-    // Idle; a later physical action (via the wake callback) re-arms.
+    // Idle; a later physical action re-arms (Scheduler::notify).
     if (armed_) {
       kernel_.cancel(armed_event_);
       armed_ = false;
@@ -69,8 +62,7 @@ void SimDriver::on_wake() {
     arm();
     return;
   }
-  const auto result = environment_.scheduler().process_next_tag(kernel_.now());
-  if (result.has_value()) {
+  if (environment_.scheduler().process_next_tag(kernel_.now()).has_value()) {
     const Duration cost = environment_.scheduler().last_tag_cost();
     if (cost > 0) {
       busy_until_ = std::max(busy_until_, kernel_.now()) + cost;

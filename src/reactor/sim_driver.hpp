@@ -7,9 +7,12 @@
 // the paper's case study) can share one kernel — this is the co-simulation
 // of distributed reactor programs.
 //
-// start() claims the scheduler as single-owner (scheduler.hpp): the kernel
-// thread is the only one that ever touches it, so the tag loop runs
-// without locks or atomics.
+// start() attaches the driver to the scheduler (Scheduler::attach): the
+// kernel thread becomes its single owner, so the tag loop runs without
+// locks, and the scheduler calls back into the driver directly, to re-arm
+// the kernel wake-up when an earlier event arrives and to sample each
+// reaction's modeled cost with the driver's RNG. The destructor detaches
+// it, so an environment may outlive its driver.
 //
 // Modeled execution cost: reactions tagged with set_modeled_cost consume
 // platform time; the driver tracks a busy-until watermark and defers the
@@ -44,6 +47,8 @@ class SimDriver {
   [[nodiscard]] Duration consumed_cost() const noexcept { return consumed_cost_; }
 
  private:
+  friend class Scheduler;  // calls arm() and samples costs with cost_rng_
+
   void arm();
   void on_wake();
 

@@ -4,6 +4,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
+#include <numeric>
+#include <string>
 #include <thread>
 
 #include "reactor_fixture.hpp"
@@ -125,6 +128,107 @@ TEST(ThreadedScheduler, RequestShutdownFromOutside) {
   env.run();
   stopper.join();
   EXPECT_LT(counter.count(), 1'000'000);
+}
+
+TEST(ThreadedScheduler, ForeignThreadsSchedulePhysicalActionsWhileReactionsSetPorts) {
+  // Two producer threads insert events through the scheduler mutex while
+  // the driving thread runs reactions that set a chain of ports, which
+  // stages downstream reactions without any lock.
+  constexpr int kPerThread = 300;
+  constexpr int kRelays = 4;
+  RealClock clock;
+  Environment::Config config;
+  config.keepalive = true;
+  config.timeout = 30_s;  // a lost event fails the test instead of hanging it
+  Environment env(clock, config);
+  class Source final : public Reactor {
+   public:
+    PhysicalAction<int> from_a{"from_a", this};
+    PhysicalAction<int> from_b{"from_b", this};
+    Output<int> out{"out", this};
+    std::vector<int> seen_a;
+    std::vector<int> seen_b;
+    explicit Source(Environment& env) : Reactor("source", env) {
+      add_reaction("forward",
+                   [this] {
+                     int present = 0;
+                     if (from_a.is_present()) {
+                       seen_a.push_back(from_a.get());
+                       ++present;
+                     }
+                     if (from_b.is_present()) {
+                       seen_b.push_back(from_b.get());
+                       ++present;
+                     }
+                     out.set(present);
+                   })
+          .triggered_by(from_a)
+          .triggered_by(from_b)
+          .writes(out);
+    }
+  };
+  class Relay final : public Reactor {
+   public:
+    Input<int> in{"in", this};
+    Output<int> out{"out", this};
+    Relay(Environment& env, std::string name) : Reactor(std::move(name), env) {
+      add_reaction("relay", [this] { out.set(in.get()); }).triggered_by(in).writes(out);
+    }
+  };
+  class Sink final : public Reactor {
+   public:
+    Input<int> in{"in", this};
+    std::vector<Tag> tags;
+    int events{0};
+    explicit Sink(Environment& env) : Reactor("sink", env) {
+      add_reaction("count",
+                   [this] {
+                     tags.push_back(current_tag());
+                     events += in.get();
+                     if (events == 2 * kPerThread) {
+                       request_shutdown();
+                     }
+                   })
+          .triggered_by(in);
+    }
+  };
+  Source source(env);
+  std::vector<std::unique_ptr<Relay>> relays;
+  for (int i = 0; i < kRelays; ++i) {
+    relays.push_back(std::make_unique<Relay>(env, "relay" + std::to_string(i)));
+    env.connect(i == 0 ? source.out : relays[static_cast<std::size_t>(i - 1)]->out,
+                relays.back()->in);
+  }
+  Sink sink(env);
+  env.connect(relays.back()->out, sink.in);
+
+  const auto produce = [&env](PhysicalAction<int>& action) {
+    return [&env, &action] {
+      // An event scheduled before start_at would be tagged before the
+      // start tag, so wait until the driving thread has started.
+      while (!env.scheduler().running()) {
+        std::this_thread::yield();
+      }
+      for (int i = 0; i < kPerThread; ++i) {
+        action.schedule(i);
+      }
+    };
+  };
+  std::thread producer_a(produce(source.from_a));
+  std::thread producer_b(produce(source.from_b));
+  env.run();  // returns once the sink has counted every event
+  producer_a.join();
+  producer_b.join();
+
+  std::vector<int> expected(kPerThread);
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(source.seen_a, expected);  // each event fired exactly once, in order
+  EXPECT_EQ(source.seen_b, expected);
+  EXPECT_EQ(sink.events, 2 * kPerThread);
+  ASSERT_FALSE(sink.tags.empty());
+  for (std::size_t i = 1; i < sink.tags.size(); ++i) {
+    EXPECT_LT(sink.tags[i - 1], sink.tags[i]) << "at tag index " << i;
+  }
 }
 
 TEST(ThreadedScheduler, DeadlineViolationRunsHandlerInsteadOfBody) {

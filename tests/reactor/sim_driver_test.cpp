@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "reactor_fixture.hpp"
 
 namespace dear::reactor {
@@ -220,6 +222,39 @@ TEST_F(SimDriverTest, LatePhysicalActionWakesIdleEnvironment) {
   EXPECT_EQ(sink.seen[0], 80_ms);
 }
 
+TEST_F(SimDriverTest, DestroyedDriverLeavesSchedulerDetached) {
+  Environment::Config config;
+  config.keepalive = true;
+  Environment env(clock, config);
+  class Sink final : public Reactor {
+   public:
+    PhysicalAction<int> in{"in", this};
+    std::vector<int> seen;
+    explicit Sink(Environment& env) : Reactor("sink", env) {
+      add_reaction("on_in", [this] { seen.push_back(in.get()); })
+          .triggered_by(in)
+          .set_modeled_cost(sim::ExecTimeModel::uniform(1_ms, 2_ms));
+    }
+  };
+  Sink sink(env);
+  auto driver = std::make_unique<SimDriver>(env, kernel, common::Rng(1));
+  driver->start();
+  kernel.schedule_at(10_ms, [&] { sink.in.schedule(1); });
+  kernel.run_until(50_ms);
+  ASSERT_EQ(sink.seen, std::vector<int>{1});
+  // Sampled with the driver's RNG.
+  EXPECT_GE(env.scheduler().last_tag_cost(), 1_ms);
+  EXPECT_LE(env.scheduler().last_tag_cost(), 2_ms);
+  driver.reset();
+  // The environment outlives its driver. Inserting an event must not re-arm
+  // the freed driver, and a tag run by hand must not sample its cost RNG
+  // (AddressSanitizer reports either as a heap use after free).
+  sink.in.schedule(2);
+  ASSERT_TRUE(env.scheduler().process_next_tag(kTimeMax).has_value());
+  EXPECT_EQ(sink.seen, (std::vector<int>{1, 2}));
+  EXPECT_EQ(env.scheduler().last_tag_cost(), 0);
+}
+
 TEST(SingleOwnerScheduler, SimDriverClaimsTheSchedulerAtStart) {
   sim::Kernel kernel;
   SimClock clock(kernel);
@@ -234,8 +269,8 @@ TEST(SingleOwnerScheduler, SimDriverClaimsTheSchedulerAtStart) {
         : Reactor("probe", env), timer_("t", this, 10_ms) {
       add_reaction("look",
                    [this, &env, &seen] {
-                     // The single-owner current_tag() skips the seqlock; it
-                     // must still agree with the tag the reaction runs at.
+                     // The environment's view of the tag must agree with the
+                     // tag the reaction runs at.
                      EXPECT_EQ(env.current_tag(), current_tag());
                      seen.push_back(env.current_tag());
                    })
