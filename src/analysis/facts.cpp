@@ -113,38 +113,41 @@ std::vector<StateFact> Facts::states() const {
   return out;
 }
 
-std::string Facts::level_table() const {
-  // Node order follows first appearance in the reaction table; levels are
-  // per-node.
-  std::string out;
-  std::vector<std::string_view> node_order;
+std::vector<NodeLevels> Facts::levels_by_node() const {
+  std::vector<NodeLevels> nodes;
   for (const ReactionFact& reaction : reactions) {
-    if (std::find(node_order.begin(), node_order.end(), text(reaction.node)) ==
-        node_order.end()) {
-      node_order.push_back(text(reaction.node));
+    const std::string_view name = text(reaction.node);
+    auto node = std::find_if(nodes.begin(), nodes.end(),
+                             [name](const NodeLevels& candidate) { return candidate.node == name; });
+    if (node == nodes.end()) {
+      node = nodes.insert(nodes.end(), NodeLevels{std::string(name), {}});
     }
+    if (reaction.level < 0) {
+      continue;
+    }
+    const auto level = static_cast<std::size_t>(reaction.level);
+    if (node->levels.size() <= level) {
+      node->levels.resize(level + 1);
+    }
+    node->levels[level].emplace_back(text(reaction.fqn));
   }
-  for (const std::string_view node : node_order) {
-    int max_level = -1;
-    for (const ReactionFact& reaction : reactions) {
-      if (text(reaction.node) == node) {
-        max_level = std::max(max_level, reaction.level);
+  return nodes;
+}
+
+std::string Facts::level_table() const {
+  std::string out;
+  for (const NodeLevels& node : levels_by_node()) {
+    for (std::size_t level = 0; level < node.levels.size(); ++level) {
+      if (node.levels[level].empty()) {
+        continue;
       }
-    }
-    for (int level = 0; level <= max_level; ++level) {
-      std::string line;
-      for (const ReactionFact& reaction : reactions) {
-        if (text(reaction.node) == node && reaction.level == level) {
-          line += ' ';
-          line += text(reaction.fqn);
-        }
+      out += node.node;
+      append_format(out, "/L%zu:", level);
+      for (const std::string& fqn : node.levels[level]) {
+        out += ' ';
+        out += fqn;
       }
-      if (!line.empty()) {
-        out += node;
-        append_format(out, "/L%d:", level);
-        out += line;
-        out += '\n';
-      }
+      out += '\n';
     }
   }
   return out;

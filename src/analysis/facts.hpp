@@ -116,6 +116,13 @@ struct StateFact {
   std::vector<std::uint32_t> writers;
 };
 
+/// One node's reactions grouped by level: levels[l] lists the fqns of the
+/// node's reactions at level l, in extraction (= graph) order.
+struct NodeLevels {
+  std::string node;
+  std::vector<std::vector<std::string>> levels;
+};
+
 /// The fact table. The reaction and port rows are fixed-size; their names
 /// and index/name lists are spans into three flat pools the table owns, so
 /// a table costs a handful of allocations however large the program is.
@@ -157,8 +164,13 @@ struct Facts {
   /// Collects the state-cell table from the reactions' declarations.
   [[nodiscard]] std::vector<StateFact> states() const;
 
-  /// The level/partition table: per node, reactions grouped by level.
-  /// Canonical text form, one line per "node/level: fqn fqn ...".
+  /// Per node, in first-appearance order, the reactions grouped by level.
+  /// Reactions at level -1 are left out, so a node whose reactions all
+  /// sit on or behind a cycle has no levels.
+  [[nodiscard]] std::vector<NodeLevels> levels_by_node() const;
+
+  /// levels_by_node() as text: one line "node/L<level>: fqn fqn ..." per
+  /// nonempty level.
   [[nodiscard]] std::string level_table() const;
 
   /// Canonical JSON serialization of every table (deterministic: pure

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -10,8 +11,8 @@ namespace dear::common {
 
 void Cli::add(std::string name, Kind kind, std::string fallback, std::string help) {
   std::string value = fallback;
-  options_.push_back(
-      Option{std::move(name), kind, std::move(fallback), std::move(help), std::move(value)});
+  options_.push_back(Option{std::move(name), kind, std::move(fallback), std::move(help),
+                            std::move(value), {}});
 }
 
 void Cli::add_int(std::string name, std::uint64_t fallback, std::string help) {
@@ -30,6 +31,10 @@ void Cli::add_string(std::string name, std::string fallback, std::string help) {
 
 void Cli::add_flag(std::string name, std::string help) {
   add(std::move(name), Kind::kBool, "false", std::move(help));
+}
+
+void Cli::add_strings(std::string name, std::string help) {
+  add(std::move(name), Kind::kStrings, {}, std::move(help));
 }
 
 const Cli::Option& Cli::require(std::string_view name, Kind kind) const {
@@ -76,31 +81,43 @@ namespace {
 
 }  // namespace
 
-bool Cli::assign(std::string_view name, std::string value) {
+bool Cli::assign(std::string_view name, std::optional<std::string> value) {
   for (Option& option : options_) {
     if (option.name != name) {
       continue;
     }
+    if (!value.has_value()) {
+      if (option.kind != Kind::kBool) {
+        std::fprintf(stderr, "%s: --%s needs a value\n", program_.c_str(), option.name.c_str());
+        return false;
+      }
+      value = "true";
+    }
     bool value_ok = true;
     switch (option.kind) {
       case Kind::kInt:
-        value_ok = parses_as_int(value);
+        value_ok = parses_as_int(*value);
         break;
       case Kind::kDouble:
-        value_ok = parses_as_double(value);
+        value_ok = parses_as_double(*value);
         break;
       case Kind::kBool:
-        value_ok = parses_as_bool(value);
+        value_ok = parses_as_bool(*value);
         break;
       case Kind::kString:
+      case Kind::kStrings:
         break;
     }
     if (!value_ok) {
-      std::fprintf(stderr, "%s: invalid value '%s' for --%s\n", program_.c_str(), value.c_str(),
+      std::fprintf(stderr, "%s: invalid value '%s' for --%s\n", program_.c_str(), value->c_str(),
                    option.name.c_str());
       return false;
     }
-    option.value = std::move(value);
+    if (option.kind == Kind::kStrings) {
+      option.values.push_back(std::move(*value));
+    } else {
+      option.value = std::move(*value);
+    }
     option.set = true;
     return true;
   }
@@ -110,7 +127,7 @@ bool Cli::assign(std::string_view name, std::string value) {
 }
 
 bool Cli::parse(int argc, const char* const* argv) {
-  std::vector<std::pair<std::string_view, std::string>> passed;
+  std::vector<std::pair<std::string_view, std::optional<std::string>>> passed;
   bool ok = true;
   for (int i = 1; i < argc; ++i) {
     const std::string_view token = argv[i];
@@ -126,7 +143,7 @@ bool Cli::parse(int argc, const char* const* argv) {
     } else if (i + 1 < argc && !starts_with_dashes(argv[i + 1])) {
       passed.emplace_back(body, argv[++i]);
     } else {
-      passed.emplace_back(body, "true");
+      passed.emplace_back(body, std::nullopt);  // a flag, or a missing value
     }
   }
   for (const auto& [name, value] : passed) {
@@ -164,6 +181,10 @@ bool Cli::get_flag(std::string_view name) const {
   return value == "true" || value == "1" || value == "yes";
 }
 
+const std::vector<std::string>& Cli::get_strings(std::string_view name) const {
+  return require(name, Kind::kStrings).values;
+}
+
 bool Cli::was_set(std::string_view name) const {
   for (const Option& option : options_) {
     if (option.name == name) {
@@ -185,6 +206,7 @@ std::string Cli::usage() const {
         left += " F";
         break;
       case Kind::kString:
+      case Kind::kStrings:
         left += " S";
         break;
       case Kind::kBool:
@@ -196,7 +218,9 @@ std::string Cli::usage() const {
       left += ' ';
     }
     out += left + option.help;
-    if (option.kind != Kind::kBool) {
+    if (option.kind == Kind::kStrings) {
+      out += " (repeatable)";
+    } else if (option.kind != Kind::kBool && !option.fallback.empty()) {
       out += " (default: " + option.fallback + ")";
     }
     out += '\n';

@@ -13,12 +13,14 @@
 //   const std::uint64_t scans = cli.get_int("scans");
 //
 // Token grammar: `--name=value`, `--name value` (when the next token does
-// not start with `--`), and bare `--name` (boolean true). Integer options
+// not start with `--`), and bare `--name` (boolean true; an option that
+// takes a value rejects it). Integer options
 // are unsigned counts, seeds and worker numbers: a leading `-` and values
 // beyond 64 bits are rejected.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,6 +38,9 @@ class Cli {
   void add_string(std::string name, std::string fallback, std::string help);
   /// Boolean option, false unless passed (--name or --name=true).
   void add_flag(std::string name, std::string help);
+  /// Repeatable string option: every occurrence adds one value, kept in
+  /// command-line order; none passed leaves the list empty.
+  void add_strings(std::string name, std::string help);
 
   /// Parses argv. Returns false when the program should exit instead of
   /// running: --help was requested (exit_code 0), or an unknown flag, a
@@ -50,6 +55,8 @@ class Cli {
   [[nodiscard]] double get_double(std::string_view name) const;
   [[nodiscard]] std::string get_string(std::string_view name) const;
   [[nodiscard]] bool get_flag(std::string_view name) const;
+  /// Every value passed to a repeatable option, in command-line order.
+  [[nodiscard]] const std::vector<std::string>& get_strings(std::string_view name) const;
   /// True when the user passed the option explicitly.
   [[nodiscard]] bool was_set(std::string_view name) const;
 
@@ -57,7 +64,7 @@ class Cli {
   [[nodiscard]] std::string usage() const;
 
  private:
-  enum class Kind : std::uint8_t { kInt, kDouble, kString, kBool };
+  enum class Kind : std::uint8_t { kInt, kDouble, kString, kBool, kStrings };
 
   struct Option {
     std::string name;
@@ -66,11 +73,15 @@ class Cli {
     std::string help;
     /// The passed value once parse() saw the option; else the fallback.
     std::string value;
+    /// kStrings: every passed value, in command-line order.
+    std::vector<std::string> values;
     bool set{false};
   };
 
   void add(std::string name, Kind kind, std::string fallback, std::string help);
-  [[nodiscard]] bool assign(std::string_view name, std::string value);
+  /// Stores `value` for --name; std::nullopt for a bare --name, which
+  /// only a boolean option accepts.
+  [[nodiscard]] bool assign(std::string_view name, std::optional<std::string> value);
   const Option& require(std::string_view name, Kind kind) const;
 
   std::string program_;

@@ -3,24 +3,10 @@
 #include <string>
 
 #include "analysis/app_facts.hpp"
-#include "analysis/plan.hpp"
 #include "analysis/report.hpp"
 #include "analysis/rules.hpp"
-#include "reactor/graph.hpp"
 
 namespace dear {
-
-void AppBuilder::apply_schedule_plans(const analysis::StaticPlan& plan) {
-  for (const auto& node : nodes_) {
-    // A node without reactions (e.g. a proxy-only monitor) compiles to no
-    // level table; hand it the empty plan. apply_plan still validates the
-    // entry count against the live graph, so a missing table for a node
-    // that *does* have reactions throws as a stale plan.
-    node->environment().set_schedule_plan(plan.find(node->name()) != nullptr
-                                              ? plan.node_plan(node->name())
-                                              : reactor::SchedulePlan{});
-  }
-}
 
 analysis::Report AppBuilder::validate() const { return validate(analysis::Gate::kAll); }
 

@@ -50,7 +50,6 @@ namespace dear {
 
 namespace analysis {
 struct Report;
-struct StaticPlan;
 enum class Gate : std::uint8_t;
 }
 
@@ -285,13 +284,6 @@ class AppBuilder : public transact::TransactorStats<AppBuilder> {
   /// rng stream and executes no event — digests cannot move.
   analysis::Report validate() const;  // gates on Gate::kAll
   analysis::Report validate(analysis::Gate gate) const;
-
-  /// Installs the per-node level tables of a compiled StaticPlan
-  /// (analysis/plan.hpp) into every node's reactor environment, so
-  /// assemble() skips the runtime level derivation. Call after wiring,
-  /// before start(); throws std::logic_error when the plan does not match
-  /// this app's topology (stale plan).
-  void apply_schedule_plans(const analysis::StaticPlan& plan);
 
   /// In declaration order.
   [[nodiscard]] std::span<Node* const> nodes() const noexcept { return nodes_; }

@@ -48,13 +48,6 @@ void Environment::record_wiring(const Wiring& wiring) {
   wiring_tail_ = entry;
 }
 
-void Environment::set_schedule_plan(SchedulePlan plan) {
-  if (assembled_) {
-    throw std::logic_error("set_schedule_plan after assemble");
-  }
-  plan_ = std::move(plan);
-}
-
 DependencyGraph& Environment::graph() {
   if (!graph_.has_value()) {
     graph_.emplace(*this);
@@ -73,7 +66,7 @@ void Environment::assemble() {
     return;
   }
   DependencyGraph& graph = this->graph();
-  level_count_ = plan_.has_value() ? graph.apply_plan(*plan_) : graph.assign_levels();
+  level_count_ = graph.assign_levels();
   graph.bind_closures();
   for (BaseAction* action : graph.actions()) {
     if (auto* timer = dynamic_cast<Timer*>(action); timer != nullptr) {

@@ -74,16 +74,10 @@ class Environment {
   template <typename T>
   void connect_delayed(Port<T>& from, Port<T>& to, Duration delay);
 
-  /// Validates the topology, assigns the graph's levels (or the installed
-  /// plan's) to the reactions, binds the port trigger closures, registers
-  /// timers and startup/shutdown triggers. Idempotent.
+  /// Validates the topology, assigns the graph's levels to the reactions,
+  /// binds the port trigger closures, registers timers and
+  /// startup/shutdown triggers. Idempotent.
   void assemble();
-
-  /// Installs a precomputed level assignment: the next assemble() applies
-  /// it (validated against the live topology) instead of running the
-  /// topological sort. Must be called before assemble(); throws
-  /// std::logic_error afterwards.
-  void set_schedule_plan(SchedulePlan plan);
 
   /// Blocking threaded execution (assembles if needed). Returns after
   /// shutdown completes.
@@ -154,7 +148,6 @@ class Environment {
   Wiring* wiring_tail_{nullptr};
   Scheduler scheduler_;
   std::optional<DependencyGraph> graph_;
-  std::optional<SchedulePlan> plan_;
   ElementList<Reactor> top_level_;
   std::vector<std::unique_ptr<Reactor>> owned_relays_;
   int relay_counter_{0};

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
+#include <string>
 
 #include "reactor/action.hpp"
 #include "reactor/environment.hpp"
@@ -42,7 +42,6 @@ struct Scratch {
   std::vector<std::uint64_t> edges;     // (from << 32) | to
   std::vector<std::uint32_t> counts;
   std::vector<std::uint32_t> queue;
-  std::vector<int> levels;
 };
 
 Scratch& scratch() {
@@ -384,79 +383,6 @@ int DependencyGraph::assign_levels() {
   return level_count_ < 1 ? 1 : level_count_;
 }
 
-SchedulePlan DependencyGraph::export_plan() {
-  const LevelAnalysis& analysis = analyze();
-  if (!analysis.acyclic) {
-    throw std::logic_error("cannot export a schedule plan from a cyclic reactor program");
-  }
-  SchedulePlan plan;
-  plan.entries.reserve(reactions_.size());
-  for (std::size_t i = 0; i < reactions_.size(); ++i) {
-    plan.entries.push_back(SchedulePlan::Entry{std::string(reactions_[i]->fqn()), level_[i]});
-  }
-  plan.level_count = analysis.level_count;
-  return plan;
-}
-
-int DependencyGraph::apply_plan(const SchedulePlan& plan) {
-  if (plan.entries.size() != reactions_.size()) {
-    throw std::logic_error("schedule plan is stale: plan lists " +
-                           std::to_string(plan.entries.size()) + " reactions, graph has " +
-                           std::to_string(reactions_.size()));
-  }
-  // Match plan entries to live reactions by fqn; fqns are unique within an
-  // environment, so a bijection exists iff every lookup succeeds.
-  std::unordered_map<std::string_view, int> planned;
-  planned.reserve(plan.entries.size());
-  for (const SchedulePlan::Entry& entry : plan.entries) {
-    if (entry.level < 0 || entry.level >= plan.level_count) {
-      throw std::logic_error("schedule plan is invalid: level " + std::to_string(entry.level) +
-                             " of '" + entry.fqn + "' is out of range");
-    }
-    if (!planned.emplace(entry.fqn, entry.level).second) {
-      throw std::logic_error("schedule plan is invalid: duplicate entry for '" + entry.fqn + "'");
-    }
-  }
-  std::vector<int>& levels = scratch().levels;
-  levels.assign(reactions_.size(), 0);
-  int max_level = -1;
-  for (std::size_t i = 0; i < reactions_.size(); ++i) {
-    const auto it = planned.find(reactions_[i]->fqn());
-    if (it == planned.end()) {
-      throw std::logic_error("schedule plan is stale: no entry for reaction '" +
-                             std::string(reactions_[i]->fqn()) + "'");
-    }
-    levels[i] = it->second;
-    max_level = std::max(max_level, it->second);
-  }
-  // Every edge must stay level-monotone, or the scheduler would release a
-  // reaction before its predecessors — the plan no longer fits the graph.
-  for (std::size_t i = 0; i < reactions_.size(); ++i) {
-    for (const std::uint32_t target : successors_[i]) {
-      if (levels[i] >= levels[target]) {
-        throw std::logic_error("schedule plan is stale: edge '" +
-                               std::string(reactions_[i]->fqn()) + "' -> '" +
-                               std::string(reactions_[target]->fqn()) +
-                               "' is not level-monotone under the plan");
-      }
-    }
-  }
-
-  // Commit: fill the cached analysis state exactly as analyze() would, so
-  // levels()/level_of() behave identically with or without a plan.
-  std::copy(levels.begin(), levels.end(), level_.begin());
-  analysis_.acyclic = true;
-  analysis_.level_count = max_level + 1;
-  analysis_.cyclic.clear();
-  group_by_level();
-  for (std::size_t i = 0; i < reactions_.size(); ++i) {
-    reactions_[i]->set_level(level_[i]);
-  }
-  analyzed_ = true;
-  level_count_ = analysis_.level_count;
-  return level_count_ < 1 ? 1 : level_count_;
-}
-
 void DependencyGraph::bind_closures() const {
   for (std::size_t i = 0; i < ports_.size(); ++i) {
     ports_[i]->closure_ = closures_[i];
@@ -472,18 +398,6 @@ std::span<Reaction* const> DependencyGraph::writers_of(const BasePort& port) con
     return {};
   }
   return writers_[row];
-}
-
-std::vector<const Reaction*> DependencyGraph::dependencies_of(const Reaction& reaction) const {
-  std::vector<const Reaction*> deps;
-  const std::size_t row = index_of(reaction);
-  if (row == reactions_.size()) {
-    return deps;
-  }
-  for (const std::uint32_t predecessor : predecessors_[row]) {
-    deps.push_back(reactions_[predecessor]);
-  }
-  return deps;
 }
 
 std::size_t DependencyGraph::index_of(const Reaction& reaction) const noexcept {

@@ -22,14 +22,15 @@
 // (its working storage is per thread and reused). Each reaction, port and
 // action records its row, so lookups are O(1). Every reactor::Environment
 // owns exactly one graph, shared by the static verifier (src/analysis/),
-// the level assignment and the closures the scheduler stages from.
+// the level assignment and the closures the scheduler stages from. The
+// levels the scheduler runs by come from this graph's topological sort
+// and from nowhere else.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -65,20 +66,6 @@ struct Wiring {
   std::string_view state{};
   /// The next declaration of the same environment.
   Wiring* next{nullptr};
-};
-
-/// A compiled level assignment for one reactor environment: the product of
-/// a topological sort, detached from the graph that produced it. Produced
-/// by DependencyGraph::export_plan() (or the static analyzer's StaticPlan,
-/// analysis/plan.hpp) and consumed by DependencyGraph::apply_plan(), which
-/// validates it against the live topology before trusting it.
-struct SchedulePlan {
-  struct Entry {
-    std::string fqn;
-    int level{0};
-  };
-  std::vector<Entry> entries;
-  int level_count{0};
 };
 
 /// Rows of values in one flat array: row i is values[offsets[i], offsets[i+1]).
@@ -123,20 +110,6 @@ class DependencyGraph {
   /// Assigns levels onto the reactions; throws std::logic_error naming the
   /// cycle if the graph is cyclic. Returns the number of levels.
   int assign_levels();
-
-  /// Snapshots the level assignment as a detached plan (fqn → level, in
-  /// graph order). Runs analyze() if needed; throws std::logic_error on a
-  /// cyclic graph.
-  [[nodiscard]] SchedulePlan export_plan();
-
-  /// Installs a precomputed plan instead of the topological sort's levels:
-  /// validates that the plan covers exactly this graph's reactions (by
-  /// fqn), that every edge is level-monotone (level[i] < level[j] for each
-  /// edge i→j) and that levels are in range, then assigns the levels onto
-  /// the reactions. Throws std::logic_error naming the first mismatch when
-  /// the plan is stale. Returns the number of levels (min 1), like
-  /// assign_levels().
-  int apply_plan(const SchedulePlan& plan);
 
   /// Points every port's triggered_closure() and every action's
   /// triggered_reactions() at this graph's tables. The owning Environment
@@ -185,10 +158,6 @@ class DependencyGraph {
   /// to the source port (writers always register on the source), in
   /// declaration order. Empty for a port outside this graph.
   [[nodiscard]] std::span<Reaction* const> writers_of(const BasePort& port) const noexcept;
-
-  /// Direct predecessors of `reaction` in the APG (deduplicated): every
-  /// reaction that must run before it at the same tag.
-  [[nodiscard]] std::vector<const Reaction*> dependencies_of(const Reaction& reaction) const;
 
   /// Index of `reaction` in reactions(), or reactions().size() when the
   /// reaction is not part of this graph.

@@ -1,5 +1,6 @@
 #include "reactor/scheduler.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -102,6 +103,10 @@ void Scheduler::request_stop() {
 
 void Scheduler::start_at(const Tag& start_tag) {
   const std::lock_guard<common::OwnerMutex> lock(mutex_);
+  start_locked(start_tag);
+}
+
+void Scheduler::start_locked(const Tag& start_tag) {
   if (state_ != State::kIdle) {
     throw std::logic_error("scheduler already started");
   }
@@ -277,9 +282,11 @@ void Scheduler::run_threaded() {
     throw std::logic_error(
         "run_threaded requires a RealClock; use SimDriver for simulated execution");
   }
-  start_at(Tag{clock_.now(), 0});
-
   std::unique_lock<std::mutex> lock(mutex_.native());
+  // A physical action scheduled before the start was tagged from the clock
+  // at that moment: start no later than the earliest queued event, so
+  // every event runs at or after the start tag.
+  start_locked(std::min(Tag{clock_.now(), 0}, event_queue_.earliest()));
   while (state_ == State::kRunning) {
     const Tag next = next_tag_locked();
     if (next == Tag::maximum()) {

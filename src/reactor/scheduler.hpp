@@ -174,6 +174,9 @@ class Scheduler {
  private:
   enum class State : std::uint8_t { kIdle, kRunning, kFinished };
 
+  /// start_at() with the lock held.
+  void start_locked(const Tag& start_tag);
+
   /// Earliest pending tag, capped at the stop tag. Requires the lock.
   [[nodiscard]] Tag next_tag_locked() const;
 

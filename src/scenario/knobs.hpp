@@ -29,10 +29,7 @@
 
 namespace dear {
 class AppBuilder;
-namespace analysis {
-struct StaticPlan;
 }
-}  // namespace dear
 
 namespace dear::scenario {
 
@@ -116,11 +113,6 @@ struct RunHooks {
   /// Construct and wire the application, run preflight, and return
   /// without starting drivers or the sensor (no event executes).
   bool build_only{false};
-  /// When set, every node consumes its level table from this compiled
-  /// plan (analysis::build_plan) instead of re-deriving it at assembly;
-  /// traces and digests are bit-identical either way. The plan must match
-  /// the constructed topology (stale plans throw).
-  const analysis::StaticPlan* schedule_plan{nullptr};
 };
 
 /// Where a knob lives in the scenario file format.

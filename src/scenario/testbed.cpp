@@ -71,12 +71,6 @@ bool Testbed::execute(AppBuilder& app, const RunHooks& hooks,
   }
   {
     const obs::SpanScope span(obs::SpanCategory::kScenario, "app.validate");
-    // Consume the compiled level tables (when a plan is supplied) before
-    // the environments assemble; a stale plan throws here, before any
-    // event runs.
-    if (hooks.schedule_plan != nullptr) {
-      app.apply_schedule_plans(*hooks.schedule_plan);
-    }
     // Fail fast on structural determinism violations before any event
     // runs. The structural gate lets deliberately tightened deadline
     // budgets through: those runs are out-of-envelope experiments whose

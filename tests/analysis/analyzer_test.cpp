@@ -10,12 +10,16 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
+#include "analysis/extract.hpp"
 #include "analysis/rules.hpp"
+#include "reactor/runtime.hpp"
 #include "scenario/presets.hpp"
 #include "scenario/spec.hpp"
+#include "sim/kernel.hpp"
 
 namespace dear::analysis {
 namespace {
@@ -29,11 +33,13 @@ bool has_rule(const Report& report, Rule rule) {
                      [rule](const Diagnostic& d) { return d.rule == rule; });
 }
 
-std::string digest_hex(const Facts& facts) {
+std::string digest_hex(std::uint64_t digest) {
   char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016" PRIx64, facts.digest());
+  std::snprintf(buffer, sizeof(buffer), "%016" PRIx64, digest);
   return buffer;
 }
+
+std::string digest_hex(const Facts& facts) { return digest_hex(facts.digest()); }
 
 ScenarioSpec spec_for(Workload workload) {
   ScenarioSpec spec;
@@ -94,6 +100,76 @@ TEST(Analyzer, GoldenFactDigests) {
             "b81a7e08ee396175");
   EXPECT_EQ(digest_hex(analyze_spec(spec_for(Workload::kAcc)).facts),
             "171ab1b07ae62d72");
+}
+
+TEST(Analyzer, GoldenPlanDigests) {
+  AnalyzeOptions timing;
+  timing.timing = true;
+  ScenarioSpec ft = spec_for(Workload::kBrakeDear);
+  ft.service_faults.crash_at = 2_s;
+  EXPECT_EQ(digest_hex(analyze_spec(spec_for(Workload::kBrakeDear), timing).plan.digest()),
+            "38a4bdb21d3ea39c");
+  EXPECT_EQ(digest_hex(analyze_spec(ft, timing).plan.digest()), "582013b875f9fd8b");
+  EXPECT_EQ(digest_hex(analyze_spec(spec_for(Workload::kAcc), timing).plan.digest()),
+            "9011ba55a777f9da");
+}
+
+/// Timer reaction writing `out`.
+class Tick final : public reactor::Reactor {
+ public:
+  reactor::Output<int> out{"out", this};
+
+  Tick(reactor::Environment& env, std::string name)
+      : Reactor(std::move(name), env), timer_("timer", this, 10_ms) {
+    add_reaction("tick", [] {}).triggered_by(timer_).writes(out);
+  }
+
+ private:
+  reactor::Timer timer_;
+};
+
+/// Reaction forwarding `in` to `out`.
+class Pass final : public reactor::Reactor {
+ public:
+  reactor::Input<int> in{"in", this};
+  reactor::Output<int> out{"out", this};
+
+  Pass(reactor::Environment& env, std::string name) : Reactor(std::move(name), env) {
+    add_reaction("pass", [] {}).triggered_by(in).writes(out);
+  }
+};
+
+TEST(Analyzer, GoldenLevelTableOfAPartiallyCyclicApp) {
+  // Node "looped": an acyclic chain next to an instantaneous cycle with a
+  // reaction downstream of it; node "plain": an acyclic chain only. The
+  // cycle and everything it feeds sit at level -1 and stay out of the
+  // table; both nodes' acyclic reactions keep their levels.
+  sim::Kernel kernel;
+  reactor::SimClock clock(kernel);
+  reactor::Environment looped(clock);
+  Tick head(looped, "head");
+  Pass tail(looped, "tail");
+  Pass loop_a(looped, "loop_a");
+  Pass loop_b(looped, "loop_b");
+  Pass after(looped, "after");
+  looped.connect(head.out, tail.in);
+  looped.connect(loop_a.out, loop_b.in);
+  looped.connect(loop_b.out, loop_a.in);
+  looped.connect(loop_b.out, after.in);
+  reactor::Environment plain(clock);
+  Tick source(plain, "source");
+  Pass first(plain, "first");
+  Pass second(plain, "second");
+  plain.connect(source.out, first.in);
+  plain.connect(first.out, second.in);
+
+  const Facts facts = extract({NodeContext{"looped", &looped}, NodeContext{"plain", &plain}});
+  EXPECT_EQ(facts.level_table(),
+            "looped/L0: head.tick\n"
+            "looped/L1: tail.pass\n"
+            "plain/L0: source.tick\n"
+            "plain/L1: first.pass\n"
+            "plain/L2: second.pass\n");
 }
 
 TEST(Analyzer, ExtractionIsDeterministic) {

@@ -1,17 +1,21 @@
 // Compiled schedule plans: level-table compilation out of fact tables,
-// the canonical digest, and the headline contract — a pipeline run that
-// *consumes* the analyzer's plan (skipping the assembly-time topological
-// sort) is bit-identical to one that derives its levels itself.
+// the canonical digest, and the headline contract: the analyzer's plan
+// lists, node by node and level by level, exactly the reactions the
+// runtime's own graph places there.
 #include "analysis/plan.hpp"
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "acc/pipeline.hpp"
 #include "analysis/analyzer.hpp"
 #include "brake/dear_pipeline.hpp"
+#include "dear/app_builder.hpp"
 #include "reactor/graph.hpp"
+#include "reactor/reaction.hpp"
 #include "scenario/spec.hpp"
 
 namespace dear::analysis {
@@ -50,22 +54,14 @@ Report timed_report(Workload workload) {
 TEST(StaticPlan, GroupsReactionsByNodeAndLevel) {
   const StaticPlan plan = build_plan(synthetic_facts());
   ASSERT_EQ(plan.nodes.size(), 2U);
-  const StaticPlan::NodePlan* a = plan.find("a");
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(a->level_count, 2);
-  ASSERT_EQ(a->levels.size(), 2U);
+  const NodeLevels& a = plan.nodes[0];
+  EXPECT_EQ(a.node, "a");
+  ASSERT_EQ(a.levels.size(), 2U);
   // Extraction (= graph) order within a level.
-  ASSERT_EQ(a->levels[0].size(), 2U);
-  EXPECT_EQ(a->levels[0][0], "a/first");
-  EXPECT_EQ(a->levels[0][1], "a/third");
-  ASSERT_EQ(a->levels[1].size(), 1U);
-  EXPECT_EQ(a->levels[1][0], "a/second");
-  EXPECT_EQ(plan.max_width(), 2);
-  const auto histogram = plan.width_histogram();
-  ASSERT_EQ(histogram.size(), 3U);
-  EXPECT_EQ(histogram[0], 0);
-  EXPECT_EQ(histogram[1], 2);  // a level 1, b level 0
-  EXPECT_EQ(histogram[2], 1);  // a level 0
+  EXPECT_EQ(a.levels[0], (std::vector<std::string>{"a/first", "a/third"}));
+  EXPECT_EQ(a.levels[1], (std::vector<std::string>{"a/second"}));
+  EXPECT_EQ(plan.nodes[1].node, "b");
+  EXPECT_EQ(plan.nodes[1].levels, (std::vector<std::vector<std::string>>{{"b/only"}}));
 }
 
 TEST(StaticPlan, UnleveledFactsCompileToTheEmptyPlan) {
@@ -77,16 +73,23 @@ TEST(StaticPlan, UnleveledFactsCompileToTheEmptyPlan) {
 }
 
 TEST(StaticPlan, NodePlanFlattensAndRejectsUnknownNodes) {
+  // Flattened level by level, node "a" lists its reactions by level, then
+  // extraction order; a node without reactions gets no table.
   const StaticPlan plan = build_plan(synthetic_facts());
-  const reactor::SchedulePlan flat = plan.node_plan("a");
-  EXPECT_EQ(flat.level_count, 2);
-  ASSERT_EQ(flat.entries.size(), 3U);
-  EXPECT_EQ(flat.entries[0].fqn, "a/first");
-  EXPECT_EQ(flat.entries[0].level, 0);
-  EXPECT_EQ(flat.entries[1].fqn, "a/third");
-  EXPECT_EQ(flat.entries[2].fqn, "a/second");
-  EXPECT_EQ(flat.entries[2].level, 1);
-  EXPECT_THROW((void)plan.node_plan("nope"), std::logic_error);
+  std::vector<std::pair<std::string, int>> flat;
+  for (const NodeLevels& node : plan.nodes) {
+    EXPECT_NE(node.node, "nope");
+    if (node.node != "a") {
+      continue;
+    }
+    for (std::size_t level = 0; level < node.levels.size(); ++level) {
+      for (const std::string& fqn : node.levels[level]) {
+        flat.emplace_back(fqn, static_cast<int>(level));
+      }
+    }
+  }
+  EXPECT_EQ(flat, (std::vector<std::pair<std::string, int>>{
+                      {"a/first", 0}, {"a/third", 0}, {"a/second", 1}}));
 }
 
 TEST(StaticPlan, DigestIsStableAcrossExtractions) {
@@ -100,46 +103,84 @@ TEST(StaticPlan, DigestIsStableAcrossExtractions) {
   EXPECT_NE(first.digest(), timed_report(Workload::kAcc).plan.digest());
 }
 
-// --- plan consumption: bit-identical to derivation ---------------------------
+// --- the plan matches the runtime's levels ------------------------------------
+
+/// Every node's level table as the runtime assigns it, read from each
+/// node's graph of a built (not started) app.
+template <typename Config, typename Run>
+std::vector<NodeLevels> runtime_levels(Config config, Run run) {
+  std::vector<NodeLevels> nodes;
+  config.build_only = true;
+  config.preflight = [&nodes](AppBuilder& app) {
+    for (const auto& node : app.nodes()) {
+      reactor::DependencyGraph& graph = node->environment().graph();
+      (void)graph.analyze();
+      NodeLevels& levels = nodes.emplace_back(NodeLevels{node->name(), {}});
+      for (std::size_t level = 0; level < graph.levels().size(); ++level) {
+        std::vector<std::string>& fqns = levels.levels.emplace_back();
+        for (const reactor::Reaction* reaction : graph.levels()[level]) {
+          fqns.emplace_back(reaction->fqn());
+        }
+      }
+    }
+  };
+  (void)run(config);
+  return nodes;
+}
+
+/// The first (node, level) at which `plan` and `runtime` disagree; empty
+/// when the plan lists exactly the runtime's fqns at every level of every
+/// node. A node without reactions has no table in the plan.
+std::string first_mismatch(const StaticPlan& plan, const std::vector<NodeLevels>& runtime) {
+  std::size_t matched = 0;
+  for (const NodeLevels& node : runtime) {
+    const NodeLevels* planned = nullptr;
+    for (const NodeLevels& candidate : plan.nodes) {
+      if (candidate.node == node.node) {
+        planned = &candidate;
+      }
+    }
+    if (planned == nullptr) {
+      if (!node.levels.empty()) {
+        return "no table for node " + node.node;
+      }
+      continue;
+    }
+    ++matched;
+    if (planned->levels.size() != node.levels.size()) {
+      return "level count of node " + node.node;
+    }
+    for (std::size_t level = 0; level < node.levels.size(); ++level) {
+      if (planned->levels[level] != node.levels[level]) {
+        return node.node + "/L" + std::to_string(level);
+      }
+    }
+  }
+  return matched == plan.nodes.size() ? std::string{} : "a planned node the app lacks";
+}
+
+const auto kRunBrake = [](const brake::DearScenarioConfig& c) { return brake::run_dear_pipeline(c); };
+const auto kRunAcc = [](const acc::AccScenarioConfig& c) { return acc::run_acc_pipeline(c); };
 
 TEST(StaticPlan, BrakePipelineConsumingThePlanIsBitIdentical) {
   const Report report = timed_report(Workload::kBrakeDear);
   ASSERT_FALSE(report.plan.empty());
-
-  brake::DearScenarioConfig config;
-  config.frames = 1500;
-  const auto derived = brake::run_dear_pipeline(config);
-  config.schedule_plan = &report.plan;
-  const auto consumed = brake::run_dear_pipeline(config);
-
-  EXPECT_EQ(consumed.output_digest, derived.output_digest);
-  EXPECT_EQ(consumed.tag_digest, derived.tag_digest);
-  EXPECT_EQ(consumed.frames_processed_eba, derived.frames_processed_eba);
-  EXPECT_EQ(consumed.errors.total(), 0U);
+  const auto runtime = runtime_levels(brake::DearScenarioConfig{}, kRunBrake);
+  EXPECT_GE(runtime.size(), 4U);
+  EXPECT_EQ(first_mismatch(report.plan, runtime), "");
 }
 
 TEST(StaticPlan, AccPipelineConsumingThePlanIsBitIdentical) {
   const Report report = timed_report(Workload::kAcc);
   ASSERT_FALSE(report.plan.empty());
-
-  acc::AccScenarioConfig config;
-  config.frames = 500;
-  const auto derived = acc::run_acc_pipeline(config);
-  config.schedule_plan = &report.plan;
-  const auto consumed = acc::run_acc_pipeline(config);
-
-  EXPECT_EQ(consumed.output_digest, derived.output_digest);
-  EXPECT_EQ(consumed.tag_digest, derived.tag_digest);
+  EXPECT_EQ(first_mismatch(report.plan, runtime_levels(acc::AccScenarioConfig{}, kRunAcc)), "");
 }
 
 TEST(StaticPlan, ForeignPlanIsRejectedLoudly) {
-  // The ACC plan knows nothing about the brake pipeline's nodes: applying
-  // it must throw instead of silently reordering reactions.
+  // The ACC plan knows nothing about the brake pipeline's nodes.
   const Report report = timed_report(Workload::kAcc);
-  brake::DearScenarioConfig config;
-  config.frames = 10;
-  config.schedule_plan = &report.plan;
-  EXPECT_THROW((void)brake::run_dear_pipeline(config), std::logic_error);
+  EXPECT_NE(first_mismatch(report.plan, runtime_levels(brake::DearScenarioConfig{}, kRunBrake)),
+            "");
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <initializer_list>
+#include <string>
 #include <vector>
 
 namespace dear::common {
@@ -137,6 +138,38 @@ TEST(Cli, UsageListsEveryOptionWithDefaults) {
   EXPECT_NE(usage.find("--scale"), std::string::npos);
   EXPECT_NE(usage.find("--verbose"), std::string::npos);
   EXPECT_NE(usage.find("--help"), std::string::npos);
+}
+
+TEST(Cli, ValueOptionWithoutAValueIsRejected) {
+  for (const char* flag : {"--out", "--frames"}) {
+    Cli cli = make_cli();
+    const char* argv[] = {"harness", flag, "--verbose"};
+    EXPECT_FALSE(cli.parse(3, argv)) << flag;
+    EXPECT_EQ(cli.exit_code(), 1) << flag;
+  }
+}
+
+TEST(Cli, RepeatableOptionKeepsEveryValueInCommandLineOrder) {
+  Cli cli("harness", "Test harness.");
+  cli.add_strings("workload", "workload to lint");
+  cli.add_strings("campaign", "campaign to lint");
+  cli.add_flag("quiet", "terse output");
+  const char* argv[] = {"harness", "--workload", "dear", "--campaign=smoke", "--quiet",
+                        "--workload=acc", "--workload", "nondet"};
+  ASSERT_TRUE(cli.parse(8, argv));
+  EXPECT_EQ(cli.get_strings("workload"), (std::vector<std::string>{"dear", "acc", "nondet"}));
+  EXPECT_EQ(cli.get_strings("campaign"), (std::vector<std::string>{"smoke"}));
+  EXPECT_TRUE(cli.get_flag("quiet"));
+  EXPECT_TRUE(cli.was_set("workload"));
+  EXPECT_NE(cli.usage().find("(repeatable)"), std::string::npos);
+  EXPECT_THROW((void)cli.get_string("workload"), std::logic_error) << "type mismatch must throw";
+
+  Cli none("harness", "Test harness.");
+  none.add_strings("workload", "workload to lint");
+  const char* bare[] = {"harness"};
+  ASSERT_TRUE(none.parse(1, bare));
+  EXPECT_TRUE(none.get_strings("workload").empty());
+  EXPECT_FALSE(none.was_set("workload"));
 }
 
 TEST(Cli, UnregisteredAccessThrows) {

@@ -108,10 +108,10 @@ class Run {
 };
 
 /// source -> relay x4 -> sink: deep levels, one reaction each. With
-/// `consume_plan`, the environment installs a precompiled schedule plan
-/// (DependencyGraph::export_plan of an identical probe graph) instead of
-/// deriving levels at assembly — observably identical by contract.
-RunDigests run_pipeline(Driver driver, std::int64_t events, bool consume_plan = false) {
+/// `analyze_first`, the environment's graph is analyzed before the run, as
+/// AppBuilder::validate() does, so assembly assigns the cached levels
+/// instead of sorting cold — observably identical by contract.
+RunDigests run_pipeline(Driver driver, std::int64_t events, bool analyze_first = false) {
   Run run(driver);
   Environment& env = run.env();
   LoopSource source(env, events);
@@ -126,9 +126,8 @@ RunDigests run_pipeline(Driver driver, std::int64_t events, bool consume_plan = 
     previous = &relay->out;
   }
   env.connect(*previous, sink.in);
-  if (consume_plan) {
-    DependencyGraph probe(env);
-    env.set_schedule_plan(probe.export_plan());
+  if (analyze_first) {
+    (void)env.graph().analyze();
   }
   run.execute();
   return digest_run(env, sink.sum);
@@ -247,10 +246,12 @@ TEST(DriverConformance, MicrostepTraceIdenticalAcrossDrivers) {
   EXPECT_EQ(run_microstep(Driver::kSim, kEvents), threaded);
 }
 
+// A graph analyzed before assembly (the validate() path) runs the same as
+// one that assemble() sorts cold.
 TEST(DriverConformance, PlanConsumingRunBitIdenticalToDerivedRun) {
   const RunDigests reference = run_pipeline(Driver::kThreaded, kEvents);
-  EXPECT_EQ(run_pipeline(Driver::kThreaded, kEvents, /*consume_plan=*/true), reference);
-  EXPECT_EQ(run_pipeline(Driver::kSim, kEvents, /*consume_plan=*/true), reference);
+  EXPECT_EQ(run_pipeline(Driver::kThreaded, kEvents, /*analyze_first=*/true), reference);
+  EXPECT_EQ(run_pipeline(Driver::kSim, kEvents, /*analyze_first=*/true), reference);
 }
 
 TEST(DriverConformance, RepeatedThreadedRunsIdentical) {
@@ -290,7 +291,7 @@ TEST_P(ParallelConformanceTest, MicrostepTraceBitIdenticalToSerial) {
 TEST_P(ParallelConformanceTest, PlanConsumingRunBitIdenticalToDerivedRun) {
   const RunDigests derived = run_pipeline(Driver::kThreaded, kEvents);
   for (const RunDigests& copy : run_concurrently(GetParam(), [](Driver driver) {
-         return run_pipeline(driver, kEvents, /*consume_plan=*/true);
+         return run_pipeline(driver, kEvents, /*analyze_first=*/true);
        })) {
     EXPECT_EQ(copy, derived);
   }

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -241,10 +242,10 @@ TEST_F(GraphTest, DependenciesOfListsDirectPredecessors) {
   env.connect(d1.out, d2.in);
   env.assemble();
   const DependencyGraph& graph = env.graph();
-  EXPECT_TRUE(graph.dependencies_of(*counter.reactions().front()).empty());
-  const auto d2_deps = graph.dependencies_of(*d2.reactions().front());
+  EXPECT_TRUE(graph.predecessors(graph.index_of(*counter.reactions().front())).empty());
+  const auto d2_deps = graph.predecessors(graph.index_of(*d2.reactions().front()));
   ASSERT_EQ(d2_deps.size(), 1U);  // direct only — not the transitive counter
-  EXPECT_EQ(d2_deps[0], d1.reactions().front());
+  EXPECT_EQ(graph.reactions()[d2_deps[0]], d1.reactions().front());
 }
 
 TEST_F(GraphTest, EmptyGraphAnalyzesAcyclicWithNoLevels) {
@@ -282,7 +283,7 @@ TEST_F(GraphTest, SingleReactionSelfLoopIsItsOwnCycle) {
   EXPECT_FALSE(analysis.acyclic);
   ASSERT_EQ(analysis.cyclic.size(), 1U);
   EXPECT_EQ(graph.reactions()[analysis.cyclic[0]], self.reactions().front());
-  EXPECT_THROW((void)graph.export_plan(), std::logic_error);
+  EXPECT_THROW((void)graph.assign_levels(), std::logic_error);
 }
 
 TEST_F(GraphTest, RepeatedAnalyzeKeepsLevelsStable) {
@@ -307,9 +308,22 @@ TEST_F(GraphTest, RepeatedAnalyzeKeepsLevelsStable) {
   }
 }
 
-// --- compiled schedule plans -------------------------------------------------
+// --- level tables ------------------------------------------------------------
+
+/// (fqn, level) per reaction, level by level, as the scheduler runs them.
+std::vector<std::pair<std::string, int>> level_table(const DependencyGraph& graph) {
+  std::vector<std::pair<std::string, int>> table;
+  for (std::size_t level = 0; level < graph.levels().size(); ++level) {
+    for (const Reaction* reaction : graph.levels()[level]) {
+      table.emplace_back(reaction->fqn(), static_cast<int>(level));
+    }
+  }
+  return table;
+}
 
 TEST_F(GraphTest, ExportedPlanAppliesToAnIdenticalTopology) {
+  // Two environments wired the same way assign the same levels: the level
+  // table is a function of the topology alone.
   const auto build = [this](Environment& env, std::vector<std::unique_ptr<Reactor>>& owned) {
     auto counter = std::make_unique<Counter>(env, 10_ms, 1);
     auto d1 = std::make_unique<Doubler>(env, "d1");
@@ -323,66 +337,20 @@ TEST_F(GraphTest, ExportedPlanAppliesToAnIdenticalTopology) {
   Environment reference(clock);
   std::vector<std::unique_ptr<Reactor>> reference_reactors;
   build(reference, reference_reactors);
-  DependencyGraph probe(reference);
-  const SchedulePlan plan = probe.export_plan();
-  ASSERT_EQ(plan.entries.size(), 3U);
-  EXPECT_EQ(plan.level_count, 3);
+  reference.assemble();
+  Environment other(clock);
+  std::vector<std::unique_ptr<Reactor>> other_reactors;
+  build(other, other_reactors);
+  other.assemble();
 
-  Environment consumer(clock);
-  std::vector<std::unique_ptr<Reactor>> consumer_reactors;
-  build(consumer, consumer_reactors);
-  consumer.set_schedule_plan(plan);
-  consumer.assemble();
-  EXPECT_EQ(consumer.level_count(), 3);
-  for (std::size_t i = 0; i < consumer_reactors.size(); ++i) {
-    EXPECT_EQ(consumer_reactors[i]->reactions().front()->level(), static_cast<int>(i));
+  EXPECT_EQ(reference.level_count(), 3);
+  EXPECT_EQ(other.level_count(), 3);
+  const auto table = level_table(reference.graph());
+  ASSERT_EQ(table.size(), 3U);
+  EXPECT_EQ(level_table(other.graph()), table);
+  for (std::size_t i = 0; i < other_reactors.size(); ++i) {
+    EXPECT_EQ(other_reactors[i]->reactions().front()->level(), static_cast<int>(i));
   }
-}
-
-TEST_F(GraphTest, StaleOrTamperedPlansAreRejected) {
-  Environment env(clock);
-  Counter counter(env, 10_ms, 1);
-  Doubler doubler(env, "d");
-  env.connect(counter.out, doubler.in);
-  DependencyGraph probe(env);
-  const SchedulePlan good = probe.export_plan();
-
-  {
-    SchedulePlan missing = good;
-    missing.entries.pop_back();
-    DependencyGraph graph(env);
-    EXPECT_THROW((void)graph.apply_plan(missing), std::logic_error);
-  }
-  {
-    SchedulePlan renamed = good;
-    renamed.entries[0].fqn = "ghost/reaction";
-    DependencyGraph graph(env);
-    EXPECT_THROW((void)graph.apply_plan(renamed), std::logic_error);
-  }
-  {
-    // Swapped levels break edge monotonicity: counter must precede doubler.
-    SchedulePlan swapped = good;
-    std::swap(swapped.entries[0].level, swapped.entries[1].level);
-    DependencyGraph graph(env);
-    EXPECT_THROW((void)graph.apply_plan(swapped), std::logic_error);
-  }
-  {
-    SchedulePlan out_of_range = good;
-    out_of_range.entries[0].level = good.level_count;
-    DependencyGraph graph(env);
-    EXPECT_THROW((void)graph.apply_plan(out_of_range), std::logic_error);
-  }
-  // A valid plan still applies after all the rejected attempts.
-  DependencyGraph graph(env);
-  EXPECT_EQ(graph.apply_plan(good), good.level_count);
-}
-
-TEST_F(GraphTest, SetSchedulePlanAfterAssembleThrows) {
-  Environment env(clock);
-  Counter counter(env, 10_ms, 1);
-  env.assemble();
-  DependencyGraph probe(env);
-  EXPECT_THROW(env.set_schedule_plan(probe.export_plan()), std::logic_error);
 }
 
 TEST_F(GraphTest, IndexOfUnknownReactionIsSize) {

@@ -8,6 +8,7 @@
 #include <numeric>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "reactor_fixture.hpp"
 
@@ -115,6 +116,27 @@ TEST(ThreadedScheduler, KeepaliveWaitsForPhysicalActions) {
   EXPECT_EQ(sink.received.load(), 30);
 }
 
+TEST(ThreadedScheduler, PhysicalActionScheduledBeforeStartRunsAtOrAfterTheStartTag) {
+  // Scheduled before run(): the event is tagged from the clock while the
+  // scheduler is still idle, so its tag precedes a start tag taken from
+  // the clock afterwards unless the start takes the queue into account.
+  RealClock clock;
+  Environment env(clock);
+  class Sink final : public Reactor {
+   public:
+    PhysicalAction<int> in{"in", this};
+    std::vector<Tag> tags;
+    explicit Sink(Environment& env) : Reactor("sink", env) {
+      add_reaction("on_in", [this] { tags.push_back(current_tag()); }).triggered_by(in);
+    }
+  };
+  Sink sink(env);
+  sink.in.schedule(1);
+  env.run();  // no keepalive: returns once the queue is drained
+  ASSERT_EQ(sink.tags.size(), 1u);
+  EXPECT_GE(sink.tags.front(), env.scheduler().start_tag());
+}
+
 TEST(ThreadedScheduler, RequestShutdownFromOutside) {
   RealClock clock;
   Environment::Config config;
@@ -204,8 +226,8 @@ TEST(ThreadedScheduler, ForeignThreadsSchedulePhysicalActionsWhileReactionsSetPo
 
   const auto produce = [&env](PhysicalAction<int>& action) {
     return [&env, &action] {
-      // An event scheduled before start_at would be tagged before the
-      // start tag, so wait until the driving thread has started.
+      // Produce once the driving thread runs, so the inserts race the
+      // tag loop rather than land in the queue before it starts.
       while (!env.scheduler().running()) {
         std::this_thread::yield();
       }

@@ -11,7 +11,8 @@
 //   1  error diagnostics found while --deny-errors, or none while
 //      --expect-errors, or a static verdict disagreed with the runtime
 //      oracle (expect_deterministic())
-//   2  usage / input error (unreadable file, malformed scenario JSON)
+//   2  usage / input error (unknown option, workload or campaign,
+//      unreadable file, malformed scenario JSON)
 
 #include <cstdio>
 #include <fstream>
@@ -24,42 +25,25 @@
 
 #include "analysis/analyzer.hpp"
 #include "analysis/report.hpp"
+#include "common/cli.hpp"
 #include "scenario/presets.hpp"
 #include "scenario/spec.hpp"
 #include "scenario/spec_json.hpp"
 
 namespace {
 
-void print_usage(std::FILE* stream) {
-  std::fputs(
-      "usage: dear_lint [options]\n"
-      "\n"
-      "Statically verifies determinism of DEAR workloads and scenarios.\n"
-      "\n"
-      "options:\n"
-      "  --workload dear|nondet|acc   lint a workload with default knobs (repeatable)\n"
-      "  --scenario FILE.json         lint a scenario file (repeatable; see\n"
-      "                               docs/static_analysis.md for the format)\n"
-      "  --campaign smoke|fault-sweep|throughput|fault-tolerance\n"
-      "                               lint every scenario of a preset campaign grid\n"
-      "  --out FILE                   write the analysis-report-v1 JSON document\n"
-      "  --timing                     run the end-to-end timing pass: chain latency\n"
-      "                               bounds, DEAR-LAT rules and the compiled\n"
-      "                               schedule plan (attached to the report)\n"
-      "  --list-rules                 print the rule catalog (id, severity, summary)\n"
-      "                               and exit; with --json as a JSON array\n"
-      "  --json                       JSON output for --list-rules\n"
-      "  --deny-errors                exit 1 if any error diagnostic is reported\n"
-      "  --expect-errors              exit 1 if NO error diagnostic is reported\n"
-      "                               (regression oracle for known-nondet inputs)\n"
-      "  --quiet                      suppress the per-diagnostic listing\n"
-      "  --help                       show this help\n"
-      "\n"
-      "Without --deny-errors/--expect-errors the exit code reports oracle\n"
-      "agreement: nonzero iff any static verdict disagrees with the\n"
-      "scenario's expect_deterministic() contract.\n",
-      stream);
-}
+constexpr const char* kSummary =
+    "Statically verifies determinism of DEAR workloads and scenarios.\n"
+    "\n"
+    "Workloads: dear, nondet, acc. Campaigns: smoke, fault-sweep, throughput,\n"
+    "fault-tolerance. Scenario files: see docs/static_analysis.md. Specs are\n"
+    "linted as workloads first, then scenario files, then campaigns, each kind\n"
+    "in command-line order.\n"
+    "\n"
+    "Exit codes: 0 all checks passed; 1 error diagnostics found while\n"
+    "--deny-errors, none while --expect-errors, or a static verdict that\n"
+    "disagrees with the scenario's expect_deterministic() contract; 2 usage or\n"
+    "input error.";
 
 std::optional<dear::scenario::ScenarioSpec> workload_spec(const std::string& name) {
   dear::scenario::ScenarioSpec spec;
@@ -143,107 +127,71 @@ int list_rules(bool as_json) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<dear::scenario::ScenarioSpec> specs;
-  std::string out_path;
-  bool deny_errors = false;
-  bool expect_errors = false;
-  bool quiet = false;
-  bool want_list_rules = false;
-  bool json_output = false;
-  dear::analysis::AnalyzeOptions analyze_options;
-
-  auto next_value = [&](int& i, const char* flag) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "dear_lint: %s requires a value\n", flag);
-      return nullptr;
-    }
-    return argv[++i];
-  };
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      print_usage(stdout);
-      return 0;
-    }
-    if (arg == "--deny-errors") {
-      deny_errors = true;
-    } else if (arg == "--list-rules") {
-      want_list_rules = true;
-    } else if (arg == "--json") {
-      json_output = true;
-    } else if (arg == "--timing") {
-      analyze_options.timing = true;
-    } else if (arg == "--expect-errors") {
-      expect_errors = true;
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (arg == "--workload") {
-      const char* value = next_value(i, "--workload");
-      if (value == nullptr) {
-        return 2;
-      }
-      auto spec = workload_spec(value);
-      if (!spec) {
-        std::fprintf(stderr, "dear_lint: unknown workload '%s' (dear|nondet|acc)\n", value);
-        return 2;
-      }
-      specs.push_back(std::move(*spec));
-    } else if (arg == "--scenario") {
-      const char* value = next_value(i, "--scenario");
-      if (value == nullptr) {
-        return 2;
-      }
-      auto text = read_file(value);
-      if (!text) {
-        std::fprintf(stderr, "dear_lint: cannot read scenario file '%s'\n", value);
-        return 2;
-      }
-      std::string error;
-      auto spec = dear::scenario::spec_from_json(*text, &error);
-      if (!spec) {
-        std::fprintf(stderr, "dear_lint: %s: %s\n", value, error.c_str());
-        return 2;
-      }
-      specs.push_back(std::move(*spec));
-    } else if (arg == "--campaign") {
-      const char* value = next_value(i, "--campaign");
-      if (value == nullptr) {
-        return 2;
-      }
-      auto expanded = campaign_specs(value);
-      if (!expanded) {
-        std::fprintf(stderr,
-                     "dear_lint: unknown campaign '%s' "
-                     "(smoke|fault-sweep|throughput|fault-tolerance)\n",
-                     value);
-        return 2;
-      }
-      specs.insert(specs.end(), expanded->begin(), expanded->end());
-    } else if (arg == "--out") {
-      const char* value = next_value(i, "--out");
-      if (value == nullptr) {
-        return 2;
-      }
-      out_path = value;
-    } else {
-      std::fprintf(stderr, "dear_lint: unknown option '%s'\n", arg.c_str());
-      print_usage(stderr);
-      return 2;
-    }
+  dear::common::Cli cli("dear_lint", kSummary);
+  cli.add_strings("workload", "workload to lint with default knobs");
+  cli.add_strings("scenario", "scenario JSON file to lint");
+  cli.add_strings("campaign", "preset campaign grid to lint");
+  cli.add_string("out", "", "write the analysis-report-v1 JSON here");
+  cli.add_flag("timing", "add the timing pass: chains, DEAR-LAT, schedule plan");
+  cli.add_flag("list-rules", "print the rule catalog and exit");
+  cli.add_flag("json", "JSON output for --list-rules");
+  cli.add_flag("deny-errors", "exit 1 if any error diagnostic is reported");
+  cli.add_flag("expect-errors", "exit 1 if NO error diagnostic is reported");
+  cli.add_flag("quiet", "suppress the per-diagnostic listing");
+  if (!cli.parse(argc, argv)) {
+    return cli.exit_code() == 0 ? 0 : 2;
   }
 
-  if (want_list_rules) {
-    return list_rules(json_output);
+  std::vector<dear::scenario::ScenarioSpec> specs;
+  for (const std::string& name : cli.get_strings("workload")) {
+    auto spec = workload_spec(name);
+    if (!spec) {
+      std::fprintf(stderr, "dear_lint: unknown workload '%s' (dear|nondet|acc)\n", name.c_str());
+      return 2;
+    }
+    specs.push_back(std::move(*spec));
+  }
+  for (const std::string& path : cli.get_strings("scenario")) {
+    auto text = read_file(path);
+    if (!text) {
+      std::fprintf(stderr, "dear_lint: cannot read scenario file '%s'\n", path.c_str());
+      return 2;
+    }
+    std::string error;
+    auto spec = dear::scenario::spec_from_json(*text, &error);
+    if (!spec) {
+      std::fprintf(stderr, "dear_lint: %s: %s\n", path.c_str(), error.c_str());
+      return 2;
+    }
+    specs.push_back(std::move(*spec));
+  }
+  for (const std::string& name : cli.get_strings("campaign")) {
+    auto expanded = campaign_specs(name);
+    if (!expanded) {
+      std::fprintf(stderr,
+                   "dear_lint: unknown campaign '%s' "
+                   "(smoke|fault-sweep|throughput|fault-tolerance)\n",
+                   name.c_str());
+      return 2;
+    }
+    specs.insert(specs.end(), expanded->begin(), expanded->end());
+  }
+
+  if (cli.get_flag("list-rules")) {
+    return list_rules(cli.get_flag("json"));
   }
 
   if (specs.empty()) {
     std::fputs("dear_lint: nothing to lint (pass --workload, --scenario or --campaign)\n",
                stderr);
-    print_usage(stderr);
+    std::fputs(cli.usage().c_str(), stderr);
     return 2;
   }
 
+  dear::analysis::AnalyzeOptions analyze_options;
+  analyze_options.timing = cli.get_flag("timing");
+  const bool quiet = cli.get_flag("quiet");
+  const std::string out_path = cli.get_string("out");
   const std::vector<dear::analysis::Report> reports =
       dear::analysis::analyze_scenarios(specs, analyze_options);
 
@@ -283,10 +231,10 @@ int main(int argc, char** argv) {
   std::printf("dear_lint: %zu scenario(s), %zu error(s), %zu warning(s), %zu oracle mismatch(es)\n",
               reports.size(), errors, warnings, mismatches);
 
-  if (deny_errors && errors > 0) {
+  if (cli.get_flag("deny-errors") && errors > 0) {
     return 1;
   }
-  if (expect_errors && errors == 0) {
+  if (cli.get_flag("expect-errors") && errors == 0) {
     std::fputs("dear_lint: expected error diagnostics but found none\n", stderr);
     return 1;
   }
