@@ -29,7 +29,23 @@ constexpr net::Endpoint kAccEp{kPlatform, 303};
 constexpr net::Endpoint kActuatorEp{kPlatform, 304};
 constexpr net::Endpoint kConsoleEp{kPlatform, 305};
 
+/// Radar release jitter bound.
+constexpr Duration kRadarJitter = 500 * kMicrosecond;
+
+// Transactor deadlines, scaled by the deadline_scale knob.
+constexpr Duration kRadarDeadline = 5 * kMillisecond;
+constexpr Duration kTrackerDeadline = 20 * kMillisecond;
+constexpr Duration kAccDeadline = 10 * kMillisecond;
+constexpr Duration kActuatorDeadline = 5 * kMillisecond;
+constexpr Duration kConsoleDeadline = 5 * kMillisecond;
+
+/// Console cadence: how often the set-point is polled resp. stepped
+/// through the field's get/set methods (logical time).
+constexpr Duration kConsolePollPeriod = 500 * kMillisecond;
+constexpr Duration kConsoleUpdatePeriod = 2000 * kMillisecond;
+
 using common::mix_digest;
+using scenario::kSensorPeriod;
 
 /// Coast-fallback commands carry a marker id (top 16 bits set) so the
 /// actuator can account for them without consulting the reference chain:
@@ -233,8 +249,7 @@ class ConsoleLogic final : public reactor::Reactor {
 }  // namespace
 
 AccResult run_acc_pipeline(const AccScenarioConfig& config) {
-  scenario::Testbed testbed(config, config.period, config.link_latency_min,
-                            config.link_latency_max);
+  scenario::Testbed testbed(config);
   sim::Kernel& kernel = testbed.kernel;
 
   // Radar activation grid, fixed before the fault plan: the injection
@@ -243,19 +258,18 @@ AccResult run_acc_pipeline(const AccScenarioConfig& config) {
   // sequenced explicitly: as constructor arguments their evaluation order
   // would be compiler-dependent.
   auto radar_cfg_rng = testbed.sensor_rng.stream("radar");
-  const Duration radar_clock_offset = radar_cfg_rng.uniform_duration(0, config.period);
+  const Duration radar_clock_offset = radar_cfg_rng.uniform_duration(0, kSensorPeriod);
   const double radar_clock_drift =
       radar_cfg_rng.uniform(-1000, 1000) * 1e-3 * config.clock_drift_ppm;
   const sim::PlatformClock radar_clock(radar_clock_offset, radar_clock_drift);
-  const Duration radar_phase = radar_cfg_rng.uniform_duration(0, config.period - 1);
+  const Duration radar_phase = radar_cfg_rng.uniform_duration(0, kSensorPeriod - 1);
 
   // The radar node is the service-fault victim: crashing the sensor
   // boundary exercises the consumer-side degradation path.
-  scenario::FaultTolerance fault_tolerance(config, config.period,
-                                          testbed.first_release(radar_clock, radar_phase));
+  scenario::FaultTolerance fault_tolerance(config, testbed.first_release(radar_clock, radar_phase));
 
   const auto make_config = [&](Duration deadline) {
-    return scenario::transactor_config(config, deadline);
+    return scenario::transactor_config(config, deadline, /*clock_error_bound=*/0);
   };
 
   AppBuilder app(kernel, testbed.network, testbed.discovery, testbed.executor,
@@ -268,16 +282,14 @@ AccResult run_acc_pipeline(const AccScenarioConfig& config) {
   auto& console = app.node("console", kConsoleEp, 0x35);
 
   // Servers first (offered on construction), then clients.
-  auto& radar_srv = radar.serve<Radar>(kInstance, make_config(config.radar_deadline));
-  auto& tracker_srv = tracker.serve<Tracker>(kInstance, make_config(config.tracker_deadline));
-  auto& acc_srv = acc.serve<AccController>(kInstance, make_config(config.acc_deadline));
+  auto& radar_srv = radar.serve<Radar>(kInstance, make_config(kRadarDeadline));
+  auto& tracker_srv = tracker.serve<Tracker>(kInstance, make_config(kTrackerDeadline));
+  auto& acc_srv = acc.serve<AccController>(kInstance, make_config(kAccDeadline));
 
-  auto& tracker_cli = tracker.require<Radar>(kInstance, make_config(config.tracker_deadline));
-  auto& acc_cli = acc.require<Tracker>(kInstance, make_config(config.acc_deadline));
-  auto& actuator_cli =
-      actuator.require<AccController>(kInstance, make_config(config.actuator_deadline));
-  auto& console_cli =
-      console.require<AccController>(kInstance, make_config(config.console_deadline));
+  auto& tracker_cli = tracker.require<Radar>(kInstance, make_config(kTrackerDeadline));
+  auto& acc_cli = acc.require<Tracker>(kInstance, make_config(kAccDeadline));
+  auto& actuator_cli = actuator.require<AccController>(kInstance, make_config(kActuatorDeadline));
+  auto& console_cli = console.require<AccController>(kInstance, make_config(kConsoleDeadline));
   if (config.retry.enabled()) {
     // Field get/set are methods on the wire; the console's proxy retries
     // them with the deterministic logical backoff.
@@ -339,12 +351,11 @@ AccResult run_acc_pipeline(const AccScenarioConfig& config) {
           arrival_time.erase(it);
         }
       });
-  auto& console_logic =
-      console.logic<ConsoleLogic>(config.console_poll_period, config.console_update_period);
+  auto& console_logic = console.logic<ConsoleLogic>(kConsolePollPeriod, kConsoleUpdatePeriod);
 
   // The controller node supervises the radar; the coast fallback listens.
-  if (auto* health = fault_tolerance.deploy(app, radar, make_config(config.radar_deadline), acc,
-                                            make_config(config.acc_deadline))) {
+  if (auto* health = fault_tolerance.deploy(app, radar, make_config(kRadarDeadline), acc,
+                                            make_config(kAccDeadline))) {
     acc.connect(*health, *acc_logic.health_in);
   }
 
@@ -379,7 +390,7 @@ AccResult run_acc_pipeline(const AccScenarioConfig& config) {
   std::uint64_t scans_sent = 0;
   std::optional<RadarScan> last_scan;
   sim::PeriodicTask radar_task(
-      kernel, radar_clock, config.period, radar_phase,
+      kernel, radar_clock, kSensorPeriod, radar_phase,
       [&](std::uint64_t /*activation*/, TimePoint release) {
         if (captures >= config.frames) {
           return;
@@ -410,7 +421,7 @@ AccResult run_acc_pipeline(const AccScenarioConfig& config) {
         arrival_time.emplace(scan.scan_id, kernel.now());
         radar_logic.scan_arrival.schedule(scan);
       });
-  radar_task.set_jitter(sim::ExecTimeModel::uniform(0, config.radar_jitter),
+  radar_task.set_jitter(sim::ExecTimeModel::uniform(0, kRadarJitter),
                         testbed.sensor_rng.stream("radar.jitter"));
 
   // Churn toggles the actuator's command subscription.

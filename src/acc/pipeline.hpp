@@ -15,13 +15,16 @@
 //
 // Like the brake pipeline, the chain runs unchanged over SOME/IP or the
 // zero-copy in-process transport (Transport::kLocal), with bit-identical
-// observable outputs and logical tags.
+// observable outputs and logical tags. Its timing is fixed in pipeline.cpp:
+// a radar scan every scenario::kSensorPeriod (50 ms), transactor deadlines
+// of 5 ms (radar), 20 ms (tracker), 10 ms (controller), 5 ms (actuator)
+// and 5 ms (console), scaled by the deadline_scale knob, L = 5 ms
+// (transact::kLatencyBound) and E = 0 (one platform).
 #pragma once
 
 #include <cstdint>
 
 #include "common/time.hpp"
-#include "dear/config.hpp"
 #include "ft/fault_model.hpp"
 #include "scenario/knobs.hpp"
 #include "sim/fault_injection.hpp"
@@ -30,31 +33,8 @@ namespace dear::acc {
 
 /// The ACC chain's configuration: the shared platform knobs
 /// (scenario/knobs.hpp; the radar is the sensor and the service-fault
-/// victim, frames counts radar scans), the static-analysis hooks, and the
-/// chain's own timing.
-struct AccScenarioConfig : scenario::PlatformKnobs, scenario::RunHooks {
-  Duration period{50 * kMillisecond};
-  Duration radar_jitter{500 * kMicrosecond};
-  Duration link_latency_min{200 * kMicrosecond};
-  Duration link_latency_max{800 * kMicrosecond};
-
-  // Transactor deadlines (scaled by deadline_scale) and safe-to-process
-  // bounds.
-  Duration radar_deadline{5 * kMillisecond};
-  Duration tracker_deadline{20 * kMillisecond};
-  Duration acc_deadline{10 * kMillisecond};
-  Duration actuator_deadline{5 * kMillisecond};
-  Duration console_deadline{5 * kMillisecond};
-  Duration latency_bound{5 * kMillisecond};
-  Duration clock_error_bound{0};
-
-  /// Console cadence: how often the set-point is polled resp. stepped
-  /// through the field's get/set methods (logical time).
-  Duration console_poll_period{500 * kMillisecond};
-  Duration console_update_period{2000 * kMillisecond};
-
-  transact::UntaggedPolicy untagged{transact::UntaggedPolicy::kFail};
-};
+/// victim, frames counts radar scans) and the static-analysis hooks.
+struct AccScenarioConfig : scenario::PlatformKnobs, scenario::RunHooks {};
 
 struct AccResult {
   std::uint64_t scans_sent{0};

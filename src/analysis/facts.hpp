@@ -121,6 +121,8 @@ struct StateFact {
 struct NodeLevels {
   std::string node;
   std::vector<std::vector<std::string>> levels;
+
+  bool operator==(const NodeLevels&) const = default;
 };
 
 /// The fact table. The reaction and port rows are fixed-size; their names

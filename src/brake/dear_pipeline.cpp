@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "brake/camera.hpp"
+#include "brake/deployment.hpp"
 #include "brake/logic.hpp"
 #include "brake/services.hpp"
 #include "common/digest.hpp"
@@ -19,16 +20,14 @@ namespace dear::brake {
 
 namespace {
 
-constexpr net::NodeId kPlatform1 = 1;
-constexpr net::NodeId kPlatform2 = 2;
-
-constexpr net::Endpoint kCameraEp{kPlatform1, 10};
-constexpr net::Endpoint kAdapterRawEp{kPlatform2, 100};
-constexpr net::Endpoint kAdapterEp{kPlatform2, 101};
-constexpr net::Endpoint kPreprocEp{kPlatform2, 102};
-constexpr net::Endpoint kCvEp{kPlatform2, 103};
-constexpr net::Endpoint kEbaEp{kPlatform2, 104};
-constexpr net::Endpoint kMonitorEp{kPlatform2, 105};
+// Paper §IV.B deadlines, scaled by the deadline_scale knob ("for certain
+// applications it is acceptable to deliberately introduce the possibility
+// of sporadic errors by setting deadlines to values lower than the actual
+// WCET").
+constexpr Duration kAdapterDeadline = 5 * kMillisecond;
+constexpr Duration kPreprocessingDeadline = 25 * kMillisecond;
+constexpr Duration kCvDeadline = 25 * kMillisecond;
+constexpr Duration kEbaDeadline = 5 * kMillisecond;
 
 using common::mix_digest;
 
@@ -211,8 +210,7 @@ class EbaLogic final : public reactor::Reactor {
 }  // namespace
 
 PipelineResult run_dear_pipeline(const DearScenarioConfig& config) {
-  scenario::Testbed testbed(config, config.period, config.link_latency_min,
-                            config.link_latency_max);
+  scenario::Testbed testbed(config);
   sim::Kernel& kernel = testbed.kernel;
 
   // Camera on platform 1 with its own clock; platform 2 hosts the SWCs.
@@ -220,7 +218,7 @@ PipelineResult run_dear_pipeline(const DearScenarioConfig& config) {
   // evaluation order would be compiler-dependent, and every stream draw
   // must be a pure function of (seed, draw index).
   auto drift_rng = testbed.platform_rng.stream("clock.drift");
-  const Duration clock1_offset = drift_rng.uniform_duration(0, config.period);
+  const Duration clock1_offset = drift_rng.uniform_duration(0, scenario::kSensorPeriod);
   const double clock1_drift = drift_rng.uniform(-1000, 1000) * 1e-3 * config.clock_drift_ppm;
   const sim::PlatformClock clock1(clock1_offset, clock1_drift);
   // Platform 2 is the simulation reference clock (its SWCs are driven by
@@ -228,32 +226,13 @@ PipelineResult run_dear_pipeline(const DearScenarioConfig& config) {
 
   // Camera activation grid, fixed before the fault plan: the injection
   // window and the health timers are anchored to it.
-  auto camera_cfg_rng = testbed.sensor_rng.stream("camera");
-  // Newest published pixel slab (sensor data plane). Declared before the
-  // camera so the handle is destroyed after it; holding only the latest
-  // frame keeps the ring from exhausting, so engaging the data plane
-  // changes no frame stream and no digest.
-  common::LoanedBuffer latest_frame_pixels;
-  Camera::Config camera_config;
-  camera_config.period = config.period;
-  camera_config.phase = camera_cfg_rng.uniform_duration(0, config.period - 1);
-  camera_config.jitter = sim::ExecTimeModel::uniform(0, config.camera_jitter);
-  camera_config.frame_limit = config.frames;
-  camera_config.faults = config.sensor_faults;
-  camera_config.payload_bytes = config.camera_payload_bytes;
-  if (config.camera_payload_bytes > 0) {
-    camera_config.frame_sink = [&latest_frame_pixels](const common::LoanedBuffer& slab,
-                                                      const VideoFrame&) {
-      latest_frame_pixels = slab;
-    };
-  }
+  CameraFrontEnd camera(config, testbed, clock1);
   // Computer vision is the service-fault victim: the longest stage, and
   // the one EBA's hold fallback guards.
-  scenario::FaultTolerance fault_tolerance(config, config.period,
-                                          testbed.first_release(clock1, camera_config.phase));
+  scenario::FaultTolerance fault_tolerance(config, testbed.first_release(clock1, camera.phase()));
 
   const auto make_config = [&](Duration deadline) {
-    return scenario::transactor_config(config, deadline);
+    return scenario::transactor_config(config, deadline, config.clock_error_bound);
   };
 
   // Deployment: all four SWC services either stay on the default SOME/IP
@@ -270,16 +249,14 @@ PipelineResult run_dear_pipeline(const DearScenarioConfig& config) {
   auto& monitor = app.node("monitor", kMonitorEp, 0x25);
 
   // Server bundles first (offered on construction), then client bundles.
-  auto& adapter_srv = adapter.serve<VideoAdapter>(kInstance, make_config(config.adapter_deadline));
-  auto& preproc_srv =
-      preproc.serve<Preprocessing>(kInstance, make_config(config.preprocessing_deadline));
-  auto& cv_srv = cv.serve<ComputerVision>(kInstance, make_config(config.cv_deadline));
-  auto& eba_srv = eba.serve<Eba>(kInstance, make_config(config.eba_deadline));
+  auto& adapter_srv = adapter.serve<VideoAdapter>(kInstance, make_config(kAdapterDeadline));
+  auto& preproc_srv = preproc.serve<Preprocessing>(kInstance, make_config(kPreprocessingDeadline));
+  auto& cv_srv = cv.serve<ComputerVision>(kInstance, make_config(kCvDeadline));
+  auto& eba_srv = eba.serve<Eba>(kInstance, make_config(kEbaDeadline));
 
-  auto& preproc_cli =
-      preproc.require<VideoAdapter>(kInstance, make_config(config.preprocessing_deadline));
-  auto& cv_cli = cv.require<Preprocessing>(kInstance, make_config(config.cv_deadline));
-  auto& eba_cli = eba.require<ComputerVision>(kInstance, make_config(config.eba_deadline));
+  auto& preproc_cli = preproc.require<VideoAdapter>(kInstance, make_config(kPreprocessingDeadline));
+  auto& cv_cli = cv.require<Preprocessing>(kInstance, make_config(kCvDeadline));
+  auto& eba_cli = eba.require<ComputerVision>(kInstance, make_config(kEbaDeadline));
   if (config.retry.enabled()) {
     // The pipeline interfaces are pure event streams, so the budget has no
     // method call to retry here; installing it still exercises the policy
@@ -353,8 +330,8 @@ PipelineResult run_dear_pipeline(const DearScenarioConfig& config) {
       fault_tolerance.fallback_phase());
 
   // EBA's node supervises computer vision; the hold fallback listens.
-  if (auto* health = fault_tolerance.deploy(app, cv, make_config(config.cv_deadline), eba,
-                                            make_config(config.eba_deadline))) {
+  if (auto* health = fault_tolerance.deploy(app, cv, make_config(kCvDeadline), eba,
+                                            make_config(kEbaDeadline))) {
     eba.connect(*health, *eba_logic.health_in);
   }
 
@@ -392,8 +369,6 @@ PipelineResult run_dear_pipeline(const DearScenarioConfig& config) {
     adapter_logic.frame_arrival.schedule(frame);
   });
 
-  Camera camera(kernel, clock1, testbed.network, kCameraEp, kAdapterRawEp, camera_config,
-                testbed.sensor_rng);
   // Churn toggles EBA's vehicles subscription.
   if (!testbed.run(app, config, [&] { camera.start(); }, eba_cli.tx(ComputerVision::vehicles))) {
     return result;
@@ -401,10 +376,7 @@ PipelineResult run_dear_pipeline(const DearScenarioConfig& config) {
   camera.stop();
 
   // --- collect results -------------------------------------------------------------------
-  result.frames_sent = camera.frames_sent();
-  result.camera_payload_frames = camera.payload_frames();
-  result.camera_payload_drops = camera.payload_drops();
-  result.sensor_faults = camera.fault_injector().counts();
+  camera.collect(result);
   result.errors.input_mismatches_cv = cv_logic.input_mismatches;
 
   result.deadline_violations = app.deadline_violations();

@@ -12,42 +12,30 @@
 // camera frames are tagged with the physical time of reception, and from
 // there on every reaction executes in a deterministic order.
 //
-// Deadlines (defaults from the paper): Video Adapter 5 ms, Preprocessing
-// 25 ms, Computer Vision 25 ms, EBA 5 ms; maximum communication latency
-// 5 ms; clock synchronization error 0 (all four SWCs share platform 2).
+// The timing is the paper's design, fixed in dear_pipeline.cpp: a 50 ms
+// camera (scenario::kSensorPeriod), SWC deadlines of 5 ms (Video
+// Adapter), 25 ms (Preprocessing), 25 ms (Computer Vision) and 5 ms (EBA),
+// all scaled by the deadline_scale knob, and a maximum communication
+// latency L of 5 ms (transact::kLatencyBound). The clock synchronization
+// error E is 0 by default: all four SWCs share platform 2.
 #pragma once
 
 #include <cstdint>
 
 #include "brake/metrics.hpp"
 #include "brake/nondet_pipeline.hpp"
-#include "dear/config.hpp"
 #include "scenario/knobs.hpp"
 
 namespace dear::brake {
 
 /// The DEAR brake assistant's configuration: the shared platform knobs
 /// (scenario/knobs.hpp; the camera is the sensor, the computer-vision node
-/// the service-fault victim), the static-analysis hooks, and the
-/// testbed's own timing and deadlines.
+/// the service-fault victim), the static-analysis hooks, and the clock
+/// error bound E of every channel.
 struct DearScenarioConfig : scenario::PlatformKnobs, scenario::RunHooks {
-  Duration period{50 * kMillisecond};
-  Duration camera_jitter{500 * kMicrosecond};
-  Duration link_latency_min{200 * kMicrosecond};
-  Duration link_latency_max{800 * kMicrosecond};
-
-  // Paper §IV.B deadlines and bounds. deadline_scale scales all four
-  // ("for certain applications it is acceptable to deliberately introduce
-  // the possibility of sporadic errors by setting deadlines to values
-  // lower than the actual WCET").
-  Duration adapter_deadline{5 * kMillisecond};
-  Duration preprocessing_deadline{25 * kMillisecond};
-  Duration cv_deadline{25 * kMillisecond};
-  Duration eba_deadline{5 * kMillisecond};
-  Duration latency_bound{5 * kMillisecond};
+  /// Widens each of the pipeline's three hops by E, as if its SWCs sat on
+  /// platforms synchronized only to within E.
   Duration clock_error_bound{0};
-
-  transact::UntaggedPolicy untagged{transact::UntaggedPolicy::kFail};
 };
 
 /// Runs the DEAR pipeline; deadline violations, tardy messages and CV

@@ -6,6 +6,7 @@
 #include "ara/generated.hpp"
 #include "ara/runtime.hpp"
 #include "brake/camera.hpp"
+#include "brake/deployment.hpp"
 #include "brake/logic.hpp"
 #include "brake/services.hpp"
 #include "brake/input_buffer.hpp"
@@ -19,18 +20,20 @@ namespace dear::brake {
 
 namespace {
 
-constexpr net::NodeId kPlatform1 = 1;
-constexpr net::NodeId kPlatform2 = 2;
-
-constexpr net::Endpoint kCameraEp{kPlatform1, 10};
-constexpr net::Endpoint kAdapterRawEp{kPlatform2, 100};
-constexpr net::Endpoint kAdapterEp{kPlatform2, 101};
-constexpr net::Endpoint kPreprocEp{kPlatform2, 102};
-constexpr net::Endpoint kCvEp{kPlatform2, 103};
-constexpr net::Endpoint kEbaEp{kPlatform2, 104};
-constexpr net::Endpoint kMonitorEp{kPlatform2, 105};
+/// Per-activation scheduling jitter bound for the SWC callbacks.
+constexpr Duration kCallbackJitter = 2 * kMillisecond;
+/// Dispatcher-thread wake-up jitter for event receive handlers (ara::com
+/// dispatches them onto runtime threads; the skew between the frame and
+/// lane handlers is what misaligns Computer Vision's inputs).
+constexpr Duration kDispatchJitter = 2 * kMillisecond;
+/// Maximum per-task effective-period offset (ppm of the period, drawn per
+/// SWC per seed). Real periodic callbacks drift slightly relative to each
+/// other (timer re-arm overhead, load), so phase alignment between SWCs is
+/// transient rather than permanent.
+constexpr double kTaskPeriodDriftPpm = 40.0;
 
 using common::mix_digest;
+using scenario::kSensorPeriod;
 
 /// Draws a drift in [-bound, bound] with mass concentrated near zero
 /// (cubic shaping): most real clocks/timers sit close to nominal, a few
@@ -44,9 +47,7 @@ using common::mix_digest;
 /// Shared state of one scenario execution.
 struct Scenario {
   explicit Scenario(const ScenarioConfig& config)
-      : config(config),
-        testbed(config, config.period, config.link_latency_min, config.link_latency_max,
-                config.dispatch_jitter) {}
+      : config(config), testbed(config, kDispatchJitter) {}
 
   const ScenarioConfig& config;
   scenario::Testbed testbed;
@@ -56,7 +57,7 @@ struct Scenario {
   PipelineResult result;
 
   [[nodiscard]] Duration random_phase(common::Rng& rng) {
-    return rng.uniform_duration(0, config.period - 1);
+    return rng.uniform_duration(0, kSensorPeriod - 1);
   }
 };
 
@@ -67,9 +68,8 @@ class ClassicSwc {
  public:
   static Duration effective_period(Scenario& scenario, const std::string& name) {
     auto rng = scenario.testbed.platform_rng.stream(name + ".period_drift");
-    const double bound = scenario.config.task_period_drift_ppm * 1e-6 *
-                         static_cast<double>(scenario.config.period);
-    return scenario.config.period + static_cast<Duration>(draw_drift(rng, bound));
+    const double bound = kTaskPeriodDriftPpm * 1e-6 * static_cast<double>(kSensorPeriod);
+    return kSensorPeriod + static_cast<Duration>(draw_drift(rng, bound));
   }
 
   ClassicSwc(Scenario& scenario, std::string name, Duration phase,
@@ -78,7 +78,7 @@ class ClassicSwc {
         task_(scenario.testbed.kernel, scenario.clock2, effective_period(scenario, name), phase,
               [this](std::uint64_t, TimePoint release) { tick(release); }) {
     task_.set_jitter(
-        sim::ExecTimeModel::uniform(0, scenario.config.callback_jitter),
+        sim::ExecTimeModel::uniform(0, kCallbackJitter),
         scenario.testbed.platform_rng.stream(name + ".jitter"));
     if (scenario.config.use_deterministic_client) {
       client_.emplace(ara::DeterministicClient::Config{scenario.config.platform_seed, 4});
@@ -116,10 +116,10 @@ PipelineResult run_nondet_pipeline(const ScenarioConfig& config) {
   // evaluation order would be compiler-dependent.
   scenario::Testbed& testbed = s.testbed;
   auto drift_rng = testbed.platform_rng.stream("clock.drift");
-  const Duration clock1_offset = drift_rng.uniform_duration(0, config.period);
+  const Duration clock1_offset = drift_rng.uniform_duration(0, kSensorPeriod);
   const double clock1_drift = draw_drift(drift_rng, config.clock_drift_ppm);
   s.clock1 = sim::PlatformClock(clock1_offset, clock1_drift);
-  const Duration clock2_offset = drift_rng.uniform_duration(0, config.period);
+  const Duration clock2_offset = drift_rng.uniform_duration(0, kSensorPeriod);
   const double clock2_drift = draw_drift(drift_rng, config.clock_drift_ppm);
   s.clock2 = sim::PlatformClock(clock2_offset, clock2_drift);
 
@@ -255,25 +255,7 @@ PipelineResult run_nondet_pipeline(const ScenarioConfig& config) {
   });
 
   // --- the camera ---------------------------------------------------------------------
-  auto camera_cfg_rng = testbed.sensor_rng.stream("camera");
-  Camera::Config camera_config;
-  camera_config.period = config.period;
-  camera_config.phase = camera_cfg_rng.uniform_duration(0, config.period - 1);
-  camera_config.jitter = sim::ExecTimeModel::uniform(0, config.camera_jitter);
-  camera_config.frame_limit = config.frames;
-  camera_config.faults = config.sensor_faults;
-  camera_config.payload_bytes = config.camera_payload_bytes;
-  // Newest published slab only (see dear_pipeline): the ring never
-  // exhausts, so the frame stream is unchanged by the data plane.
-  common::LoanedBuffer latest_frame_pixels;
-  if (config.camera_payload_bytes > 0) {
-    camera_config.frame_sink = [&latest_frame_pixels](const common::LoanedBuffer& slab,
-                                                      const VideoFrame&) {
-      latest_frame_pixels = slab;
-    };
-  }
-  Camera camera(testbed.kernel, s.clock1, testbed.network, kCameraEp, kAdapterRawEp,
-                camera_config, testbed.sensor_rng);
+  CameraFrontEnd camera(config, testbed, s.clock1);
 
   adapter_swc.start();
   preproc_swc.start();
@@ -292,10 +274,7 @@ PipelineResult run_nondet_pipeline(const ScenarioConfig& config) {
   cv_swc.stop();
   eba_swc.stop();
 
-  result.frames_sent = camera.frames_sent();
-  result.camera_payload_frames = camera.payload_frames();
-  result.camera_payload_drops = camera.payload_drops();
-  result.sensor_faults = camera.fault_injector().counts();
+  camera.collect(result);
   return result;
 }
 

@@ -9,7 +9,8 @@
 // misaligned reads are exactly the errors Figure 5 counts. The error rate
 // depends on the relative phases of the periodic callbacks, the scheduling
 // jitter, the network latency, and the clock drift between the platforms —
-// all of which this scenario randomizes per seed.
+// all of which this scenario randomizes per seed. The bounds of that
+// jitter and drift are fixed in nondet_pipeline.cpp.
 #pragma once
 
 #include <cstdint>
@@ -22,25 +23,8 @@ namespace dear::brake {
 
 /// The stock-APD brake assistant's configuration: the shared platform
 /// knobs (scenario/knobs.hpp lists the ones this baseline ignores) plus
-/// the testbed's callback, dispatch and buffer model.
+/// the two ablations of its SWC model.
 struct ScenarioConfig : scenario::PlatformKnobs {
-  Duration period{50 * kMillisecond};
-  /// Per-activation scheduling jitter bound for the SWC callbacks.
-  Duration callback_jitter{2 * kMillisecond};
-  /// Dispatcher-thread wake-up jitter for event receive handlers (ara::com
-  /// dispatches them onto runtime threads; the skew between the frame and
-  /// lane handlers is what misaligns Computer Vision's inputs).
-  Duration dispatch_jitter{2 * kMillisecond};
-  /// Camera capture jitter bound.
-  Duration camera_jitter{500 * kMicrosecond};
-  /// Inter-platform link latency range.
-  Duration link_latency_min{200 * kMicrosecond};
-  Duration link_latency_max{800 * kMicrosecond};
-  /// Maximum per-task effective-period offset (ppm of the period, drawn
-  /// per SWC per seed). Real periodic callbacks drift slightly relative to
-  /// each other (timer re-arm overhead, load), so phase alignment between
-  /// SWCs is transient rather than permanent.
-  double task_period_drift_ppm{40.0};
   /// Use the AP "deterministic client" cycle model inside each SWC
   /// (baseline for `dear_reports det-client`). Only intra-SWC behavior
   /// changes; communication stays buffer-based.

@@ -16,13 +16,18 @@ enum class UntaggedPolicy : std::uint8_t {
   kPhysicalTime,
 };
 
+/// The paper's worst-case network latency bound L (§IV.B: 5 ms): every
+/// transactor's default, and the service-link latency the scenario
+/// envelope tolerates (scenario::kSvcLatencyBound).
+inline constexpr Duration kLatencyBound = 5 * kMillisecond;
+
 struct TransactorConfig {
   /// Deadline D on the transactor's sending reaction: the bound on how far
   /// logical time may lag physical time when the message leaves. The wire
   /// tag is t + D.
   Duration deadline{5 * kMillisecond};
   /// Worst-case network latency L assumed by safe-to-process analysis.
-  Duration latency_bound{5 * kMillisecond};
+  Duration latency_bound{kLatencyBound};
   /// Maximum clock synchronization error E between the communicating
   /// platforms (0 when both SWCs share a platform, paper §IV.B).
   Duration clock_error_bound{0};

@@ -7,6 +7,12 @@
 // part, and for_each_knob below is the one table the scenario file format
 // (scenario/spec_json.cpp) is read and written from.
 //
+// The configs add little to the knobs: the two DEAR ones add the RunHooks
+// below, brake::DearScenarioConfig also its clock-error bound E, and the
+// stock-APD brake::ScenarioConfig its two SWC-model ablations. Each app's
+// timing (sensor period, jitter, deadlines, link latency) is a fixed
+// design parameter, a constant next to the code that reads it.
+//
 // Not every pipeline uses every knob. Ignored knobs are accepted and have
 // no effect:
 //   - brake::ScenarioConfig (the stock-APD baseline: no transactors, no

@@ -1,5 +1,7 @@
 #include "scenario/presets.hpp"
 
+#include "scenario/testbed.hpp"
+
 namespace dear::scenario::presets {
 
 CampaignSpec smoke(std::uint64_t frames, std::uint64_t campaign_seed) {
@@ -39,7 +41,7 @@ CampaignSpec fault_tolerance_sweep(std::uint64_t frames, std::uint64_t campaign_
   campaign.base.frames = frames;
   campaign.workloads = {Workload::kBrakeDear, Workload::kAcc};
   campaign.transports = {Transport::kSomeIp, Transport::kLocal};
-  // Both pipelines sample at 50 ms, and crash_at counts from sensor
+  // Both pipelines sample at kSensorPeriod (50 ms), and crash_at counts from sensor
   // sample 0's nominal release: down a third of the way in, back up after
   // a quarter of the run spent dark. The half-period offset keeps both
   // window boundaries strictly between the victims' wire-tag clouds (the
@@ -47,10 +49,9 @@ CampaignSpec fault_tolerance_sweep(std::uint64_t frames, std::uint64_t campaign_
   // ACC victim's at +5ms): sensor tags carry sub-millisecond jitter, so
   // a boundary that razor-cut a cloud would make membership of that one
   // frame platform-seed-dependent.
-  const Duration period = 50 * kMillisecond;
   ft::ServiceFaultModel crash;
-  crash.crash_at = static_cast<Duration>(frames / 3) * period + period / 2;
-  crash.restart_after = static_cast<Duration>(frames / 4) * period;
+  crash.crash_at = static_cast<Duration>(frames / 3) * kSensorPeriod + kSensorPeriod / 2;
+  crash.restart_after = static_cast<Duration>(frames / 4) * kSensorPeriod;
   ft::ServiceFaultModel crash_and_faults = crash;
   crash_and_faults.call_error_probability = 0.02;
   crash_and_faults.call_omission_probability = 0.02;

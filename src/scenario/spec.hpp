@@ -22,6 +22,7 @@
 #include <string>
 #include <string_view>
 
+#include "dear/config.hpp"
 #include "scenario/knobs.hpp"
 
 namespace dear::scenario {
@@ -71,8 +72,8 @@ struct ScenarioSpec : PlatformKnobs {
 };
 
 /// Worst-case service-link latency tolerated by the default transactor
-/// configuration (the paper's L bound; dear/config.hpp).
-inline constexpr Duration kSvcLatencyBound = 5 * kMillisecond;
+/// configuration: the paper's L bound.
+inline constexpr Duration kSvcLatencyBound = transact::kLatencyBound;
 
 /// Pure derivation of a per-scenario sub-seed from the campaign seed, the
 /// scenario index and a stream label. Independent of execution order by

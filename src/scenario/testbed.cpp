@@ -6,20 +6,26 @@
 
 namespace dear::scenario {
 
-Testbed::Testbed(const PlatformKnobs& knobs, Duration period, Duration link_latency_min,
-                 Duration link_latency_max, Duration dispatch_jitter)
+transact::TransactorConfig transactor_config(const PlatformKnobs& knobs, Duration deadline,
+                                             Duration clock_error_bound) {
+  transact::TransactorConfig tc;
+  tc.deadline = scale_duration(deadline, knobs.deadline_scale);
+  tc.clock_error_bound = clock_error_bound;
+  return tc;
+}
+
+Testbed::Testbed(const PlatformKnobs& knobs, Duration dispatch_jitter)
     : platform_rng(knobs.platform_seed),
       sensor_rng(knobs.sensor_seed),
       network(kernel, platform_rng.stream("net")),
       executor(kernel, platform_rng.stream("dispatch"),
                sim::ExecTimeModel::uniform(0, dispatch_jitter)),
-      knobs_(knobs),
-      period_(period) {
+      knobs_(knobs) {
   if ((obs::Registry::span_mask() & obs::category_bit(obs::SpanCategory::kScenario)) != 0) {
     build_start_ns_ = obs::steady_now_ns();
   }
   net::LinkParams inter_link;
-  inter_link.latency = sim::ExecTimeModel::uniform(link_latency_min, link_latency_max);
+  inter_link.latency = sim::ExecTimeModel::uniform(kLinkLatencyMin, kLinkLatencyMax);
   network.set_default_link(inter_link);
   // SWC-to-SWC service traffic stays on one platform and rides the
   // loopback link — the surface the network fault knobs stress.
@@ -109,9 +115,8 @@ bool Testbed::execute(AppBuilder& app, const RunHooks& hooks,
   return true;
 }
 
-FaultTolerance::FaultTolerance(const PlatformKnobs& knobs, Duration period,
-                               TimePoint first_release)
-    : on_(knobs.service_faults.any()), period_(period), anchor_(first_release % period) {
+FaultTolerance::FaultTolerance(const PlatformKnobs& knobs, TimePoint first_release)
+    : on_(knobs.service_faults.any()), anchor_(first_release % kSensorPeriod) {
   const ft::ServiceFaultModel& faults = knobs.service_faults;
   plan_.down_from = faults.crash_at > 0 ? first_release + faults.crash_at : Duration{0};
   plan_.down_until = plan_.down_from > 0 && faults.restart_after > 0
@@ -140,16 +145,17 @@ reactor::Output<ft::HealthState>* FaultTolerance::deploy(
   // supervisor checks at +period/4, fallback ticks at +3/8.
   auto& health_srv = victim.serve<ft::Health>(ft::kHealthInstance, victim_config);
   auto& health_cli = supervisor.require<ft::Health>(ft::kHealthInstance, supervisor_config);
-  auto& beat_src = victim.logic<ft::HeartbeatEmitter>(period_, anchor_ + period_ + period_ / 4);
+  auto& beat_src = victim.logic<ft::HeartbeatEmitter>(
+      kSensorPeriod, anchor_ + kSensorPeriod + kSensorPeriod / 4);
   victim.connect(beat_src.out, health_srv.tx(ft::Health::beat).in);
   // Staleness thresholds scale with the app cadence: one missed beat is
   // tolerated, ~2.5 periods without beats counts as degraded, four as dead
   // (engaging the app's fallback).
   ft::SupervisorConfig config;
-  config.check_period = period_;
-  config.check_phase = anchor_ + period_ / 4;
-  config.degraded_after = 2 * period_ + period_ / 2;
-  config.dead_after = 4 * period_;
+  config.check_period = kSensorPeriod;
+  config.check_phase = anchor_ + kSensorPeriod / 4;
+  config.degraded_after = 2 * kSensorPeriod + kSensorPeriod / 2;
+  config.dead_after = 4 * kSensorPeriod;
   auto& monitor = supervisor.logic<ft::Supervisor>(config);
   supervisor.connect(health_cli.tx(ft::Health::beat).out, monitor.beat_in);
   supervisor_ = &monitor;

@@ -3,14 +3,16 @@
 // A pipeline is its app — endpoints, logic reactors, service wiring,
 // sensor front-end, fallback reactor and result observer — plus what is
 // the same for every app. This module builds the latter once, from the
-// platform knobs (scenario/knobs.hpp):
+// platform knobs (scenario/knobs.hpp) and the timing every app shares:
 //
+//   - kSensorPeriod and kLinkLatencyMin/Max: the sensor cadence and the
+//     inter-platform link of the paper's testbed;
 //   - Testbed: the rng roots, the DES kernel, the simulated network (an
 //     inter-platform default link plus the knob-driven service loopback
 //     link), service discovery, the dispatcher, the settle drain, the
-//     horizon, and the run lifecycle (preflight → schedule plan →
-//     structural validation → start → settle → sensor → churn → horizon →
-//     teardown), each phase an obs span of the scenario category;
+//     horizon, and the run lifecycle (preflight → structural validation →
+//     start → settle → sensor → churn → horizon → teardown), each phase an
+//     obs span of the scenario category;
 //   - FaultTolerance: the service-fault plan anchored to the sensor
 //     capture grid, the Health service with its heartbeat emitter and
 //     supervisor, and the run's ft::Counters;
@@ -37,28 +39,28 @@
 
 namespace dear::scenario {
 
+/// Sensor period of every case-study app: the paper's camera sends "one
+/// [frame] approximately every 50 ms" (§IV.A), and the ACC radar scans at
+/// the same cadence.
+inline constexpr Duration kSensorPeriod = 50 * kMillisecond;
+/// Latency range of the inter-platform default link, which carries the
+/// sensor traffic (the service traffic rides the knob-driven loopback).
+inline constexpr Duration kLinkLatencyMin = 200 * kMicrosecond;
+inline constexpr Duration kLinkLatencyMax = 800 * kMicrosecond;
+
 /// The transactor configuration of one SWC: its deadline scaled by the
-/// knobs' deadline_scale, plus the app's latency bound L, clock-error
-/// bound E and untagged-message policy.
-template <typename Config>
-[[nodiscard]] transact::TransactorConfig transactor_config(const Config& config,
-                                                           Duration deadline) {
-  transact::TransactorConfig tc;
-  tc.deadline = scale_duration(deadline, config.deadline_scale);
-  tc.latency_bound = config.latency_bound;
-  tc.clock_error_bound = config.clock_error_bound;
-  tc.untagged = config.untagged;
-  return tc;
-}
+/// knobs' deadline_scale, the clock-error bound E of its channels, and the
+/// defaults for the rest (L = transact::kLatencyBound, untagged messages
+/// fail).
+[[nodiscard]] transact::TransactorConfig transactor_config(const PlatformKnobs& knobs,
+                                                           Duration deadline,
+                                                           Duration clock_error_bound);
 
 class Testbed {
  public:
-  /// `period` is the app's sensor cadence, the link latencies bound the
-  /// inter-platform default link, and `dispatch_jitter` bounds the
-  /// dispatcher's wake-up delay for receive handlers. The knobs must
-  /// outlive the testbed.
-  Testbed(const PlatformKnobs& knobs, Duration period, Duration link_latency_min,
-          Duration link_latency_max, Duration dispatch_jitter = 200 * kMicrosecond);
+  /// `dispatch_jitter` bounds the dispatcher's wake-up delay for receive
+  /// handlers. The knobs must outlive the testbed.
+  explicit Testbed(const PlatformKnobs& knobs, Duration dispatch_jitter = 200 * kMicrosecond);
 
   /// Records the "app.teardown" span: result collection and the app's
   /// destruction, which (declared after the testbed) precedes this.
@@ -91,7 +93,8 @@ class Testbed {
   /// End of a run whose sensor starts at `sensor_start`: every sample has
   /// flushed through the chain well before it.
   [[nodiscard]] TimePoint horizon(TimePoint sensor_start) const noexcept {
-    return sensor_start + static_cast<TimePoint>(knobs_.frames + 16) * period_ + 16 * period_;
+    return sensor_start + static_cast<TimePoint>(knobs_.frames + 16) * kSensorPeriod +
+           16 * kSensorPeriod;
   }
 
   /// AppBuilder configuration: every service instance moves onto the
@@ -102,14 +105,14 @@ class Testbed {
   /// `phase` on `clock`: the sensor starts after the settle drain, so
   /// earlier grid points are missed activations.
   [[nodiscard]] TimePoint first_release(const sim::PlatformClock& clock, Duration phase) const {
-    return sim::first_release_at_or_after(clock, phase, period_, 0, settle()).release;
+    return sim::first_release_at_or_after(clock, phase, kSensorPeriod, 0, settle()).release;
   }
 
   /// Runs a wired app: the preflight hook, then — unless build_only — the
-  /// schedule plan, the structural validation gate, start, the settle
-  /// drain, `start_sensor`, the churn toggle on `churned` (when the knobs
-  /// set a churn period) and the run to the horizon. Returns false when
-  /// build_only stopped it before any event executed.
+  /// structural validation gate, start, the settle drain, `start_sensor`,
+  /// the churn toggle on `churned` (when the knobs set a churn period) and
+  /// the run to the horizon. Returns false when build_only stopped it
+  /// before any event executed.
   template <typename Subscription>
   [[nodiscard]] bool run(AppBuilder& app, const RunHooks& hooks,
                          const std::function<void()>& start_sensor, Subscription& churned) {
@@ -127,7 +130,6 @@ class Testbed {
                const std::function<void()>& toggle_churn);
 
   const PlatformKnobs& knobs_;
-  Duration period_;
   /// Start of the "app.build" span; -1 when scenario spans are off.
   std::int64_t build_start_ns_{-1};
   /// Start of the "app.teardown" span (the end of "app.run"); -1 when
@@ -154,7 +156,7 @@ class FaultTolerance {
   /// sensor tag, and an absolute window would let it shift window
   /// membership too. The health timers sit at fixed offsets from the same
   /// grid.
-  FaultTolerance(const PlatformKnobs& knobs, Duration period, TimePoint first_release);
+  FaultTolerance(const PlatformKnobs& knobs, TimePoint first_release);
 
   FaultTolerance(const FaultTolerance&) = delete;
   FaultTolerance& operator=(const FaultTolerance&) = delete;
@@ -162,9 +164,9 @@ class FaultTolerance {
   /// Timer of the app's fallback reactor: the app cadence, 3/8 period off
   /// the capture grid. Period 0 when the layer is off — the app then
   /// builds no fallback port.
-  [[nodiscard]] Duration fallback_period() const noexcept { return on_ ? period_ : 0; }
+  [[nodiscard]] Duration fallback_period() const noexcept { return on_ ? kSensorPeriod : 0; }
   [[nodiscard]] Duration fallback_phase() const noexcept {
-    return anchor_ + period_ / 4 + period_ / 8;
+    return anchor_ + kSensorPeriod / 4 + kSensorPeriod / 8;
   }
 
   /// Deploys the layer on a wired app, after its logic reactors: installs
@@ -182,7 +184,6 @@ class FaultTolerance {
 
  private:
   bool on_;
-  Duration period_;
   /// Capture-grid offset within one period.
   Duration anchor_;
   ft::FaultPlan plan_;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "acc/logic.hpp"
+#include "scenario/spec.hpp"
 
 namespace dear::acc {
 namespace {
@@ -98,6 +99,26 @@ TEST(AccPipeline, LocalTransportIsDeterministicAcrossPlatformTiming) {
     EXPECT_EQ(result.output_digest, reference.output_digest);
     EXPECT_EQ(result.tag_digest, reference.tag_digest);
     EXPECT_EQ(result.console_digest, reference.console_digest);
+  }
+}
+
+TEST(AccPipeline, GoldenOutputAtDefaults) {
+  // Golden run of the ACC chain at its default timing and deadlines (300
+  // scans, platform seed 7, sensor seed 1007), on both transports: the
+  // actuator commands, their logical tags and the console's field traffic.
+  constexpr std::uint64_t kOutputDigest = 0xe31366a934e8b4dcULL;
+  constexpr std::uint64_t kTagDigest = 0xf203621c64b4befaULL;
+  constexpr std::uint64_t kConsoleDigest = 0xa12849efaaf7ded3ULL;
+  for (const auto transport : {scenario::Transport::kSomeIp, scenario::Transport::kLocal}) {
+    auto config = small_scenario(7, 1007, 300);
+    config.transport = transport;
+    const auto result = run_acc_pipeline(config);
+    const std::string_view name = scenario::to_string(transport);
+    EXPECT_EQ(result.commands, 300u) << name;
+    EXPECT_EQ(result.total_errors(), 0u) << name;
+    EXPECT_EQ(result.output_digest, kOutputDigest) << name;
+    EXPECT_EQ(result.tag_digest, kTagDigest) << name;
+    EXPECT_EQ(result.console_digest, kConsoleDigest) << name;
   }
 }
 

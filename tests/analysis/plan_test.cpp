@@ -13,9 +13,7 @@
 #include "acc/pipeline.hpp"
 #include "analysis/analyzer.hpp"
 #include "brake/dear_pipeline.hpp"
-#include "dear/app_builder.hpp"
-#include "reactor/graph.hpp"
-#include "reactor/reaction.hpp"
+#include "runtime_levels.hpp"
 #include "scenario/spec.hpp"
 
 namespace dear::analysis {
@@ -105,58 +103,13 @@ TEST(StaticPlan, DigestIsStableAcrossExtractions) {
 
 // --- the plan matches the runtime's levels ------------------------------------
 
-/// Every node's level table as the runtime assigns it, read from each
-/// node's graph of a built (not started) app.
+/// The runtime's level tables of every node that has levels: a node
+/// without reactions has no table in the plan (Facts::levels_by_node).
 template <typename Config, typename Run>
-std::vector<NodeLevels> runtime_levels(Config config, Run run) {
-  std::vector<NodeLevels> nodes;
-  config.build_only = true;
-  config.preflight = [&nodes](AppBuilder& app) {
-    for (const auto& node : app.nodes()) {
-      reactor::DependencyGraph& graph = node->environment().graph();
-      (void)graph.analyze();
-      NodeLevels& levels = nodes.emplace_back(NodeLevels{node->name(), {}});
-      for (std::size_t level = 0; level < graph.levels().size(); ++level) {
-        std::vector<std::string>& fqns = levels.levels.emplace_back();
-        for (const reactor::Reaction* reaction : graph.levels()[level]) {
-          fqns.emplace_back(reaction->fqn());
-        }
-      }
-    }
-  };
-  (void)run(config);
+std::vector<NodeLevels> leveled_nodes(const Config& config, Run run) {
+  std::vector<NodeLevels> nodes = runtime_levels(config, run);
+  std::erase_if(nodes, [](const NodeLevels& node) { return node.levels.empty(); });
   return nodes;
-}
-
-/// The first (node, level) at which `plan` and `runtime` disagree; empty
-/// when the plan lists exactly the runtime's fqns at every level of every
-/// node. A node without reactions has no table in the plan.
-std::string first_mismatch(const StaticPlan& plan, const std::vector<NodeLevels>& runtime) {
-  std::size_t matched = 0;
-  for (const NodeLevels& node : runtime) {
-    const NodeLevels* planned = nullptr;
-    for (const NodeLevels& candidate : plan.nodes) {
-      if (candidate.node == node.node) {
-        planned = &candidate;
-      }
-    }
-    if (planned == nullptr) {
-      if (!node.levels.empty()) {
-        return "no table for node " + node.node;
-      }
-      continue;
-    }
-    ++matched;
-    if (planned->levels.size() != node.levels.size()) {
-      return "level count of node " + node.node;
-    }
-    for (std::size_t level = 0; level < node.levels.size(); ++level) {
-      if (planned->levels[level] != node.levels[level]) {
-        return node.node + "/L" + std::to_string(level);
-      }
-    }
-  }
-  return matched == plan.nodes.size() ? std::string{} : "a planned node the app lacks";
 }
 
 const auto kRunBrake = [](const brake::DearScenarioConfig& c) { return brake::run_dear_pipeline(c); };
@@ -165,22 +118,21 @@ const auto kRunAcc = [](const acc::AccScenarioConfig& c) { return acc::run_acc_p
 TEST(StaticPlan, BrakePipelineConsumingThePlanIsBitIdentical) {
   const Report report = timed_report(Workload::kBrakeDear);
   ASSERT_FALSE(report.plan.empty());
-  const auto runtime = runtime_levels(brake::DearScenarioConfig{}, kRunBrake);
+  const auto runtime = leveled_nodes(brake::DearScenarioConfig{}, kRunBrake);
   EXPECT_GE(runtime.size(), 4U);
-  EXPECT_EQ(first_mismatch(report.plan, runtime), "");
+  EXPECT_EQ(report.plan.nodes, runtime);
 }
 
 TEST(StaticPlan, AccPipelineConsumingThePlanIsBitIdentical) {
   const Report report = timed_report(Workload::kAcc);
   ASSERT_FALSE(report.plan.empty());
-  EXPECT_EQ(first_mismatch(report.plan, runtime_levels(acc::AccScenarioConfig{}, kRunAcc)), "");
+  EXPECT_EQ(report.plan.nodes, leveled_nodes(acc::AccScenarioConfig{}, kRunAcc));
 }
 
 TEST(StaticPlan, ForeignPlanIsRejectedLoudly) {
   // The ACC plan knows nothing about the brake pipeline's nodes.
   const Report report = timed_report(Workload::kAcc);
-  EXPECT_NE(first_mismatch(report.plan, runtime_levels(brake::DearScenarioConfig{}, kRunBrake)),
-            "");
+  EXPECT_NE(report.plan.nodes, leveled_nodes(brake::DearScenarioConfig{}, kRunBrake));
 }
 
 }  // namespace

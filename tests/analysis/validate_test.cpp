@@ -17,6 +17,7 @@
 #include "net/sim_network.hpp"
 #include "reactor/graph.hpp"
 #include "reactor/runtime.hpp"
+#include "runtime_levels.hpp"
 #include "scenario/workloads.hpp"
 #include "sim/sim_executor.hpp"
 
@@ -174,35 +175,6 @@ TEST_F(ValidateTest, CyclicAppFailsValidateAndStart) {
   }
 }
 
-/// (fqn, level) per reaction of one node, level by level.
-using LevelTable = std::vector<std::pair<std::string, int>>;
-
-/// Every node's level table for one built (not started) app, read from
-/// graph().levels(), optionally after a validate() pass over the same
-/// graphs.
-template <typename Config, typename Run>
-std::vector<LevelTable> level_tables(Config config, Run run, bool validate_first) {
-  std::vector<LevelTable> tables;
-  config.build_only = true;
-  config.preflight = [&tables, validate_first](AppBuilder& app) {
-    if (validate_first) {
-      (void)app.validate(analysis::Gate::kStructural);
-    }
-    for (const auto& node : app.nodes()) {
-      reactor::DependencyGraph& graph = node->environment().graph();
-      (void)graph.analyze();  // cached: a no-op after validate()
-      LevelTable& table = tables.emplace_back();
-      for (std::size_t level = 0; level < graph.levels().size(); ++level) {
-        for (const reactor::Reaction* reaction : graph.levels()[level]) {
-          table.emplace_back(reaction->fqn(), static_cast<int>(level));
-        }
-      }
-    }
-  };
-  (void)run(config);
-  return tables;
-}
-
 TEST(ValidatePlans, ExportedPlanIsTheSameWithOrWithoutValidate) {
   scenario::ScenarioSpec brake_spec;
   brake_spec.workload = scenario::Workload::kBrakeDear;
@@ -215,12 +187,14 @@ TEST(ValidatePlans, ExportedPlanIsTheSameWithOrWithoutValidate) {
   const auto acc = [](const acc::AccScenarioConfig& c) { return acc::run_acc_pipeline(c); };
   for (const auto& [spec, name] : {std::pair{brake_spec, "brake"}, std::pair{ft_spec, "brake+ft"}}) {
     const auto config = scenario::to_dear_config(spec);
-    const auto with = level_tables(config, brake, true);
+    const auto with = analysis::runtime_levels(config, brake, true);
     EXPECT_GE(with.size(), 5U) << name;
-    EXPECT_EQ(with, level_tables(config, brake, false)) << name;
+    EXPECT_EQ(with, analysis::runtime_levels(config, brake, false)) << name;
   }
   const auto config = scenario::to_acc_config(acc_spec);
-  EXPECT_EQ(level_tables(config, acc, true), level_tables(config, acc, false)) << "acc";
+  EXPECT_EQ(analysis::runtime_levels(config, acc, true),
+            analysis::runtime_levels(config, acc, false))
+      << "acc";
 }
 
 }  // namespace

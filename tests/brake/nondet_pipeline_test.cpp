@@ -80,6 +80,48 @@ TEST(NondetPipeline, MisalignmentCausesWrongDecisions) {
   GTEST_SKIP() << "no high-mismatch seed in range (distribution shifted)";
 }
 
+TEST(NondetPipeline, GoldenOutputAtDefaults) {
+  // Golden run of the stock-APD baseline at its default timing (300
+  // frames, platform seed 8, sensor seed 1008: a seed whose run shows
+  // three of the four Figure 5 error classes), for the plain pipeline and
+  // its DeterministicClient variant. The output digest and the error
+  // columns are a pure function of the seeds, so any change to the
+  // callback, dispatch, drift, camera or link timing shows here.
+  struct Golden {
+    const char* name;
+    PipelineResult (*run)(const ScenarioConfig&);
+    std::uint64_t output_digest;
+    ErrorCounters errors;
+    std::uint64_t frames_processed_eba;
+    std::uint64_t wrong_decisions;
+  };
+  const Golden cases[] = {
+      {"nondet", [](const ScenarioConfig& c) { return run_nondet_pipeline(c); },
+       0x32c17a9d3b77a5b8ULL, {1, 152, 41, 0}, 187, 11},
+      {"det-client", [](const ScenarioConfig& c) { return run_det_client_pipeline(c); },
+       0xa0cd8cdfdfed4d74ULL, {3, 160, 38, 0}, 180, 14},
+  };
+  ScenarioConfig config;
+  config.frames = 300;
+  config.platform_seed = 8;
+  config.sensor_seed = 1008;
+  for (const Golden& golden : cases) {
+    const PipelineResult result = golden.run(config);
+    EXPECT_EQ(result.frames_sent, 300u) << golden.name;
+    EXPECT_EQ(result.output_digest, golden.output_digest) << golden.name;
+    EXPECT_EQ(result.errors.dropped_frames_preprocessing,
+              golden.errors.dropped_frames_preprocessing)
+        << golden.name;
+    EXPECT_EQ(result.errors.dropped_frames_cv, golden.errors.dropped_frames_cv) << golden.name;
+    EXPECT_EQ(result.errors.input_mismatches_cv, golden.errors.input_mismatches_cv)
+        << golden.name;
+    EXPECT_EQ(result.errors.dropped_vehicles_eba, golden.errors.dropped_vehicles_eba)
+        << golden.name;
+    EXPECT_EQ(result.frames_processed_eba, golden.frames_processed_eba) << golden.name;
+    EXPECT_EQ(result.wrong_decisions, golden.wrong_decisions) << golden.name;
+  }
+}
+
 TEST(DetClientPipeline, IntraSwcDeterminismDoesNotFixCoordination) {
   // The AP deterministic client addresses only nondeterminism source 1;
   // the buffer races between SWCs persist (paper §II.B).
