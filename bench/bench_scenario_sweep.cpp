@@ -8,82 +8,13 @@
 // contract). Digest equality is always enforced; the speedup threshold is
 // enforced only when the host actually has at least --speedup-workers
 // cores (a 1-core container cannot exhibit parallel speedup).
-//
-// The serial baseline runs the batch once on each CPU the worker pools
-// start on (CampaignRunner places worker w on the w-th CPU of the affinity
-// mask), and a pool of W workers is compared with the mean serial rate
-// over its W CPUs. On a host whose vCPUs differ in speed (a busy
-// neighbour on a shared physical core makes one run the same batch 1.8x
-// slower than another) a baseline taken on whichever CPU the main thread
-// happens to sit on measures that CPU, not the runner's scaling. A
-// neighbour's load also comes and goes within a second, so each round
-// runs the serial batches and then the pools back to back, each round
-// yields its own speedup, and the median over kRounds rounds is the
-// figure reported and gated. The digest is checked on every run.
-#include <algorithm>
 #include <cstdio>
-#include <optional>
 #include <thread>
 #include <vector>
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 #include "common/cli.hpp"
 #include "scenario/presets.hpp"
 #include "scenario/runner.hpp"
-
-namespace {
-
-/// The distinct CPUs a pool of `workers` starts on, in worker order. One
-/// entry of -1 (unpinned) where the affinity mask cannot be read.
-std::vector<int> pool_cpus(std::size_t workers) {
-  std::vector<int> cpus;
-#if defined(__linux__)
-  cpu_set_t allowed;
-  if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
-    for (int cpu = 0; cpu < CPU_SETSIZE && cpus.size() < workers; ++cpu) {
-      if (CPU_ISSET(cpu, &allowed)) {
-        cpus.push_back(cpu);
-      }
-    }
-  }
-#endif
-  if (cpus.empty()) {
-    cpus.push_back(-1);
-  }
-  return cpus;
-}
-
-/// Runs a one-worker batch (on the calling thread) pinned to `cpu`, then
-/// gives the thread back its full CPU mask. -1 runs it unpinned.
-dear::scenario::CampaignReport run_serial_on(const dear::scenario::CampaignSpec& campaign,
-                                             int cpu) {
-  dear::scenario::RunnerOptions options;
-  options.workers = 1;
-#if defined(__linux__)
-  cpu_set_t allowed;
-  if (cpu >= 0 && sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
-    cpu_set_t one;
-    CPU_ZERO(&one);
-    CPU_SET(cpu, &one);
-    pthread_setaffinity_np(pthread_self(), sizeof(one), &one);
-    auto report = dear::scenario::CampaignRunner(options).run(campaign);
-    pthread_setaffinity_np(pthread_self(), sizeof(allowed), &allowed);
-    return report;
-  }
-#else
-  (void)cpu;
-#endif
-  return dear::scenario::CampaignRunner(options).run(campaign);
-}
-
-/// Measurement rounds; each runs every serial and pooled batch once.
-constexpr std::uint64_t kRounds = 10;
-
-}  // namespace
 
 int main(int argc, char** argv) {
   dear::common::Cli cli("bench_scenario_sweep",
@@ -91,8 +22,7 @@ int main(int argc, char** argv) {
   cli.add_int("scenarios", 64, "grid size (homogeneous DEAR scenarios)");
   cli.add_int("frames", 2000, "frames per scenario");
   cli.add_int("seed", 1, "campaign seed");
-  cli.add_int("max-workers", 4,
-              "highest worker count measured (serial on each CPU, then 2, 4, ... up to this)");
+  cli.add_int("max-workers", 4, "highest worker count measured (1, 2, 4, ... up to this)");
   cli.add_double("min-speedup", 3.0,
                  "required speedup at --speedup-workers (enforced only when the host has "
                  "that many cores; 0 disables)");
@@ -110,115 +40,61 @@ int main(int argc, char** argv) {
   const std::size_t cores = std::thread::hardware_concurrency();
 
   const auto campaign = dear::scenario::presets::throughput(scenarios, frames, seed);
-  std::printf(
-      "scenario batch scaling: %llu scenarios x %llu frames, %zu hardware cores, median of "
-      "%llu rounds\n\n",
-      static_cast<unsigned long long>(scenarios), static_cast<unsigned long long>(frames), cores,
-      static_cast<unsigned long long>(kRounds));
+  std::printf("scenario batch scaling: %llu scenarios x %llu frames, %zu hardware cores\n\n",
+              static_cast<unsigned long long>(scenarios),
+              static_cast<unsigned long long>(frames), cores);
+  std::printf("  %-8s %12s %14s %10s %12s %18s\n", "workers", "wall(s)", "scen/s", "speedup",
+              "violations", "reportDigest");
 
-  const std::vector<int> cpus = pool_cpus(max_workers);
-  std::vector<std::size_t> pools;
-  for (std::size_t workers = 2; workers <= max_workers; workers *= 2) {
-    pools.push_back(workers);
+  struct Row {
+    std::size_t workers;
+    double wall;
+    double rate;
+    std::uint64_t digest;
+    std::size_t violations;
+  };
+  std::vector<Row> rows;
+  for (std::size_t workers = 1; workers <= max_workers; workers *= 2) {
+    dear::scenario::RunnerOptions options;
+    options.workers = workers;
+    const auto report = dear::scenario::CampaignRunner(options).run(campaign);
+    rows.push_back(Row{workers, report.wall_seconds, report.scenarios_per_second(),
+                       report.report_digest(), report.violations.size()});
+    const double speedup = rows.front().wall / report.wall_seconds;
+    std::printf("  %-8zu %12.3f %14.1f %9.2fx %12zu   %016llx\n", workers, report.wall_seconds,
+                report.scenarios_per_second(), speedup, report.violations.size(),
+                static_cast<unsigned long long>(report.report_digest()));
   }
-  // serial_wall[r][c]: round r's serial batch on cpus[c]; pool_wall[r][p]:
-  // round r's batch on pools[p] workers.
-  std::vector<std::vector<double>> serial_wall(kRounds, std::vector<double>(cpus.size()));
-  std::vector<std::vector<double>> pool_wall(kRounds, std::vector<double>(pools.size()));
-  std::optional<std::uint64_t> digest;
+
   bool ok = true;
-  auto check = [&](const dear::scenario::CampaignReport& report, const char* what,
-                   long long where) {
-    if (!digest) {
-      digest = report.report_digest();
-    } else if (report.report_digest() != *digest) {
-      std::printf("FAIL: report digest %016llx of the %s %lld run differs from %016llx\n",
-                  static_cast<unsigned long long>(report.report_digest()), what, where,
-                  static_cast<unsigned long long>(*digest));
+  for (const Row& row : rows) {
+    if (row.digest != rows.front().digest) {
+      std::printf("\nFAIL: report digest at %zu workers differs from serial run\n", row.workers);
       ok = false;
     }
-    if (!report.violations.empty()) {
-      std::printf("FAIL: %zu determinism violation(s) in the %s %lld run\n",
-                  report.violations.size(), what, where);
+    if (row.violations != 0) {
+      std::printf("\nFAIL: %zu determinism violation(s) at %zu workers\n", row.violations,
+                  row.workers);
       ok = false;
     }
-    return report.wall_seconds;
-  };
-  for (std::uint64_t round = 0; round < kRounds; ++round) {
-    for (std::size_t c = 0; c < cpus.size(); ++c) {
-      serial_wall[round][c] = check(run_serial_on(campaign, cpus[c]), "serial on cpu", cpus[c]);
-    }
-    for (std::size_t p = 0; p < pools.size(); ++p) {
-      dear::scenario::RunnerOptions options;
-      options.workers = pools[p];
-      pool_wall[round][p] = check(dear::scenario::CampaignRunner(options).run(campaign),
-                                  "workers", static_cast<long long>(pools[p]));
-    }
   }
+  std::printf("\nreport digest identical across worker counts: %s\n", ok ? "yes" : "NO");
 
-  auto median = [](std::vector<double> values) {
-    std::sort(values.begin(), values.end());
-    const std::size_t mid = values.size() / 2;
-    return values.size() % 2 == 1 ? values[mid] : (values[mid - 1] + values[mid]) / 2.0;
-  };
-  std::printf("  %-8s %12s\n", "cpu", "serial(s)");
-  for (std::size_t c = 0; c < cpus.size(); ++c) {
-    std::vector<double> walls;
-    for (const auto& row : serial_wall) {
-      walls.push_back(row[c]);
+  for (const Row& row : rows) {
+    if (row.workers != speedup_workers || min_speedup <= 0.0) {
+      continue;
     }
-    std::printf("  %-8d %12.3f\n", cpus[c], median(walls));
-  }
-  // A pool of W workers runs on the first min(W, CPUs) CPUs of the list;
-  // its serial baseline in a round is their mean batch rate (the harmonic
-  // mean of the wall times: a mean of the walls would credit a slow CPU's
-  // long run to the pool's speedup).
-  auto serial_baseline = [&](std::uint64_t round, std::size_t workers) {
-    const std::size_t n = std::min(workers, cpus.size());
-    double rate = 0.0;
-    for (std::size_t c = 0; c < n; ++c) {
-      rate += 1.0 / serial_wall[round][c];
-    }
-    return static_cast<double>(n) / rate;
-  };
-  std::printf("\n  %-8s %12s %12s %14s %10s\n", "workers", "wall(s)", "serial(s)", "scen/s",
-              "speedup");
-  double gated_speedup = 0.0;
-  bool gated_measured = false;
-  for (std::size_t p = 0; p < pools.size(); ++p) {
-    std::vector<double> walls;
-    std::vector<double> serials;
-    std::vector<double> speedups;
-    for (std::uint64_t round = 0; round < kRounds; ++round) {
-      walls.push_back(pool_wall[round][p]);
-      serials.push_back(serial_baseline(round, pools[p]));
-      speedups.push_back(serials.back() / walls.back());
-    }
-    const double wall = median(walls);
-    const double speedup = median(speedups);
-    std::printf("  %-8zu %12.3f %12.3f %14.1f %9.2fx\n", pools[p], wall, median(serials),
-                static_cast<double>(scenarios) / wall, speedup);
-    if (pools[p] == speedup_workers) {
-      gated_speedup = speedup;
-      gated_measured = true;
-    }
-  }
-  std::printf("\nreport digest %016llx identical across all %llu runs: %s\n",
-              static_cast<unsigned long long>(digest.value_or(0)),
-              static_cast<unsigned long long>(kRounds * (cpus.size() + pools.size())),
-              ok ? "yes" : "NO");
-
-  if (gated_measured && min_speedup > 0.0) {
+    const double speedup = rows.front().wall / row.wall;
     if (cores < speedup_workers) {
       std::printf("speedup check skipped: host has %zu core(s) < %zu workers\n", cores,
                   speedup_workers);
-    } else if (gated_speedup < min_speedup) {
-      std::printf("FAIL: speedup %.2fx at %zu workers below required %.2fx\n", gated_speedup,
-                  speedup_workers, min_speedup);
+    } else if (speedup < min_speedup) {
+      std::printf("FAIL: speedup %.2fx at %zu workers below required %.2fx\n", speedup,
+                  row.workers, min_speedup);
       ok = false;
     } else {
-      std::printf("speedup %.2fx at %zu workers meets the %.2fx requirement\n", gated_speedup,
-                  speedup_workers, min_speedup);
+      std::printf("speedup %.2fx at %zu workers meets the %.2fx requirement\n", speedup,
+                  row.workers, min_speedup);
     }
   }
   return ok ? 0 : 1;
